@@ -5,6 +5,14 @@ losses) is a :class:`Tensor`. Operations executed while gradients are
 enabled record a backward closure; :meth:`Tensor.backward` replays them
 in reverse topological order. Inside :func:`no_grad` nothing is recorded
 and forward passes are plain numpy.
+
+An op stays in this module only while code under ``src/`` calls it. The
+ops kept are: ``+``, ``-`` (binary and unary), ``*``, ``/``, ``**``, ``@``
+on 1-D/2-D operands, indexing, ``reshape``, ``transpose``/``T``, ``sum``,
+``mean``, ``norm``, ``tanh``, ``sigmoid``, ``relu``, ``softmax``, and the
+free functions :func:`concat`, :func:`stack`, :func:`take_rows` and
+:func:`dropout`. :func:`grad_check` compares any of them against central
+differences.
 """
 
 from __future__ import annotations
@@ -40,10 +48,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,9 +109,6 @@ class Tensor:
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteError(f"{what} contains non-finite values")
         return self
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -196,9 +197,6 @@ class Tensor:
             _send(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
-    def __rtruediv__(self, other):
-        return _as_tensor(other) / self
-
     def __pow__(self, exponent: float):
         a = self
         e = float(exponent)
@@ -211,26 +209,18 @@ class Tensor:
     def __matmul__(self, other):
         other = _as_tensor(other)
         a, b = self, other
-        if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[0]:
-            raise ShapeError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
-        if a.ndim > 2 or b.ndim > 2:
+        if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2) or a.shape[-1] != b.shape[0]:
             raise ShapeError(
-                f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
+                f"matmul needs conforming 1-D/2-D operands, got {a.shape} @ {b.shape}")
         data = a.data @ b.data
 
         def bw(g):
-            if a.ndim == 1 and b.ndim == 1:
-                _send(a, g * b.data)
-                _send(b, g * a.data)
-            elif a.ndim == 2 and b.ndim == 2:
-                _send(a, g @ b.data.T)
-                _send(b, a.data.T @ g)
-            elif a.ndim == 2 and b.ndim == 1:
-                _send(a, np.outer(g, b.data))
-                _send(b, a.data.T @ g)
-            else:  # 1-D @ 2-D
-                _send(a, g @ b.data.T)
-                _send(b, np.outer(a.data, g))
+            # A 1-D operand is one row on the left or one column on the right.
+            A = a.data.reshape(-1, a.shape[-1])
+            Bm = b.data.reshape(b.shape[0], -1)
+            G = g.reshape(A.shape[0], Bm.shape[1])
+            _send(a, _matmul_2d(G, Bm.T).reshape(a.shape))
+            _send(b, _matmul_2d(A.T, G).reshape(b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
     def __getitem__(self, idx):
@@ -238,9 +228,11 @@ class Tensor:
         data = a.data[idx]
 
         def bw(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _send(a, full)
+            # Scatter into the parent's gradient in place: a zero array per
+            # read would make reading every row of an L-row tensor O(L^2).
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, idx, g)
         return Tensor._from_op(np.array(data, dtype=np.float64), (a,), bw)
 
     # -- shape ops ------------------------------------------------------------
@@ -302,25 +294,6 @@ class Tensor:
 
     # -- nonlinearities -------------------------------------------------------
 
-    def exp(self) -> "Tensor":
-        a = self
-        data = np.exp(a.data)
-
-        def bw(g):
-            _send(a, g * data)
-        return Tensor._from_op(data, (a,), bw)
-
-    def log(self) -> "Tensor":
-        a = self
-        data = np.log(a.data)
-
-        def bw(g):
-            _send(a, g / a.data)
-        return Tensor._from_op(data, (a,), bw)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def tanh(self) -> "Tensor":
         a = self
         data = np.tanh(a.data)
@@ -372,6 +345,12 @@ def _send(node: Tensor, g: np.ndarray) -> None:
         node._accumulate(g)
 
 
+def _matmul_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for 2-D arrays. An inner size of 1 is an outer product, which a
+    broadcast multiply computes faster than numpy's non-BLAS matmul path."""
+    return x * y if x.shape[1] == 1 else x @ y
+
+
 # -- free functions ----------------------------------------------------------
 
 
@@ -398,16 +377,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    tensors = list(tensors)
+    """Stack same-shape tensors along a new axis as one tape node."""
+    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ContractViolation("stack of an empty sequence")
-    expanded = []
-    for t in tensors:
-        shape = list(t.shape)
-        shape.insert(axis if axis >= 0 else len(shape) + 1 + axis, 1)
-        expanded.append(t.reshape(tuple(shape)))
-    return concat(expanded, axis=axis)
+    shape = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != shape:
+            raise ShapeError(f"stack shapes do not conform: {shape} vs {t.shape}")
+    data = np.stack([t.data for t in tensors], axis=axis)
+
+    def bw(g):
+        for t, part in zip(tensors, np.moveaxis(g, axis, 0)):
+            _send(t, part)
+    return Tensor._from_op(data, tensors, bw)
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractViolation, Tensor, concat, stack
+from .autodiff import ContractViolation, Tensor, concat
 
 
 @dataclass
@@ -57,10 +57,14 @@ def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
 
 
 def votes(u: Tensor, Wc: Tensor, b_hat: Tensor) -> Tensor:
-    """Per-parent votes u_hat[i, j] = Wc[j] @ u[i] + b_hat[j]; H x E x d."""
-    E = Wc.shape[0]
-    per_parent = [u @ Wc[j].T + b_hat[j] for j in range(E)]
-    return stack(per_parent, axis=1)
+    """Per-parent votes u_hat[i, j] = Wc[j] @ u[i] + b_hat[j]; H x E x d.
+
+    All E transforms are one product: Wc viewed as d x E*d, column
+    j*d + l holding row l of Wc[j].
+    """
+    E, d, _ = Wc.shape
+    W = Wc.transpose((2, 0, 1)).reshape((d, E * d))
+    return (u @ W).reshape((u.shape[0], E, d)) + b_hat
 
 
 def dynamic_routing(u_hat: Tensor, a_hat: Tensor, iterations: int,

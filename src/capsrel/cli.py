@@ -16,7 +16,7 @@ import numpy as np
 from . import evaluation, prediction, synth
 from .config import ConfigError, RunConfig
 from .data import Corpus, EmbeddingStore, load_corpus, load_embeddings
-from .model import Model, build_model, load_checkpoint, save_checkpoint
+from .model import Model, load_checkpoint, save_checkpoint
 from .training import bag_top1_accuracy, train
 
 log = logging.getLogger("capsrel")
@@ -59,7 +59,7 @@ def cmd_train(args) -> int:
         raise ConfigError("config field 'checkpoint' is required")
     store, corpus = _load_inputs(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    model = build_model(cfg.train, store)
+    model = Model(cfg.train, store)
     log_path = os.path.join(cfg.output_dir, "train_log.jsonl")
     records = []
 
@@ -168,7 +168,7 @@ def cmd_sweep(args) -> int:
     grid = [{"routing_iters": it, "d": d} for it in iters for d in dims]
 
     def run_point(train_cfg):
-        model = build_model(train_cfg, store)
+        model = Model(train_cfg, store)
         train(model, corpus.bags, train_cfg)
         decisions = evaluation.decisions_from_scores(
             _bag_score_pairs(model, corpus))

@@ -142,11 +142,21 @@ def _position_ids(tokens: list[str], anchors: list[int | None],
 def parse_record(obj: dict, L: int, M: int,
                  relation_vocab: dict[str, int]) -> SentenceInstance:
     tokens = list(obj["tokens"])
+    if not tokens:
+        raise CorpusFormatError("empty tokens")
     entities = {e["id"]: (int(e["span"][0]), int(e["span"][1]))
                 for e in obj["entities"]}
+    for eid, (start, end) in entities.items():
+        if not 0 <= start < end <= len(tokens):
+            raise CorpusFormatError(
+                f"entity {eid!r} span [{start}, {end}) is not a non-empty "
+                f"range within the {len(tokens)} tokens")
     pairs = [tuple(p) for p in obj["pairs"]]
     if not 1 <= len(pairs) <= 2:
         raise CorpusFormatError(f"expected 1 or 2 entity pairs, got {len(pairs)}")
+    if len(obj["relations"]) != len(pairs):
+        raise CorpusFormatError(
+            f"{len(obj['relations'])} relations for {len(pairs)} entity pairs")
     rel_ids = []
     for name in obj["relations"]:
         if name not in relation_vocab:
@@ -178,9 +188,8 @@ def load_corpus(path: str, L: int, M: int,
             try:
                 obj = json.loads(line)
                 inst = parse_record(obj, L, M, relation_vocab)
-            except CorpusFormatError:
-                raise
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
+                # CorpusFormatError and JSONDecodeError are ValueErrors.
                 raise CorpusFormatError(
                     f"{path}:{lineno}: malformed record: {exc}") from exc
             if len(inst.tokens) > L:

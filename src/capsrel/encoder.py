@@ -47,19 +47,22 @@ def embed(word_ids: np.ndarray, position_ids: np.ndarray,
 
 def _lstm_direction(X: Tensor, mask: np.ndarray, Wx: Tensor, Wh: Tensor,
                     b: Tensor, reverse: bool) -> list[Tensor]:
-    """One LSTM direction; masked steps carry state through unchanged."""
+    """One LSTM direction; masked steps emit zeros and carry state unchanged.
+
+    The input projection X Wx + b does not depend on the recurrence, so it
+    is one L x 4B product ahead of the loop; each step adds only h Wh.
+    """
     L = X.shape[0]
     B = Wh.shape[0]
+    XW = X @ Wx + b
     h = Tensor(np.zeros(B))
     c = Tensor(np.zeros(B))
-    zero = Tensor(np.zeros(B))
+    out = [Tensor(np.zeros(B))] * L
     order = range(L - 1, -1, -1) if reverse else range(L)
-    out: list[Tensor | None] = [None] * L
     for t in order:
         if not mask[t]:
-            out[t] = zero
             continue
-        gates = X[t] @ Wx + h @ Wh + b
+        gates = XW[t] + h @ Wh
         i = gates[0:B].sigmoid()
         f = gates[B:2 * B].sigmoid()
         g = gates[2 * B:3 * B].tanh()
@@ -67,17 +70,16 @@ def _lstm_direction(X: Tensor, mask: np.ndarray, Wx: Tensor, Wh: Tensor,
         c = f * c + i * g
         h = o * c.tanh()
         out[t] = h
-    return out  # type: ignore[return-value]
+    return out
 
 
 def bilstm(X: Tensor, mask: np.ndarray,
            fwd: tuple[Tensor, Tensor, Tensor],
            bwd: tuple[Tensor, Tensor, Tensor]) -> Tensor:
-    """L x 2B hidden sequence: per-step concat of both directions."""
-    h_fwd = _lstm_direction(X, mask, *fwd, reverse=False)
-    h_bwd = _lstm_direction(X, mask, *bwd, reverse=True)
-    rows = [concat([hf, hb], axis=0) for hf, hb in zip(h_fwd, h_bwd)]
-    return stack(rows, axis=0)
+    """L x 2B hidden sequence: forward states beside backward states."""
+    h_fwd = stack(_lstm_direction(X, mask, *fwd, reverse=False))
+    h_bwd = stack(_lstm_direction(X, mask, *bwd, reverse=True))
+    return concat([h_fwd, h_bwd], axis=1)
 
 
 def word_attention(H: Tensor, A: Tensor, r: Tensor,

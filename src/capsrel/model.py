@@ -19,6 +19,8 @@ from .autodiff import ContractViolation, Tensor, dropout, no_grad
 from .config import TrainConfig
 from .data import EmbeddingStore, SentenceInstance, num_position_buckets
 
+CHECKPOINT_VERSION = 1
+
 
 class Model:
     """All learned parameters plus the forward pass to relation activations."""
@@ -128,7 +130,7 @@ class Model:
     def state_dict(self) -> dict:
         import dataclasses
         return {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "config": dataclasses.asdict(self.config),
             "relation_names": self.store.relation_names,
             "params": {name: {"shape": list(p.shape),
@@ -138,6 +140,15 @@ class Model:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        version = state.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise ContractViolation(
+                f"unsupported checkpoint version {version!r}; "
+                f"expected {CHECKPOINT_VERSION}")
+        missing = sorted(set(self.params) - set(state["params"]))
+        if missing:
+            raise ContractViolation(
+                f"checkpoint lacks parameters: {', '.join(missing)}")
         for name, rec in state["params"].items():
             if name not in self.params:
                 raise ContractViolation(f"unknown parameter {name!r} in checkpoint")
@@ -161,10 +172,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     return obj
-
-
-def build_model(config: TrainConfig, store: EmbeddingStore) -> Model:
-    return Model(config, store)
 
 
 def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:

@@ -20,13 +20,6 @@ M_NEG = 0.1
 LAMBDA_NEG = 0.5
 
 
-@dataclass
-class LossReport:
-    total: float
-    per_relation: np.ndarray
-    selected_instance: int | None = None
-
-
 def label_vector(labels: set[int], E: int) -> np.ndarray:
     y = np.zeros(E)
     y[sorted(labels)] = 1.0
@@ -43,11 +36,6 @@ def margin_loss(a: Tensor, y: np.ndarray) -> tuple[Tensor, Tensor]:
     neg = LAMBDA_NEG * Tensor(1.0 - y) * ((a - M_NEG).relu() ** 2)
     per = pos + neg
     return per.sum(), per
-
-
-def margin_loss_report(a: np.ndarray, labels: set[int]) -> LossReport:
-    total, per = margin_loss(Tensor(a), label_vector(labels, len(a)))
-    return LossReport(total=total.item(), per_relation=per.data.copy())
 
 
 def select_instance(model: Model, bag: Bag) -> int:

@@ -42,6 +42,44 @@ def routing_reference(u_hat: np.ndarray, a_hat: np.ndarray,
     return v, a
 
 
+def votes_reference(u: np.ndarray, Wc: np.ndarray,
+                    b_hat: np.ndarray) -> np.ndarray:
+    """Per-parent loop: u_hat[:, j] = u @ Wc[j].T + b_hat[j]; H x E x d."""
+    H, E = u.shape[0], Wc.shape[0]
+    u_hat = np.zeros((H, E, Wc.shape[1]))
+    for j in range(E):
+        u_hat[:, j] = u @ Wc[j].T + b_hat[j]
+    return u_hat
+
+
+def bilstm_reference(X: np.ndarray, mask: np.ndarray, fwd, bwd) -> np.ndarray:
+    """Per-step LSTM in both directions on plain arrays; L x 2B.
+
+    `fwd` and `bwd` are (Wx, Wh, b) arrays. Each step projects its own
+    input row; a masked step emits zeros and carries h and c unchanged.
+    """
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    L = X.shape[0]
+    halves = []
+    for (Wx, Wh, b), steps in ((fwd, range(L)), (bwd, range(L - 1, -1, -1))):
+        B = Wh.shape[0]
+        h, c = np.zeros(B), np.zeros(B)
+        out = np.zeros((L, B))
+        for t in steps:
+            if not mask[t]:
+                continue
+            z = X[t] @ Wx + h @ Wh + b
+            i, f = sigmoid(z[:B]), sigmoid(z[B:2 * B])
+            g, o = np.tanh(z[2 * B:3 * B]), sigmoid(z[3 * B:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            out[t] = h
+        halves.append(out)
+    return np.concatenate(halves, axis=1)
+
+
 def squash_reference(x: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(x))
     if n == 0.0:

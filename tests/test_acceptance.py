@@ -21,7 +21,7 @@ from capsrel.cli import main
 from capsrel.config import TrainConfig
 from capsrel.data import Bag, load_corpus, load_embeddings
 from capsrel.evaluation import auc, pr_curve, precision_at
-from capsrel.model import build_model
+from capsrel.model import Model
 from capsrel.prediction import assign_all, predict_multi
 from capsrel.synth import SynthSpec, generate
 from capsrel.training import (
@@ -202,14 +202,14 @@ class TestAcceptance:
         cfg = TrainConfig(B=32, C=4, d=4, epochs=TRAIN_BUDGET_EPOCHS, seed=0)
         store, corpus = load_synth(paths, cfg)
 
-        model = build_model(cfg, store)
+        model = Model(cfg, store)
         acc, secs = train_until(model, corpus.bags, cfg,
                                 lambda: bag_top1_accuracy(model, corpus.bags),
                                 0.95)
 
         ablated_cfg = TrainConfig(B=32, C=4, d=4, capsule=False,
                                   epochs=TRAIN_BUDGET_EPOCHS, seed=0)
-        ablated = build_model(ablated_cfg, store)
+        ablated = Model(ablated_cfg, store)
         abl_acc, abl_secs = train_until(
             ablated, corpus.bags, ablated_cfg,
             lambda: bag_top1_accuracy(ablated, corpus.bags), 0.95)
@@ -229,7 +229,7 @@ class TestAcceptance:
         cfg = TrainConfig(B=32, C=4, d=4, M=4, lr=0.003,
                           epochs=TRAIN_BUDGET_EPOCHS, seed=0)
         store, corpus = load_synth(paths, cfg)
-        model = build_model(cfg, store)
+        model = Model(cfg, store)
 
         def assignment_accuracy():
             hits = 0

@@ -6,7 +6,7 @@ import pytest
 from capsrel.autodiff import ContractViolation, Tensor, grad_check
 from capsrel.capsule import dynamic_routing, primary_capsules, squash, votes
 from capsrel.training import margin_loss
-from helpers import routing_reference, squash_reference
+from helpers import routing_reference, squash_reference, votes_reference
 
 
 class TestSquash:
@@ -131,6 +131,18 @@ class TestVotes:
                                    atol=1e-12)
 
 
+    @pytest.mark.parametrize("H,E,d", [(1, 1, 1), (5, 3, 2), (33, 53, 8)])
+    def test_matches_per_parent_loop_oracle(self, H, E, d):
+        rng = np.random.default_rng(H * E * d)
+        u = rng.normal(size=(H, d))
+        u[-1] = 0.0  # a child from a zero-padded window
+        Wc = rng.normal(size=(E, d, d))
+        b_hat = rng.normal(size=(E, d))
+        out = votes(Tensor(u), Tensor(Wc), Tensor(b_hat)).data
+        np.testing.assert_allclose(out, votes_reference(u, Wc, b_hat),
+                                   rtol=1e-12, atol=1e-12)
+
+
 class TestDynamicRouting:
     def rand_case(self, H, E, d, seed):
         rng = np.random.default_rng(seed)
@@ -220,7 +232,14 @@ class TestCapsuleGradients:
             total, _ = margin_loss(a, y)
             return total
 
+        def f_bhat(t):
+            u_hat = votes(Tensor(u), Tensor(Wc), t)
+            _, a = dynamic_routing(u_hat, Tensor(np.linalg.norm(u, axis=1)), 3)
+            total, _ = margin_loss(a, y)
+            return total
+
         assert grad_check(f_wc, Tensor(Wc), eps=1e-5) < 1e-4
+        assert grad_check(f_bhat, Tensor(b_hat), eps=1e-5) < 1e-4
         assert grad_check(f_u, Tensor(u), eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("seed", range(2))

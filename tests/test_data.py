@@ -1,6 +1,7 @@
 """Corpus loading, position features, embeddings, batching."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,26 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         write_corpus(path, [record(["E1", "E2"], relations=("BOGUS",))])
         with pytest.raises(CorpusFormatError, match="NA, R1, R2"):
+            load_corpus(str(path), L=10, M=2, relation_vocab=REL_VOCAB)
+
+    @pytest.mark.parametrize("bad", [
+        record(["E1", "E2"], relations=("BOGUS",)),
+        record(["E1", "E2"], pairs=(("E1", "E2"),) * 3, relations=("R1",) * 3),
+        record(["E1", "E2"], relations=("R1", "R2")),
+        record(["E1", "E2"], relations=()),
+        record([], entities=[]),
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [-1, 0]}]),
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [1, 3]}]),
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [1, 1]}]),
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [1, 0]}]),
+    ], ids=["unknown-relation", "three-pairs", "more-relations-than-pairs",
+            "no-relations", "empty-tokens", "negative-span",
+            "span-past-end", "empty-span", "reversed-span"])
+    def test_malformed_record_error_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [record(["E1", "E2"]), bad])
+        with pytest.raises(CorpusFormatError,
+                           match="^" + re.escape(f"{path}:2: ")):
             load_corpus(str(path), L=10, M=2, relation_vocab=REL_VOCAB)
 
     def test_bag_labels_are_union_of_instance_relations(self, tmp_path):

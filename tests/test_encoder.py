@@ -6,7 +6,7 @@ import pytest
 from capsrel.autodiff import ContractViolation, Tensor, grad_check
 from capsrel.data import missing_bucket
 from capsrel.encoder import bilstm, embed, word_attention
-from helpers import make_instance, tiny_model, tiny_store
+from helpers import bilstm_reference, make_instance, tiny_model, tiny_store
 
 
 def lstm_params(rng, V, B, scale=0.4):
@@ -110,6 +110,23 @@ class TestBiLstm:
         np.testing.assert_array_equal(padded[2:], 0.0)
 
 
+    @pytest.mark.parametrize("mask", [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
+                                      [0, 1, 1, 0, 1]])
+    def test_matches_per_step_oracle(self, mask):
+        rng = np.random.default_rng(len(mask) + sum(mask))
+        V, B = 3, 4
+        fwd, bwd = [[rng.normal(0, 0.5, shape)
+                     for shape in ((V, 4 * B), (B, 4 * B), (4 * B,))]
+                    for _ in range(2)]
+        mask = np.array(mask, dtype=bool)
+        X = rng.normal(size=(len(mask), V))
+        X[~mask] = 0.0  # padded rows, as embed() emits them
+        H = bilstm(Tensor(X), mask, [Tensor(p) for p in fwd],
+                   [Tensor(p) for p in bwd]).data
+        np.testing.assert_allclose(H, bilstm_reference(X, mask, fwd, bwd),
+                                   rtol=1e-12, atol=1e-12)
+
+
 class TestWordAttention:
     def att(self, L=4, B=3, seed=0):
         rng = np.random.default_rng(seed)
@@ -191,7 +208,8 @@ class TestEncoderGradients:
                     model.params[param_name] = old
             return f
 
-        for name in ("att_A", "att_r", "lstm_fwd_Wx", "word_emb", "pos_emb_0"):
+        lstm = [f"lstm_{d}_{w}" for d in ("fwd", "bwd") for w in ("Wx", "Wh", "b")]
+        for name in ["att_A", "att_r", "word_emb", "pos_emb_0", *lstm]:
             err = grad_check(objective(name),
                              Tensor(model.params[name].data.copy()), eps=1e-5)
             assert err < 1e-4, f"{name}: {err}"

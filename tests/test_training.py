@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from capsrel.autodiff import NonFiniteError, Tensor, no_grad
+from capsrel.autodiff import ContractViolation, NonFiniteError, Tensor, no_grad
 from capsrel.config import TrainConfig
 from capsrel.data import Bag
-from capsrel.model import Model, build_model
+from capsrel.model import Model
 from capsrel.optim import Adam
 from capsrel.training import (
     bag_top1_accuracy,
     label_vector,
     margin_loss,
-    margin_loss_report,
     select_instance,
     train,
     train_epoch,
@@ -41,10 +40,10 @@ class TestMarginLoss:
         assert abs(total - 0.405) < 1e-15
 
     def test_total_is_sum_of_per_relation_terms(self):
-        a = [0.2, 0.8, 0.5]
-        y = [1.0, 0.0, 1.0]
-        total, per = self.loss(a, y)
-        assert abs(total - per.sum()) < 1e-15
+        for a, labels in (([0.2, 0.8, 0.5], {0, 2}), ([0.0, 0.95, 0.05], {1})):
+            total, per = self.loss(a, label_vector(labels, 3))
+            assert per.shape == (3,)
+            assert abs(total - per.sum()) < 1e-15
 
     def test_zero_set_characterization(self):
         rng = np.random.default_rng(0)
@@ -55,11 +54,6 @@ class TestMarginLoss:
             in_zero_set = np.all(a[y == 1] >= 0.9) and np.all(a[y == 0] <= 0.1)
             assert (total == 0.0) == in_zero_set
             assert total >= 0.0
-
-    def test_report_wrapper(self):
-        rep = margin_loss_report(np.array([0.0, 0.95, 0.05]), {1})
-        assert rep.per_relation.shape == (3,)
-        assert abs(rep.total - rep.per_relation.sum()) < 1e-15
 
 
 class TestLabelVector:
@@ -224,6 +218,25 @@ class TestBuildModel:
         from capsrel.config import ConfigError
         with pytest.raises(ConfigError):
             TrainConfig(M=3).validate()
+
+
+class TestCheckpointBoundary:
+    def test_missing_parameters_are_named(self):
+        state = tiny_model().state_dict()
+        del state["params"]["caps_Wc"], state["params"]["lstm_bwd_b"]
+        with pytest.raises(ContractViolation,
+                           match="caps_Wc, lstm_bwd_b"):
+            tiny_model().load_state_dict(state)
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_unknown_version_rejected(self, version):
+        state = tiny_model().state_dict()
+        if version is None:
+            del state["version"]
+        else:
+            state["version"] = version
+        with pytest.raises(ContractViolation, match="version"):
+            tiny_model().load_state_dict(state)
 
 
 class TestBagAccuracy:
