@@ -139,24 +139,43 @@ def _position_ids(tokens: list[str], anchors: list[int | None],
     return ids
 
 
+def _is_list_of(value, kind: type, length: int | None = None) -> bool:
+    """A JSON list of `kind` values (a bool is not an int here)."""
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(type(v) is kind for v in value))
+
+
 def parse_record(obj: dict, L: int, M: int,
                  relation_vocab: dict[str, int]) -> SentenceInstance:
-    tokens = list(obj["tokens"])
-    if not tokens:
-        raise CorpusFormatError("empty tokens")
-    entities = {e["id"]: (int(e["span"][0]), int(e["span"][1]))
-                for e in obj["entities"]}
-    for eid, (start, end) in entities.items():
+    tokens = obj["tokens"]
+    if not _is_list_of(tokens, str) or not tokens:
+        raise CorpusFormatError(
+            f"tokens must be a non-empty list of strings, got {tokens!r}")
+    entities: dict[str, tuple[int, int]] = {}
+    for e in obj["entities"]:
+        eid, span = e["id"], e["span"]
+        if type(eid) is not str or eid in entities:
+            raise CorpusFormatError(f"entity id {eid!r} is repeated or not a string")
+        if not _is_list_of(span, int, 2):
+            raise CorpusFormatError(
+                f"entity {eid!r} span must be two integers, got {span!r}")
+        start, end = entities[eid] = tuple(span)
         if not 0 <= start < end <= len(tokens):
             raise CorpusFormatError(
                 f"entity {eid!r} span [{start}, {end}) is not a non-empty "
                 f"range within the {len(tokens)} tokens")
-    pairs = [tuple(p) for p in obj["pairs"]]
+    pairs = obj["pairs"]
+    if not (isinstance(pairs, list)
+            and all(_is_list_of(p, str, 2) for p in pairs)):
+        raise CorpusFormatError(
+            f"pairs must be a list of two entity-id strings each, got {pairs!r}")
+    pairs = [tuple(p) for p in pairs]
     if not 1 <= len(pairs) <= 2:
         raise CorpusFormatError(f"expected 1 or 2 entity pairs, got {len(pairs)}")
-    if len(obj["relations"]) != len(pairs):
+    if not _is_list_of(obj["relations"], str, len(pairs)):
         raise CorpusFormatError(
-            f"{len(obj['relations'])} relations for {len(pairs)} entity pairs")
+            f"expected a list of {len(pairs)} relation names, one per "
+            f"entity pair, got {obj['relations']!r}")
     rel_ids = []
     for name in obj["relations"]:
         if name not in relation_vocab:
@@ -166,7 +185,7 @@ def parse_record(obj: dict, L: int, M: int,
         rel_ids.append(relation_vocab[name])
     anchors = entity_anchors(pairs, entities, M)
     return SentenceInstance(
-        tokens=tokens, entities=entities, pairs=pairs, relations=rel_ids,
+        tokens=list(tokens), entities=entities, pairs=pairs, relations=rel_ids,
         position_ids=_position_ids(tokens, anchors, L))
 
 

@@ -1,9 +1,10 @@
 """Held-out evaluation: precision-recall curves, precision@recall, AUC.
 
-Decisions are (bag, relation) scores with gold flags; the NA relation
-(id 0) is excluded from the ranking, following the standard held-out
-protocol. Curves are raw staircases with ties grouped per distinct
-score; no interpolation is applied.
+Decisions are an N-row record array of (score, gold) pairs, one per
+non-NA (bag, relation); the NA relation (id 0) is excluded from the
+ranking, following the standard held-out protocol. A PR curve is a K x 2
+float64 array of (recall, precision) rows: a raw staircase with ties
+grouped per distinct score; no interpolation is applied.
 """
 
 from __future__ import annotations
@@ -14,94 +15,76 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 NA_RELATION = 0
-
-
-@dataclass(frozen=True)
-class ScoredDecision:
-    bag_key: tuple
-    relation: int
-    score: float
-    gold: bool
+DECISION_DTYPE = np.dtype([("score", np.float64), ("gold", np.bool_)])
 
 
 class EvaluationError(ValueError):
     """The decision set cannot support the requested metric."""
 
 
-def decisions_from_scores(bags_with_scores) -> list[ScoredDecision]:
-    """Flatten (bag, score-vector) pairs into non-NA scored decisions."""
-    out = []
-    for bag, scores in bags_with_scores:
-        for rel in range(len(scores)):
-            if rel == NA_RELATION:
-                continue
-            out.append(ScoredDecision(bag_key=bag.key, relation=rel,
-                                      score=float(scores[rel]),
-                                      gold=rel in bag.labels))
-    return out
+def decisions_from_scores(bags_with_scores) -> np.recarray:
+    """Flatten (bag, score-vector) pairs into non-NA (score, gold) records,
+    bag by bag and relation by relation."""
+    pairs = list(bags_with_scores)
+    scores = np.stack([s for _, s in pairs]) if pairs else np.zeros((0, 1))
+    gold = np.zeros(scores.shape, dtype=bool)
+    for row, (bag, _) in zip(gold, pairs):
+        row[list(bag.labels)] = True
+    return np.rec.fromarrays([np.delete(scores, NA_RELATION, axis=1).ravel(),
+                              np.delete(gold, NA_RELATION, axis=1).ravel()],
+                             dtype=DECISION_DTYPE)
 
 
-def pr_curve(decisions: list[ScoredDecision]) -> list[tuple[float, float]]:
+def pr_curve(decisions: np.ndarray) -> np.ndarray:
     """(recall, precision) staircase over score-descending decisions.
 
     Decisions with equal scores advance the curve as one group.
     """
-    positives = sum(d.gold for d in decisions)
+    gold = decisions["gold"]
+    positives = int(gold.sum())
     if positives == 0:
         raise EvaluationError("zero gold positives: cannot build a PR curve")
-    ordered = sorted(decisions, key=lambda d: -d.score)
-    curve: list[tuple[float, float]] = []
-    tp = 0
-    k = 0
-    i = 0
-    n = len(ordered)
-    while i < n:
-        j = i
-        while j < n and ordered[j].score == ordered[i].score:
-            tp += ordered[j].gold
-            k += 1
-            j += 1
-        curve.append((tp / positives, tp / k))
-        i = j
-    return curve
+    order = np.argsort(-decisions["score"], kind="stable")
+    score = decisions["score"][order]
+    tp = np.cumsum(gold[order])
+    ends = np.append(np.flatnonzero(score[1:] != score[:-1]), len(score) - 1)
+    return np.column_stack([tp[ends] / positives, tp[ends] / (ends + 1)])
 
 
-def precision_at(curve: list[tuple[float, float]],
+def precision_at(curve: np.ndarray,
                  recalls: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
                  ) -> dict[float, float | None]:
     """Precision at the first curve point reaching each recall target.
 
     A target beyond the achieved recall maps to None.
     """
-    if not curve:
-        raise EvaluationError("empty PR curve")
-    out: dict[float, float | None] = {}
-    for target in recalls:
-        value = None
-        for recall, precision in curve:
-            if recall >= target:
-                value = precision
-                break
-        out[target] = value
-    return out
+    curve = _as_curve(curve)
+    at = np.searchsorted(curve[:, 0], recalls, side="left")
+    return {target: None if i == len(curve) else float(curve[i, 1])
+            for target, i in zip(recalls, at)}
 
 
-def auc(curve: list[tuple[float, float]]) -> float:
+def auc(curve: np.ndarray) -> float:
     """Trapezoidal area under the PR staircase up to the max achieved recall.
 
     The segment from recall 0 to the first point uses the first point's
-    precision.
+    precision. Trapezoids are summed left to right.
     """
-    if not curve:
+    curve = _as_curve(curve)
+    recall = np.concatenate([[0.0], curve[:, 0]])
+    precision = np.concatenate([curve[:1, 1], curve[:, 1]])
+    terms = np.diff(recall) * (precision[:-1] + precision[1:]) / 2.0
+    return float(np.cumsum(terms)[-1])
+
+
+def _as_curve(curve: np.ndarray) -> np.ndarray:
+    curve = np.asarray(curve, dtype=np.float64)
+    if len(curve) == 0:
         raise EvaluationError("empty PR curve")
-    points = [(0.0, curve[0][1])] + list(curve)
-    area = 0.0
-    for (r0, p0), (r1, p1) in zip(points, points[1:]):
-        area += (r1 - r0) * (p0 + p1) / 2.0
-    return area
+    return curve
 
 
-def write_curve_csv(curve: list[tuple[float, float]], path: str) -> None:
+def write_curve_csv(curve: np.ndarray, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("recall,precision\n")
         for recall, precision in curve:

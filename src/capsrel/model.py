@@ -118,12 +118,15 @@ class Model:
         pooled = x_tilde.sum(axis=0) * (1.0 / int(mask.sum()))
         return (pooled @ p["head_W"] + p["head_b"]).sigmoid()
 
+    def instance_scores(self, bag) -> np.ndarray:
+        """Eval-mode activations of each of the bag's instances, N x E."""
+        with no_grad():
+            return np.stack([self.activations(inst, train=False).data
+                             for inst in bag.instances])
+
     def bag_scores(self, bag) -> np.ndarray:
         """Eval-mode per-relation score: max over the bag's instances."""
-        with no_grad():
-            scores = np.stack([self.activations(inst, train=False).data
-                               for inst in bag.instances])
-        return scores.max(axis=0)
+        return self.instance_scores(bag).max(axis=0)
 
     # -- checkpoints ----------------------------------------------------------
 
@@ -145,6 +148,10 @@ class Model:
             raise ContractViolation(
                 f"unsupported checkpoint version {version!r}; "
                 f"expected {CHECKPOINT_VERSION}")
+        if state.get("relation_names") != self.store.relation_names:
+            raise ContractViolation(
+                f"checkpoint relations {state.get('relation_names')} differ "
+                f"from the embedding store's {self.store.relation_names}")
         missing = sorted(set(self.params) - set(state["params"]))
         if missing:
             raise ContractViolation(

@@ -6,20 +6,15 @@ import numpy as np
 
 from .autodiff import NonFiniteError, ShapeError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Bias-corrected Adam over a name -> Tensor parameter dict.
+    """Bias-corrected Adam over a name -> Tensor dict (default lr 0.001)."""
 
-    Defaults: lr 0.001, beta1 0.9, beta2 0.999, eps 1e-8.
-    """
-
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.001):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -37,8 +32,8 @@ class Adam:
         """
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -51,13 +46,13 @@ class Adam:
                 raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def state_dict(self) -> dict:
         return {

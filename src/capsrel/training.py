@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, no_grad, stack
+from .autodiff import NonFiniteError, Tensor, stack
 from .config import TrainConfig
 from .data import Bag, batch_iter
 from .model import Model
@@ -49,14 +49,7 @@ def select_instance(model: Model, bag: Bag) -> int:
     if len(bag.instances) == 1:
         return 0
     gold = sorted(bag.labels)
-    best_idx, best_score = 0, -np.inf
-    with no_grad():
-        for i, inst in enumerate(bag.instances):
-            a = model.activations(inst, train=False).data
-            score = float(a[gold].max())
-            if score > best_score:
-                best_idx, best_score = i, score
-    return best_idx
+    return int(model.instance_scores(bag)[:, gold].max(axis=1).argmax())
 
 
 @dataclass

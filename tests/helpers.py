@@ -6,6 +6,7 @@ import numpy as np
 
 from capsrel.config import TrainConfig
 from capsrel.data import EmbeddingStore, SentenceInstance, parse_record
+from capsrel.evaluation import EvaluationError
 from capsrel.model import Model
 
 
@@ -135,3 +136,42 @@ def tiny_model(seed: int = 0, B: int = 3, L: int = 10, d_p: int = 2,
     cfg = TrainConfig(B=B, L=L, d_p=d_p, d=d, C=C, M=M, dropout=dropout,
                       seed=seed, **kw)
     return Model(cfg, store if store is not None else tiny_store(seed=seed))
+
+
+def pr_curve_reference(decisions) -> list[tuple[float, float]]:
+    """Sort-and-walk PR staircase over (score, gold) records, in plain Python.
+
+    Decisions with equal scores advance the curve as one group; zero gold
+    positives raise `EvaluationError`, as `pr_curve` does.
+    """
+    ordered = sorted(zip(decisions["score"].tolist(),
+                         decisions["gold"].tolist()), key=lambda d: -d[0])
+    positives = sum(gold for _, gold in ordered)
+    if positives == 0:
+        raise EvaluationError("zero gold positives: cannot build a PR curve")
+    curve: list[tuple[float, float]] = []
+    tp = k = i = 0
+    while i < len(ordered):
+        j = i
+        while j < len(ordered) and ordered[j][0] == ordered[i][0]:
+            tp += ordered[j][1]
+            k += 1
+            j += 1
+        curve.append((tp / positives, tp / k))
+        i = j
+    return curve
+
+
+def precision_at_reference(curve, recalls=(0.1, 0.2, 0.3, 0.4)) -> dict:
+    """First curve point whose recall reaches each target, by linear scan."""
+    return {target: next((p for r, p in curve if r >= target), None)
+            for target in recalls}
+
+
+def auc_reference(curve) -> float:
+    """Trapezoids from recall 0 (at the first precision), added one by one."""
+    points = [(0.0, curve[0][1])] + list(curve)
+    area = 0.0
+    for (r0, p0), (r1, p1) in zip(points, points[1:]):
+        area += (r1 - r0) * (p0 + p1) / 2.0
+    return area

@@ -196,6 +196,7 @@ class TestAcceptance:
         verdict(capsys, 4, "margin-loss zero set",
                 ok, "boundaries exact, zero set characterized over 500 draws")
 
+    @pytest.mark.slow
     def test_c05_overfit_sanity(self, capsys, tmp_path):
         paths = generate(SynthSpec(E=4, bags=50, pairs_per_sentence=1,
                                    seed=0), str(tmp_path / "synth"))
@@ -220,6 +221,7 @@ class TestAcceptance:
                 ok, f"full acc {acc:.2f} in {secs:.0f}s; "
                     f"-Capsule acc {abl_acc:.2f} in {abl_secs:.0f}s")
 
+    @pytest.mark.slow
     def test_c06_multi_pair_decoding(self, capsys, tmp_path):
         paths = generate(SynthSpec(E=4, bags=24, vocab_size=12,
                                    pairs_per_sentence=2,
@@ -284,12 +286,10 @@ class TestAcceptance:
                     "exactly unchanged")
 
     def test_c08_metrics_fixtures(self, capsys):
-        from capsrel.evaluation import ScoredDecision
+        from capsrel.evaluation import DECISION_DTYPE
 
         def ranked(pairs):
-            return [ScoredDecision(bag_key=(f"b{i}",), relation=1,
-                                   score=s, gold=g)
-                    for i, (s, g) in enumerate(pairs)]
+            return np.array(pairs, dtype=DECISION_DTYPE)
 
         perfect = pr_curve(ranked([(0.9, True), (0.8, True), (0.3, False)]))
         fixtures_ok = all(p == 1.0 for _, p in perfect[:2])
@@ -299,8 +299,8 @@ class TestAcceptance:
                                  for i in range(n - g)]
                                 + [(0.05 - 0.01 * i, True)
                                    for i in range(g)]))
-        fixtures_ok &= wrong[-1] == (1.0, g / n)
-        fixtures_ok &= pr_curve(ranked([(0.5, True)])) == [(1.0, 1.0)]
+        fixtures_ok &= wrong[-1].tolist() == [1.0, g / n]
+        fixtures_ok &= pr_curve(ranked([(0.5, True)])).tolist() == [[1.0, 1.0]]
 
         fixtures_ok &= auc(pr_curve(ranked(
             [(0.9, True), (0.8, True), (0.7, True)]))) == 1.0

@@ -1,11 +1,12 @@
 """Corpus loading, position features, embeddings, batching."""
 
+import copy
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capsrel.data import (
@@ -38,6 +39,74 @@ def record(tokens, pairs=(("E1", "E2"),), relations=("R1",), entities=None):
                     entities.append({"id": eid, "span": [pos, pos + 1]})
     return {"tokens": list(tokens), "entities": entities,
             "pairs": [list(p) for p in pairs], "relations": list(relations)}
+
+
+VALID_RECORD = record(["a", "E1", "b", "E2"])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=5)
+
+
+def _slots(value):
+    """Every (container, key) slot inside a JSON value, depth first."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append((value, key))
+        out.extend(_slots(child))
+    return out
+
+
+def _members(rec, key, kind):
+    """The members of type `kind` of rec[key], when that is a list."""
+    value = rec.get(key)
+    if not isinstance(value, list):
+        return []
+    return [v for v in value if isinstance(v, kind)]
+
+
+def mutate_record(draw):
+    """VALID_RECORD after one to three drawn mutations: drop a key, retype
+    a field, shorten or lengthen a pair, redraw a span (possibly out of
+    range or reversed) or duplicate an entity id."""
+    rec = copy.deepcopy(VALID_RECORD)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "pair", "span", "dup"]))
+        slots = _slots(rec)
+        if kind == "drop":
+            keyed = [(c, k) for c, k in slots if isinstance(c, dict)]
+            if keyed:
+                container, key = draw(st.sampled_from(keyed))
+                del container[key]
+        elif kind == "retype":
+            container, key = draw(st.sampled_from(slots))
+            container[key] = draw(json_values)
+        elif kind == "pair":
+            pairs = _members(rec, "pairs", list)
+            if pairs:
+                pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+                if draw(st.booleans()):
+                    del pair[draw(st.integers(0, 1)):]
+                else:
+                    pair.append(draw(st.sampled_from(["E1", "E2", "E3"])))
+        elif _members(rec, "entities", dict):
+            ents = _members(rec, "entities", dict)
+            ent = ents[draw(st.integers(0, len(ents) - 1))]
+            if kind == "span":
+                ent["span"] = [draw(st.integers(-2, 6)),
+                               draw(st.integers(-2, 6))]
+            else:
+                rec["entities"].append(copy.deepcopy(ent))
+    return rec
 
 
 class TestPositionFeature:
@@ -102,15 +171,59 @@ class TestLoadCorpus:
         record(["E1", "E2"], entities=[{"id": "E1", "span": [1, 3]}]),
         record(["E1", "E2"], entities=[{"id": "E1", "span": [1, 1]}]),
         record(["E1", "E2"], entities=[{"id": "E1", "span": [1, 0]}]),
+        {**record(["E1", "E2"]), "tokens": "abc"},
+        {**record(["E1", "E2"]), "tokens": [1, 2, 3]},
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [0.7, 1]}]),
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [0, True]}]),
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [0, 1, 2]}]),
+        record(["E1", "E2"], pairs=(("E1",),)),
+        record(["E1", "E2"], pairs=(("E1", 2),)),
+        {**record(["E1", "E2"]), "pairs": {"E1": "E2"}},
+        record(["E1", "E2"], entities=[{"id": "E1", "span": [0, 1]},
+                                       {"id": "E1", "span": [1, 2]}]),
+        record(["E1", "E2"], entities=[{"id": 1, "span": [0, 1]}]),
+        {**record(["E1", "E2"]), "relations": {"R1": 1}},
     ], ids=["unknown-relation", "three-pairs", "more-relations-than-pairs",
             "no-relations", "empty-tokens", "negative-span",
-            "span-past-end", "empty-span", "reversed-span"])
+            "span-past-end", "empty-span", "reversed-span",
+            "string-tokens", "int-tokens", "float-span", "bool-span",
+            "three-int-span", "one-entity-pair", "non-string-pair-id",
+            "pairs-not-a-list", "duplicate-entity-id", "int-entity-id",
+            "relations-not-a-list"])
     def test_malformed_record_error_names_path_and_line(self, tmp_path, bad):
         path = tmp_path / "c.jsonl"
         write_corpus(path, [record(["E1", "E2"]), bad])
         with pytest.raises(CorpusFormatError,
                            match="^" + re.escape(f"{path}:2: ")):
             load_corpus(str(path), L=10, M=2, relation_vocab=REL_VOCAB)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_record_loads_faithfully_or_names_path_and_line(
+            self, tmp_path, data):
+        rec = mutate_record(data.draw)
+        path = tmp_path / "fuzz.jsonl"
+        write_corpus(path, [VALID_RECORD, rec])
+        try:
+            corpus = load_corpus(str(path), L=120, M=2,
+                                 relation_vocab=REL_VOCAB)
+        except CorpusFormatError as exc:
+            assert str(exc).startswith(f"{path}:2: ")
+            return
+        inst = [i for bag in corpus.bags for i in bag.instances][1]
+        assert inst.tokens == rec["tokens"]
+        assert all(type(t) is str for t in inst.tokens)
+        assert len(inst.entities) == len(rec["entities"])
+        for e in rec["entities"]:
+            start, end = inst.entities[e["id"]]
+            assert (start, end) == tuple(e["span"])
+            assert type(start) is int and type(end) is int
+            assert 0 <= start < end <= len(inst.tokens)
+        assert inst.pairs == [tuple(p) for p in rec["pairs"]]
+        assert all(len(p) == 2 and all(type(x) is str for x in p)
+                   for p in inst.pairs)
+        assert inst.relations == [REL_VOCAB[n] for n in rec["relations"]]
 
     def test_bag_labels_are_union_of_instance_relations(self, tmp_path):
         path = tmp_path / "c.jsonl"

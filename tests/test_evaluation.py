@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsrel.config import TrainConfig
 from capsrel.evaluation import (
+    DECISION_DTYPE,
     EvaluationError,
-    ScoredDecision,
     auc,
     decisions_from_scores,
     experiment_sweep,
@@ -15,14 +17,16 @@ from capsrel.evaluation import (
     sweep_markdown,
     write_curve_csv,
 )
-
-
-def dec(score, gold, key=("k",), rel=1):
-    return ScoredDecision(bag_key=key, relation=rel, score=score, gold=gold)
+from helpers import auc_reference, pr_curve_reference, precision_at_reference
 
 
 def ranked(scores_golds):
-    return [dec(s, g, key=(f"b{i}",)) for i, (s, g) in enumerate(scores_golds)]
+    """(score, gold) pairs as a decision record array."""
+    return np.array(list(scores_golds), dtype=DECISION_DTYPE)
+
+
+def dec(score, gold):
+    return ranked([(score, gold)])
 
 
 class TestPrCurve:
@@ -31,32 +35,36 @@ class TestPrCurve:
         curve = pr_curve(ds)
         for recall, precision in curve[:2]:
             assert precision == 1.0
-        assert curve[1] == (1.0, 1.0)
+        assert curve[1].tolist() == [1.0, 1.0]
 
     def test_all_wrong_ranking_precision_at_full_recall(self):
         n, g = 10, 3
         ds = ranked([(1.0 - 0.01 * i, False) for i in range(n - g)]
                     + [(0.05 - 0.01 * i, True) for i in range(g)])
         curve = pr_curve(ds)
-        assert curve[-1] == (1.0, g / n)
+        assert curve[-1].tolist() == [1.0, g / n]
 
     def test_single_gold_decision(self):
-        assert pr_curve([dec(0.5, True)]) == [(1.0, 1.0)]
+        assert pr_curve(dec(0.5, True)).tolist() == [[1.0, 1.0]]
 
     def test_zero_gold_positives_is_checked_failure(self):
         with pytest.raises(EvaluationError, match="zero gold positives"):
-            pr_curve([dec(0.5, False)])
+            pr_curve(dec(0.5, False))
+
+    def test_empty_decision_set_has_zero_gold_positives(self):
+        with pytest.raises(EvaluationError, match="zero gold positives"):
+            pr_curve(decisions_from_scores([]))
 
     def test_tied_scores_advance_as_one_group(self):
         ds = ranked([(0.5, True), (0.5, False), (0.2, True)])
         curve = pr_curve(ds)
-        assert curve == [(0.5, 0.5), (1.0, 2 / 3)]
+        assert curve.tolist() == [[0.5, 0.5], [1.0, 2 / 3]]
 
     def test_recall_is_nondecreasing_and_precision_in_unit_interval(self):
         rng = np.random.default_rng(0)
         ds = ranked([(rng.uniform(), rng.uniform() < 0.4) for _ in range(200)])
-        if not any(d.gold for d in ds):
-            ds.append(dec(0.5, True))
+        if not ds["gold"].any():
+            ds = np.concatenate([ds, dec(0.5, True)])
         curve = pr_curve(ds)
         recalls = [r for r, _ in curve]
         assert recalls == sorted(recalls)
@@ -64,7 +72,8 @@ class TestPrCurve:
 
     def test_duplicating_decisions_leaves_curve_unchanged(self):
         ds = ranked([(0.9, True), (0.6, False), (0.4, True)])
-        assert pr_curve(ds) == pr_curve(ds + ds)
+        assert (pr_curve(ds).tolist()
+                == pr_curve(np.concatenate([ds, ds])).tolist())
 
 
 class TestPrecisionAt:
@@ -110,15 +119,53 @@ class TestDecisions:
             labels = {0, 1}
         scores = np.array([0.9, 0.5, 0.1])
         ds = decisions_from_scores([(FakeBag(), scores)])
-        assert {d.relation for d in ds} == {1, 2}
-        assert [d.gold for d in sorted(ds, key=lambda d: d.relation)] \
-            == [True, False]
+        assert ds["score"].tolist() == [0.5, 0.1]
+        assert ds["gold"].tolist() == [True, False]
+
+    def test_bag_major_relation_minor_order(self):
+        class LabelBag:
+            def __init__(self, labels):
+                self.labels = labels
+        ds = decisions_from_scores([
+            (LabelBag({2}), np.array([0.1, 0.2, 0.3])),
+            (LabelBag(set()), np.array([0.4, 0.5, 0.6])),
+            (LabelBag({0, 1}), np.array([0.7, 0.8, 0.9]))])
+        assert ds.dtype == DECISION_DTYPE
+        assert ds["score"].tolist() == [0.2, 0.3, 0.5, 0.6, 0.8, 0.9]
+        assert ds["gold"].tolist() == [False, True, False, False, True, False]
+
+
+# Few distinct scores force heavy ties; single-decision sets are drawn too.
+decision_sets = st.lists(
+    st.tuples(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                        st.floats(0.0, 1.0)),
+              st.booleans()),
+    min_size=1, max_size=60)
+
+
+class TestReferenceEquality:
+    @given(decision_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_metrics_equal_the_loop_oracles_bit_for_bit(self, pairs):
+        ds = ranked(pairs)
+        if not ds["gold"].any():
+            for build in (pr_curve, pr_curve_reference):
+                with pytest.raises(EvaluationError, match="zero gold"):
+                    build(ds)
+            return
+        curve, ref = pr_curve(ds), pr_curve_reference(ds)
+        assert curve.dtype == np.float64 and curve.shape == (len(ref), 2)
+        assert curve.tolist() == [list(point) for point in ref]
+        recalls = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0, 1.5)
+        assert precision_at(curve, recalls) \
+            == precision_at_reference(ref, recalls)
+        assert auc(curve) == auc_reference(ref)
 
 
 class TestCsvExport:
     def test_fixed_six_decimal_format(self, tmp_path):
         path = tmp_path / "curve.csv"
-        write_curve_csv([(0.5, 1 / 3)], str(path))
+        write_curve_csv(np.array([[0.5, 1 / 3]]), str(path))
         assert path.read_text() == "recall,precision\n0.500000,0.333333\n"
 
 

@@ -6,7 +6,7 @@ import pytest
 from capsrel.autodiff import ContractViolation, NonFiniteError, Tensor, no_grad
 from capsrel.config import TrainConfig
 from capsrel.data import Bag
-from capsrel.model import Model
+from capsrel.model import Model, load_checkpoint, save_checkpoint
 from capsrel.optim import Adam
 from capsrel.training import (
     bag_top1_accuracy,
@@ -79,6 +79,13 @@ class TestSelectInstance:
         bag = single_instance_bag(model)
         assert select_instance(model, bag) == 0
 
+    def test_singleton_bag_runs_no_forward(self, monkeypatch):
+        model = tiny_model()
+        bag = single_instance_bag(model)
+        monkeypatch.setattr(model, "activations",
+                            lambda *a, **k: pytest.fail("forward pass ran"))
+        assert select_instance(model, bag) == 0
+
     def test_tie_breaks_to_lowest_index(self):
         # identical sentences give identical activations: a three-way tie
         model = tiny_model()
@@ -99,10 +106,35 @@ class TestSelectInstance:
         expected = int(np.argmax(scores))
         assert select_instance(model, bag) == expected
 
+    def test_scores_gold_relations_only_and_ties_go_low(self):
+        class FixedScores:
+            def instance_scores(self, bag):
+                return np.array([[0.9, 0.1, 0.2],
+                                 [0.1, 0.3, 0.2],
+                                 [0.8, 0.1, 0.3]])
+        bag = Bag(key=(), instances=[None] * 3, labels={1, 2})
+        assert select_instance(FixedScores(), bag) == 1
+
     def test_empty_bag_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
             select_instance(model, Bag(key=(), instances=[], labels={0}))
+
+
+class TestInstanceScores:
+    def test_rows_are_eval_activations_and_bag_score_is_their_max(self):
+        model = tiny_model(dropout=0.5)
+        insts = [make_instance(s, L=10, M=2)
+                 for s in (["alpha", "E1", "E2"], ["E1", "beta", "E2"],
+                           ["gamma", "E1", "delta", "E2"])]
+        bag = Bag(key=insts[0].key, instances=insts, labels={1})
+        scores = model.instance_scores(bag)
+        with no_grad():
+            expected = np.stack([model.activations(i).data for i in insts])
+        assert scores.shape == (3, model.E)
+        np.testing.assert_array_equal(scores, expected)
+        np.testing.assert_array_equal(model.bag_scores(bag),
+                                      expected.max(axis=0))
 
 
 class TestTrainLoop:
@@ -244,6 +276,15 @@ class TestCheckpointBoundary:
             state["version"] = version
         with pytest.raises(ContractViolation, match="version"):
             tiny_model().load_state_dict(state)
+
+    def test_relation_order_mismatch_names_both_lists(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, tiny_model())
+        store = tiny_store()
+        store.relation_names = ["R2", "R1", "NA"]
+        with pytest.raises(ContractViolation,
+                           match=r"\['NA', 'R1', 'R2'\].*\['R2', 'R1', 'NA'\]"):
+            load_checkpoint(path, store)
 
 
 class TestBagAccuracy:
