@@ -37,6 +37,17 @@ class TrainConfig:
     pair_diff: str = "e2-e1"
     threshold: float = 0.7
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "TrainConfig":
+        """Build and validate from a JSON object, naming any unknown field."""
+        if not isinstance(obj, dict):
+            raise ConfigError(
+                f"train config must be an object, got {type(obj).__name__}")
+        unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
+        return cls(**obj).validate()
+
     def validate(self) -> "TrainConfig":
         if self.M not in (2, 4):
             raise ConfigError(f"M must be 2 or 4, got {self.M}")
@@ -79,12 +90,7 @@ class RunConfig:
         unknown = set(obj) - run_fields
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        unknown_t = set(train_obj) - train_fields
-        if unknown_t:
-            raise ConfigError(f"unknown train config fields: {sorted(unknown_t)}")
-        cfg = cls(train=TrainConfig(**train_obj), **obj)
-        cfg.train.validate()
-        return cfg
+        return cls(train=TrainConfig.from_dict(train_obj), **obj)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

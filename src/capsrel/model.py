@@ -8,15 +8,18 @@ capsule stack with a sigmoid dense head over the mean-pooled sequence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
+import struct
 
 import numpy as np
 
 from . import capsule as caps
 from . import encoder
 from .autodiff import ContractViolation, Tensor, dropout, no_grad
-from .config import TrainConfig
+from .config import ConfigError, TrainConfig
 from .data import EmbeddingStore, SentenceInstance, num_position_buckets
 
 CHECKPOINT_VERSION = 1
@@ -131,18 +134,17 @@ class Model:
     # -- checkpoints ----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        import dataclasses
+        """The checkpoint's fields; `params` maps names to the live arrays."""
         return {
             "version": CHECKPOINT_VERSION,
             "config": dataclasses.asdict(self.config),
             "relation_names": self.store.relation_names,
-            "params": {name: {"shape": list(p.shape),
-                              "data": p.data.reshape(-1).tolist()}
-                       for name, p in self.params.items()},
-            "dropout_rng_state": _jsonable(self.dropout_rng.bit_generator.state),
+            "params": {name: p.data for name, p in self.params.items()},
+            "dropout_rng_state": self.dropout_rng.bit_generator.state,
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Check `state` against this model and copy its arrays in."""
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
             raise ContractViolation(
@@ -156,46 +158,145 @@ class Model:
         if missing:
             raise ContractViolation(
                 f"checkpoint lacks parameters: {', '.join(missing)}")
-        for name, rec in state["params"].items():
+        for name, data in state["params"].items():
             if name not in self.params:
                 raise ContractViolation(f"unknown parameter {name!r} in checkpoint")
-            shape = tuple(rec["shape"])
-            if shape != self.params[name].shape:
+            if data.shape != self.params[name].shape:
                 raise ContractViolation(
-                    f"checkpoint shape {shape} does not match parameter "
+                    f"checkpoint shape {data.shape} does not match parameter "
                     f"{name!r} shape {self.params[name].shape}")
-            self.params[name].data = np.asarray(
-                rec["data"], dtype=np.float64).reshape(shape)
+        for name, data in state["params"].items():
+            np.copyto(self.params[name].data, data)
         rng_state = state.get("dropout_rng_state")
         if rng_state is not None:
-            self.dropout_rng.bit_generator.state = rng_state
+            try:
+                self.dropout_rng.bit_generator.state = rng_state
+            except (TypeError, ValueError, KeyError) as exc:
+                raise ContractViolation(
+                    f"invalid dropout_rng_state: {exc}") from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+# Checkpoint container: MAGIC, the header length as a little-endian u64,
+# the UTF-8 JSON header, zero padding to a multiple of 8 bytes, then each
+# parameter's C-order little-endian float64 bytes in sorted-name order.
+# The header holds every state_dict field except `params`, which becomes a
+# table of {name, shape, offset}; offsets count from the end of the padding.
+MAGIC = b"CAPSREL1"
+_PREFIX = struct.Struct("<8sQ")
+_DTYPE = np.dtype("<f8")
+
+
+def _padding(header_len: int) -> int:
+    return -(_PREFIX.size + header_len) % 8
 
 
 def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
-    """Write a self-describing JSON checkpoint atomically."""
+    """Write a binary checkpoint atomically; equal models give equal bytes."""
     state = model.state_dict()
-    if extra:
-        state["extra"] = extra
+    arrays = state.pop("params")
+    table, offset = [], 0
+    for name in sorted(arrays):
+        table.append({"name": name, "shape": list(arrays[name].shape),
+                      "offset": offset})
+        offset += arrays[name].size * _DTYPE.itemsize
+    header = json.dumps(dict(state, extra=extra, params=table),
+                        sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, sort_keys=True)
+    with open(tmp, "wb") as fh:
+        fh.write(_PREFIX.pack(MAGIC, len(header)))
+        fh.write(header)
+        fh.write(bytes(_padding(len(header))))
+        for name in sorted(arrays):
+            fh.write(np.ascontiguousarray(arrays[name], dtype=_DTYPE))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
-    config = TrainConfig(**state["config"])
-    model = Model(config, store)
-    model.load_state_dict(state)
+    """Read a checkpoint written by `save_checkpoint` into a new model.
+
+    Every way the file can be malformed raises `ContractViolation` naming
+    `path` and the offending field.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX.size)
+        magic = prefix[:len(MAGIC)]
+        if magic != MAGIC:
+            raise _malformed(path, "magic", (
+                f"is {magic!r}, not {MAGIC!r}: not a binary capsrel "
+                "checkpoint (JSON checkpoints are no longer read; retrain "
+                "to write one)"))
+        if len(prefix) < _PREFIX.size:
+            raise _malformed(path, "header length",
+                             f"is cut off: the file has {size} bytes")
+        header_len = _PREFIX.unpack(prefix)[1]
+        data_start = _PREFIX.size + header_len + _padding(header_len)
+        if data_start > size:
+            raise _malformed(path, "header length", (
+                f"{header_len} runs past the end of the {size}-byte file"))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:
+            raise _malformed(path, "header",
+                             f"is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise _malformed(path, "header", (
+                f"is a JSON {type(header).__name__}, not an object"))
+        if any(fh.read(_padding(header_len))):
+            raise _malformed(path, "header padding", "is not zero bytes")
+        arrays = _read_params(fh, path, header.get("params"),
+                              size - data_start)
+    try:
+        model = Model(TrainConfig.from_dict(header.get("config")), store)
+        model.load_state_dict(dict(header, params=arrays))
+    except (ConfigError, ContractViolation) as exc:
+        raise ContractViolation(f"{path}: {exc}") from exc
     return model
+
+
+def _malformed(path: str, field: str, problem: str) -> ContractViolation:
+    return ContractViolation(f"{path}: {field} {problem}")
+
+
+def _read_params(fh, path: str, table, data_bytes: int
+                 ) -> dict[str, np.ndarray]:
+    """Read each table entry straight into its own array, checking that the
+    entries are sorted, well formed, contiguous and cover the data exactly."""
+    if not isinstance(table, list):
+        raise _malformed(path, "params", "is not a list")
+    arrays: dict[str, np.ndarray] = {}
+    end, last = 0, ""
+    for i, entry in enumerate(table):
+        field = f"params[{i}]"
+        if not (isinstance(entry, dict)
+                and set(entry) == {"name", "shape", "offset"}):
+            raise _malformed(path, field,
+                             "is not an object of name, shape and offset")
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if not isinstance(name, str) or name <= last:
+            raise _malformed(path, f"{field}.name",
+                             f"{name!r} does not sort after {last!r}")
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise _malformed(path, f"{field}.shape",
+                             f"{shape!r} is not a list of non-negative ints")
+        if type(offset) is not int or offset != end:
+            raise _malformed(path, f"{field}.offset", (
+                f"is {offset!r}; the previous parameter ends at {end}"))
+        end += math.prod(shape) * _DTYPE.itemsize
+        if end > data_bytes:
+            raise _malformed(path, f"{field}.shape", (
+                f"{shape} ends at byte {end} of a {data_bytes}-byte data "
+                "section"))
+        try:
+            data = np.empty(shape, dtype=_DTYPE)
+        except ValueError as exc:
+            raise _malformed(path, f"{field}.shape", str(exc)) from exc
+        if fh.readinto(data) != data.nbytes:
+            raise _malformed(path, field, "is cut off")
+        arrays[name] = data
+        last = name
+    if end != data_bytes:
+        raise _malformed(path, "params", (
+            f"cover {end} bytes of a {data_bytes}-byte data section"))
+    return arrays

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from capsrel.config import TrainConfig
@@ -175,3 +177,14 @@ def auc_reference(curve) -> float:
     for (r0, p0), (r1, p1) in zip(points, points[1:]):
         area += (r1 - r0) * (p0 + p1) / 2.0
     return area
+
+
+def write_json_checkpoint(path, model: Model) -> None:
+    """Write `model` in the JSON checkpoint format of earlier versions, which
+    `load_checkpoint` no longer reads."""
+    state = model.state_dict()
+    state["params"] = {name: {"shape": list(a.shape),
+                              "data": a.reshape(-1).tolist()}
+                       for name, a in state["params"].items()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state, fh, sort_keys=True)

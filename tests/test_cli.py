@@ -7,6 +7,10 @@ import os
 import pytest
 
 from capsrel.cli import main
+from capsrel.config import TrainConfig
+from capsrel.data import load_embeddings
+from capsrel.model import Model
+from helpers import write_json_checkpoint
 
 
 def sha256(path):
@@ -124,6 +128,20 @@ class TestEval:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
         assert main(["eval", "--config", str(p)]) == 2
+
+    def test_json_checkpoint_exits_1_naming_the_format(self, workspace,
+                                                        tmp_path, capsys):
+        root, cfg, cfg_path = workspace
+        store = load_embeddings(cfg["word_embeddings"],
+                                cfg["entity_embeddings"],
+                                cfg["relation_embeddings"])
+        old = tmp_path / "old.ckpt"
+        write_json_checkpoint(old, Model(TrainConfig(B=4, C=2, d=2), store))
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert str(old) in err
+        assert "JSON checkpoints are no longer read" in err
 
 
 class TestPredict:
