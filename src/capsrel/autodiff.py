@@ -8,11 +8,11 @@ and forward passes are plain numpy.
 
 An op stays in this module only while code under ``src/`` calls it. The
 ops kept are: ``+``, ``-`` (binary and unary), ``*``, ``/``, ``**``, ``@``
-on 1-D/2-D operands, indexing, ``reshape``, ``transpose``/``T``, ``sum``,
-``mean``, ``norm``, ``tanh``, ``sigmoid``, ``relu``, ``softmax``, and the
-free functions :func:`concat`, :func:`stack`, :func:`take_rows` and
-:func:`dropout`. :func:`grad_check` compares any of them against central
-differences.
+on 1-D/2-D operands or on equal 3-D stacks (slice by slice), indexing,
+``reshape``, ``T``, ``sum``, ``mean``, ``norm``, ``tanh``, ``sigmoid``,
+``relu``, ``softmax``, and the free functions :func:`concat`, :func:`stack`,
+:func:`take_rows` and :func:`dropout`. :func:`grad_check` compares any of
+them against central differences.
 """
 
 from __future__ import annotations
@@ -209,18 +209,21 @@ class Tensor:
     def __matmul__(self, other):
         other = _as_tensor(other)
         a, b = self, other
-        if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2) or a.shape[-1] != b.shape[0]:
-            raise ShapeError(
-                f"matmul needs conforming 1-D/2-D operands, got {a.shape} @ {b.shape}")
+        stacked = a.ndim == b.ndim == 3 and a.shape[0] == b.shape[0]
+        flat = 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2
+        if not (stacked or flat) or a.shape[-1] != b.shape[-min(b.ndim, 2)]:
+            raise ShapeError(f"matmul needs conforming 1-D/2-D operands or equal "
+                             f"3-D stacks, got {a.shape} @ {b.shape}")
         data = a.data @ b.data
 
         def bw(g):
-            # A 1-D operand is one row on the left or one column on the right.
-            A = a.data.reshape(-1, a.shape[-1])
-            Bm = b.data.reshape(b.shape[0], -1)
-            G = g.reshape(A.shape[0], Bm.shape[1])
-            _send(a, _matmul_2d(G, Bm.T).reshape(a.shape))
-            _send(b, _matmul_2d(A.T, G).reshape(b.shape))
+            # Matrices, or stacks of them: a 1-D operand is one row on the
+            # left or one column on the right.
+            A = a.data.reshape(a.shape[:-2] + (-1, a.shape[-1]))
+            Bm = b.data.reshape(b.shape[:-2] + (a.shape[-1], -1))
+            G = g.reshape(A.shape[:-1] + Bm.shape[-1:])
+            _send(a, _matmul_2d(G, np.swapaxes(Bm, -1, -2)).reshape(a.shape))
+            _send(b, _matmul_2d(np.swapaxes(A, -1, -2), G).reshape(b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
     def __getitem__(self, idx):
@@ -245,18 +248,13 @@ class Tensor:
             _send(a, g.reshape(a.shape))
         return Tensor._from_op(data, (a,), bw)
 
-    def transpose(self, axes=None) -> "Tensor":
-        a = self
-        data = a.data.transpose(axes)
-        inv = None if axes is None else tuple(np.argsort(axes))
-
-        def bw(g):
-            _send(a, g.transpose(inv))
-        return Tensor._from_op(data, (a,), bw)
-
     @property
     def T(self) -> "Tensor":
-        return self.transpose()
+        a = self
+
+        def bw(g):
+            _send(a, g.T)
+        return Tensor._from_op(a.data.T, (a,), bw)
 
     # -- reductions -----------------------------------------------------------
 
@@ -346,9 +344,9 @@ def _send(node: Tensor, g: np.ndarray) -> None:
 
 
 def _matmul_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for 2-D arrays. An inner size of 1 is an outer product, which a
-    broadcast multiply computes faster than numpy's non-BLAS matmul path."""
-    return x * y if x.shape[1] == 1 else x @ y
+    """x @ y on matrices or equal stacks. An inner size of 1 is an outer
+    product, which a broadcast multiply computes faster than non-BLAS matmul."""
+    return x * y if x.shape[-1] == 1 else x @ y
 
 
 # -- free functions ----------------------------------------------------------

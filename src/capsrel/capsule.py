@@ -4,7 +4,8 @@ The capsule layer slides a stride-1 2-gram window over the encoded
 sentence (zero-padded by one row at each end, so L rows give L+1
 windows), producing (L+1)*C child capsules of dimension d. A shared
 per-parent transform turns children into votes, and routing-by-agreement
-iteratively couples children to the E relation capsules.
+iteratively couples children to the E relation capsules over E x d x H
+(parent-major) votes, so that both routing sums are stacked products.
 """
 
 from __future__ import annotations
@@ -57,40 +58,40 @@ def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
 
 
 def votes(u: Tensor, Wc: Tensor, b_hat: Tensor) -> Tensor:
-    """Per-parent votes u_hat[i, j] = Wc[j] @ u[i] + b_hat[j]; H x E x d.
+    """Per-parent votes u_hat[j, :, i] = Wc[j] @ u[i] + b_hat[j]; E x d x H.
 
-    All E transforms are one product: Wc viewed as d x E*d, column
-    j*d + l holding row l of Wc[j].
+    All E transforms are one product, Wc viewed as E*d x d times u^T.
     """
     E, d, _ = Wc.shape
-    W = Wc.transpose((2, 0, 1)).reshape((d, E * d))
-    return (u @ W).reshape((u.shape[0], E, d)) + b_hat
+    u_hat = (Wc.reshape((E * d, d)) @ u.T).reshape((E, d, u.shape[0]))
+    return u_hat + b_hat.reshape((E, d, 1))
 
 
 def dynamic_routing(u_hat: Tensor, a_hat: Tensor, iterations: int,
                     return_state: bool = False):
-    """Routing-by-agreement producing E parent capsules and activations.
+    """Routing-by-agreement over E x d x H votes: E parent capsules, activations.
 
     Per iteration: couplings c = a_hat * softmax over parents of the
-    logits b, parents v_j = squash(sum_i c[i,j] u_hat[i,j]), activations
-    a_j = ||v_j||, then b += u_hat . v. The loop is unrolled in the
-    differentiable graph; gradients flow through the couplings.
+    logits b, parents v_j = squash(u_hat[j] @ c[j]), activations
+    a_j = ||v_j||, then b[j] += v_j @ u_hat[j]; both products are stacked
+    over the E parents. The loop is unrolled in the differentiable graph;
+    gradients flow through the couplings.
     """
     if iterations < 1:
         raise ContractViolation(f"routing needs >= 1 iterations, got {iterations}")
-    H, E, d = u_hat.shape
-    b = Tensor(np.zeros((H, E)))
-    a_col = a_hat.reshape((H, 1))
+    E, d, H = u_hat.shape
+    b = Tensor(np.zeros((E, 1, H)))   # row j: parent j's logits over the children
     v = a = c = b_in = None
     for _ in range(iterations):
         b_in = b
-        c = a_col * b.softmax(axis=1)                       # H x E
-        s = (c.reshape((H, E, 1)) * u_hat).sum(axis=0)      # E x d
+        c = a_hat * b.softmax(axis=0)                            # E x 1 x H
+        s = (u_hat @ c.reshape((E, H, 1))).reshape((E, d))
         v = squash(s, axis=-1)
         a = v.norm(axis=-1)
-        b = b + (u_hat * v.reshape((1, E, d))).sum(axis=2)
+        b = b + v.reshape((E, 1, d)) @ u_hat
     if return_state:
-        state = RoutingState(b=b_in.data.copy(), c=c.data.copy(),
+        state = RoutingState(b=b_in.data.reshape((E, H)).T.copy(),
+                             c=c.data.reshape((E, H)).T.copy(),
                              v=v.data.copy(), a=a.data.copy())
         return v, a, state
     return v, a

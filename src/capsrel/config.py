@@ -10,6 +10,11 @@ class ConfigError(ValueError):
     """Invalid or missing configuration field."""
 
 
+# Accepted value types per annotated field type: a bool is not an int, and a
+# float field takes an integer such as 0 too.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 @dataclass
 class TrainConfig:
     """Model and training hyperparameters.
@@ -49,6 +54,11 @@ class TrainConfig:
         return cls(**obj).validate()
 
     def validate(self) -> "TrainConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _FIELD_TYPES[f.type]:
+                raise ConfigError(f"{f.name} must be {f.type}, got "
+                                  f"{type(value).__name__} {value!r}")
         if self.M not in (2, 4):
             raise ConfigError(f"M must be 2 or 4, got {self.M}")
         if self.routing_iters < 1:

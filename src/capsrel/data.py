@@ -35,17 +35,17 @@ def missing_bucket(L: int) -> int:
     return 2 * L + 2
 
 
-def position_feature(token_idx: int, entity_anchor: int | None, L: int) -> int:
-    """Bucket id for the relative distance from a token to an entity anchor.
+def position_feature(token_idx, entity_anchor: int | None, L: int) -> np.ndarray:
+    """Bucket ids for the relative distances from tokens to an entity anchor.
 
-    A missing entity maps to the reserved out-of-range bucket rather than a
+    Elementwise over an integer array (or scalar) of token indices. A
+    missing entity maps to the reserved out-of-range bucket rather than a
     literal large distance, which would index outside the embedding table.
     """
+    token_idx = np.asarray(token_idx, dtype=np.int64)
     if entity_anchor is None:
-        return missing_bucket(L)
-    dist = token_idx - entity_anchor
-    dist = max(-L, min(L, dist))
-    return dist + L
+        return np.full_like(token_idx, missing_bucket(L))
+    return np.clip(token_idx - entity_anchor, -L, L) + L
 
 
 @dataclass
@@ -133,9 +133,8 @@ def entity_anchors(pairs: list[tuple[str, str]],
 def _position_ids(tokens: list[str], anchors: list[int | None],
                   L: int) -> np.ndarray:
     ids = np.empty((len(tokens), len(anchors)), dtype=np.int64)
-    for t in range(len(tokens)):
-        for m, anchor in enumerate(anchors):
-            ids[t, m] = position_feature(t, anchor, L)
+    for m, anchor in enumerate(anchors):
+        ids[:, m] = position_feature(np.arange(len(tokens)), anchor, L)
     return ids
 
 

@@ -83,6 +83,15 @@ def bilstm_reference(X: np.ndarray, mask: np.ndarray, fwd, bwd) -> np.ndarray:
     return np.concatenate(halves, axis=1)
 
 
+def position_feature_reference(token_idx: int, entity_anchor: int | None,
+                               L: int) -> int:
+    """Scalar bucket rule: distance clamped to [-L, L] and shifted by L; a
+    missing anchor takes the reserved bucket 2L + 2."""
+    if entity_anchor is None:
+        return 2 * L + 2
+    return max(-L, min(L, token_idx - entity_anchor)) + L
+
+
 def squash_reference(x: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(x))
     if n == 0.0:

@@ -143,7 +143,8 @@ class TestAcceptance:
             a_hat = rng.uniform(0, 1, size=H)
             v_ref, a_ref = routing_reference(u_hat, a_hat, iters)
             with no_grad():
-                v, a = dynamic_routing(Tensor(u_hat), Tensor(a_hat), iters)
+                v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
+                                       Tensor(a_hat), iters)
             worst = max(worst,
                         float(np.abs(v.data - v_ref).max()),
                         float(np.abs(a.data - a_ref).max()))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capsrel.autodiff import (
@@ -126,6 +126,29 @@ class TestGeneralOps:
     def test_matmul_rejects_rank_3(self):
         with pytest.raises(ShapeError, match="1-D/2-D"):
             Tensor(rand((2, 2, 3), 0)) @ Tensor(rand((3, 2), 1))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 4), st.integers(0, 2 ** 16))
+    @example(S=3, m=2, k=1, n=4, seed=0)   # inner size 1: the outer-product path
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_matmul_matches_numpy_and_grad_checks(self, S, m, k, n, seed):
+        A, Bm = rand((S, m, k), seed), rand((S, k, n), seed + 1)
+        expected = np.matmul(A, Bm)
+        out = Tensor(A) @ Tensor(Bm)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+        w = Tensor(rand(expected.shape, seed + 2))
+        assert grad_check(lambda t: ((t @ Tensor(Bm)) * w).sum(), Tensor(A)) < 1e-6
+        assert grad_check(lambda t: ((Tensor(A) @ t) * w).sum(), Tensor(Bm)) < 1e-6
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 3, 4), (4, 5)),        # stack @ matrix
+        ((3, 4), (2, 4, 5)),        # matrix @ stack
+        ((2, 3, 4), (3, 4, 5)),     # unequal stacks
+        ((2, 3, 4), (2, 5, 6)),     # equal stacks, inner sizes differ
+    ])
+    def test_matmul_rejects_mixed_ranks_and_unequal_stacks(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="1-D/2-D"):
+            Tensor(rand(a_shape, 0)) @ Tensor(rand(b_shape, 1))
 
     @given(st.sampled_from([0, 1, -1]), st.integers(1, 4), st.integers(1, 3),
            st.integers(1, 3), st.integers(0, 2 ** 16))

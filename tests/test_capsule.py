@@ -113,7 +113,8 @@ class TestVotes:
         Wc = Tensor(np.stack([np.eye(d)] * E))
         out = votes(u, Wc, Tensor(np.zeros((E, d))))
         for j in range(E):
-            np.testing.assert_allclose(out.data[:, j], u.data, atol=1e-15)
+            np.testing.assert_allclose(out.data.transpose(2, 0, 1)[:, j], u.data,
+                                       atol=1e-15)
 
     def test_zero_children_zero_bias_give_zero_votes(self):
         out = votes(Tensor(np.zeros((3, 2))),
@@ -126,7 +127,7 @@ class TestVotes:
         W = np.array([[[3.0, -1.0], [0.5, 2.0]]])
         b = np.array([[0.1, -0.2]])
         out = votes(u, Tensor(W), Tensor(b))
-        np.testing.assert_allclose(out.data[0, 0],
+        np.testing.assert_allclose(out.data.transpose(2, 0, 1)[0, 0],
                                    [3 * 1 - 1 * 2 + 0.1, 0.5 * 1 + 2 * 2 - 0.2],
                                    atol=1e-12)
 
@@ -138,9 +139,23 @@ class TestVotes:
         u[-1] = 0.0  # a child from a zero-padded window
         Wc = rng.normal(size=(E, d, d))
         b_hat = rng.normal(size=(E, d))
-        out = votes(Tensor(u), Tensor(Wc), Tensor(b_hat)).data
+        out = votes(Tensor(u), Tensor(Wc), Tensor(b_hat)).data.transpose(2, 0, 1)
         np.testing.assert_allclose(out, votes_reference(u, Wc, b_hat),
                                    rtol=1e-12, atol=1e-12)
+
+    def test_paper_shape_equals_transposed_oracle_bit_for_bit(self):
+        # Multiples of 1/32 up to 128 are exact in float64, so every
+        # summation order gives the same bits and the test sees only layout.
+        rng = np.random.default_rng(12)
+        H, E, d = 3840, 53, 8
+        u = rng.integers(-8, 9, size=(H, d)) / 4.0
+        u[-32:] = 0.0  # children from a zero-padded window
+        Wc = rng.integers(-8, 9, size=(E, d, d)) / 8.0
+        b_hat = rng.integers(-8, 9, size=(E, d)) / 32.0
+        out = votes(Tensor(u), Tensor(Wc), Tensor(b_hat)).data
+        assert out.shape == (E, d, H)
+        np.testing.assert_array_equal(out.transpose(2, 0, 1),
+                                      votes_reference(u, Wc, b_hat))
 
 
 class TestDynamicRouting:
@@ -153,19 +168,20 @@ class TestDynamicRouting:
     def test_identical_votes_give_identical_parents(self):
         vote = np.random.default_rng(7).normal(size=3)
         u_hat = np.stack([np.stack([vote, vote])])  # H=1, E=2
-        v, a = dynamic_routing(Tensor(u_hat), Tensor([0.7]), 3)
+        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor([0.7]), 3)
         np.testing.assert_array_equal(v.data[0], v.data[1])
         assert a.data[0] == a.data[1]
 
     def test_zero_activations_give_zero_parents(self):
         u_hat, _ = self.rand_case(4, 3, 2, seed=8)
-        v, a = dynamic_routing(Tensor(u_hat), Tensor(np.zeros(4)), 3)
+        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
+                               Tensor(np.zeros(4)), 3)
         np.testing.assert_array_equal(v.data, 0.0)
         np.testing.assert_array_equal(a.data, 0.0)
 
     def test_first_iteration_uses_uniform_couplings(self):
         u_hat, a_hat = self.rand_case(5, 3, 2, seed=9)
-        v, a = dynamic_routing(Tensor(u_hat), Tensor(a_hat), 1)
+        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), 1)
         ref_v, ref_a = routing_reference(u_hat, a_hat, 1)
         # from b=0 the softmax is uniform: c[i] = a_hat[i]/E
         s = (a_hat[:, None, None] / 3 * u_hat).sum(axis=0)
@@ -183,7 +199,7 @@ class TestDynamicRouting:
         E = int(rng.integers(2, 6))
         d = int(rng.integers(1, 5))
         u_hat, a_hat = self.rand_case(H, E, d, seed=2000 + seed)
-        v, a = dynamic_routing(Tensor(u_hat), Tensor(a_hat), iters)
+        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), iters)
         ref_v, ref_a = routing_reference(u_hat, a_hat, iters)
         np.testing.assert_allclose(v.data, ref_v, atol=1e-10)
         np.testing.assert_allclose(a.data, ref_a, atol=1e-10)
@@ -191,17 +207,28 @@ class TestDynamicRouting:
     def test_parent_permutation_equivariance(self):
         u_hat, a_hat = self.rand_case(6, 4, 3, seed=10)
         perm = np.array([2, 0, 3, 1])
-        v, a = dynamic_routing(Tensor(u_hat), Tensor(a_hat), 3)
-        vp, ap = dynamic_routing(Tensor(u_hat[:, perm]), Tensor(a_hat), 3)
+        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), 3)
+        vp, ap = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)[perm]),
+                                 Tensor(a_hat), 3)
         np.testing.assert_allclose(vp.data, v.data[perm], atol=1e-12)
         np.testing.assert_allclose(ap.data, a.data[perm], atol=1e-12)
 
     def test_couplings_per_child_sum_to_activation(self):
         u_hat, a_hat = self.rand_case(7, 3, 2, seed=11)
-        _, _, state = dynamic_routing(Tensor(u_hat), Tensor(a_hat), 3,
-                                      return_state=True)
+        _, _, state = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
+                                      Tensor(a_hat), 3, return_state=True)
         np.testing.assert_allclose(state.c.sum(axis=1), a_hat, atol=1e-12)
         assert np.all(state.a < 1.0)
+
+    def test_paper_shape_matches_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        H, E, d = 200, 53, 8
+        u_hat, a_hat = self.rand_case(H, E, d, seed=13)
+        a_hat[rng.choice(H, size=40, replace=False)] = 0.0
+        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), 3)
+        ref_v, ref_a = routing_reference(u_hat, a_hat, 3)
+        np.testing.assert_allclose(v.data, ref_v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a.data, ref_a, rtol=1e-12, atol=1e-12)
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ContractViolation):

@@ -95,6 +95,15 @@ class TestBoundary:
         with pytest.raises(ContractViolation, match=r"m\.ckpt.*'colour'"):
             load_checkpoint(str(path), tiny_store())
 
+    def test_mistyped_config_field_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), tiny_model())
+        header, body = split(path.read_bytes())
+        header["config"]["B"] = "3"
+        path.write_bytes(join(header, body))
+        with pytest.raises(ContractViolation, match=r"m\.ckpt.*\bB must be int"):
+            load_checkpoint(str(path), tiny_store())
+
     @pytest.mark.parametrize("state", [
         "x", {"bit_generator": "PCG64"},
         {"bit_generator": "MT19937", "state": {"key": [1], "pos": 0}}])

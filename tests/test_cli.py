@@ -69,6 +69,19 @@ class TestTrain:
         cfg_path.write_text(json.dumps({"corpsu": "x"}))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("B", "4"), ("B", True), ("word_att", 1), ("lr", "0.1"),
+        ("routing_iters", "3")])
+    def test_mistyped_config_field_exits_2_naming_it(self, workspace, tmp_path,
+                                                      capsys, field, value):
+        _, cfg, _ = workspace
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, field: value,
+                                        "output_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and type(value).__name__ in err
+
     def test_tiny_run_writes_checkpoint_and_log(self, workspace):
         root, cfg, cfg_path = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from capsrel.data import (
     CorpusFormatError,
+    _position_ids,
     batch_iter,
     dump_corpus,
     entity_anchors,
@@ -19,6 +20,7 @@ from capsrel.data import (
     missing_bucket,
     position_feature,
 )
+from helpers import position_feature_reference
 
 REL_VOCAB = {"NA": 0, "R1": 1, "R2": 2}
 
@@ -124,6 +126,20 @@ class TestPositionFeature:
     def test_bucket_always_in_range(self, t, anchor):
         b = position_feature(t, anchor, 120)
         assert 0 <= b <= 240
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_position_ids_equal_scalar_rule_per_element(self, data):
+        L = data.draw(st.integers(1, 130))
+        n = data.draw(st.integers(1, L))
+        anchor = st.one_of(st.none(), st.sampled_from([0, n - 1, -L - 1, L + 1]),
+                           st.integers(-3 * L, 3 * L))
+        anchors = data.draw(st.lists(anchor, min_size=2, max_size=4))
+        ids = _position_ids(["w"] * n, anchors, L)
+        assert ids.shape == (n, len(anchors)) and ids.dtype == np.int64
+        for t in range(n):
+            for m, a in enumerate(anchors):
+                assert ids[t, m] == position_feature_reference(t, a, L)
 
 
 class TestLoadCorpus:

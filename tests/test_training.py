@@ -258,6 +258,18 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             TrainConfig(M=3).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("B", "4"), ("B", True), ("B", 4.0), ("word_att", 1), ("lr", "0.1"),
+        ("lr", False), ("pair_diff", None), ("routing_iters", "3")])
+    def test_mistyped_field_rejected_naming_field_and_type(self, field, value):
+        from capsrel.config import ConfigError
+        with pytest.raises(ConfigError,
+                           match=rf"^{field} must be .*got {type(value).__name__}"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_float_field_takes_an_integer(self):
+        assert TrainConfig(lr=1, dropout=0).validate().lr == 1
+
 
 class TestCheckpointBoundary:
     def test_missing_parameters_are_named(self):
