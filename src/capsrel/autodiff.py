@@ -9,8 +9,8 @@ and forward passes are plain numpy.
 An op stays in this module only while code under ``src/`` calls it. The
 ops kept are: ``+``, ``-`` (binary and unary), ``*``, ``/``, ``**``, ``@``
 on 1-D/2-D operands or on equal 3-D stacks (slice by slice), indexing,
-``reshape``, ``T``, ``sum``, ``mean``, ``norm``, ``tanh``, ``sigmoid``,
-``relu``, ``softmax``, and the free functions :func:`concat`, :func:`stack`,
+``reshape``, ``T``, ``sum``, ``norm``, ``tanh``, ``sigmoid``, ``relu``,
+``softmax``, and the free functions :func:`concat`, :func:`stack`,
 :func:`take_rows` and :func:`dropout`. :func:`grad_check` compares any of
 them against central differences.
 """
@@ -271,10 +271,6 @@ class Tensor:
                 gg = np.expand_dims(gg, axis)
             _send(a, np.broadcast_to(gg, a.shape).copy())
         return Tensor._from_op(data, (a,), bw)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def norm(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Euclidean norm; the gradient at an exact zero vector is zero."""

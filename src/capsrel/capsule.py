@@ -71,26 +71,26 @@ def dynamic_routing(u_hat: Tensor, a_hat: Tensor, iterations: int,
                     return_state: bool = False):
     """Routing-by-agreement over E x d x H votes: E parent capsules, activations.
 
-    Per iteration: couplings c = a_hat * softmax over parents of the
-    logits b, parents v_j = squash(u_hat[j] @ c[j]), activations
-    a_j = ||v_j||, then b[j] += v_j @ u_hat[j]; both products are stacked
-    over the E parents. The loop is unrolled in the differentiable graph;
-    gradients flow through the couplings.
+    Per iteration: b[j] += v_j @ u_hat[j] from the second iteration on,
+    couplings c = a_hat * softmax over parents of the logits b, parents
+    v_j = squash(u_hat[j] @ c[j]) and activations a_j = ||v_j||; both
+    products are stacked over the E parents. The loop is unrolled in the
+    differentiable graph; gradients flow through the couplings.
     """
     if iterations < 1:
         raise ContractViolation(f"routing needs >= 1 iterations, got {iterations}")
     E, d, H = u_hat.shape
     b = Tensor(np.zeros((E, 1, H)))   # row j: parent j's logits over the children
-    v = a = c = b_in = None
-    for _ in range(iterations):
-        b_in = b
+    v = a = c = None
+    for it in range(iterations):
+        if it:
+            b = b + v.reshape((E, 1, d)) @ u_hat
         c = a_hat * b.softmax(axis=0)                            # E x 1 x H
         s = (u_hat @ c.reshape((E, H, 1))).reshape((E, d))
         v = squash(s, axis=-1)
         a = v.norm(axis=-1)
-        b = b + v.reshape((E, 1, d)) @ u_hat
     if return_state:
-        state = RoutingState(b=b_in.data.reshape((E, H)).T.copy(),
+        state = RoutingState(b=b.data.reshape((E, H)).T.copy(),
                              c=c.data.reshape((E, H)).T.copy(),
                              v=v.data.copy(), a=a.data.copy())
         return v, a, state

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -125,9 +126,10 @@ def cmd_predict(args) -> int:
         cfg.corpus = args.corpus
     if args.multi and not cfg.entity_embeddings:
         raise ConfigError("--multi requires the 'entity_embeddings' config field")
+    threshold = args.threshold if args.threshold is not None else cfg.train.threshold
+    dataclasses.replace(cfg.train, threshold=threshold).validate()
     store, corpus = _load_inputs(cfg, need_entities=args.multi)
     model = load_checkpoint(ckpt, store)
-    threshold = args.threshold if args.threshold is not None else cfg.train.threshold
     lines = []
     for bag in corpus.bags:
         scores = model.bag_scores(bag)

@@ -89,9 +89,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        """Build and validate from a JSON object, naming any bad field."""
+        if not isinstance(obj, dict):
+            raise ConfigError(
+                f"run config must be an object, got {type(obj).__name__}")
         obj = dict(obj)
         train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
         train_obj = obj.pop("train", {})
+        if not isinstance(train_obj, dict):
+            raise ConfigError(
+                f"train must be an object, got {type(train_obj).__name__}")
         # Accept train hyperparameters at top level too.
         for k in list(obj):
             if k in train_fields:
@@ -100,6 +107,10 @@ class RunConfig:
         unknown = set(obj) - run_fields
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in obj.items():
+            if type(value) is not str:
+                raise ConfigError(f"{name} must be str, got "
+                                  f"{type(value).__name__} {value!r}")
         return cls(train=TrainConfig.from_dict(train_obj), **obj)
 
     def to_dict(self) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, stack
+from .autodiff import NonFiniteError, Tensor
 from .config import TrainConfig
 from .data import Bag, batch_iter
 from .model import Model
@@ -64,27 +64,28 @@ def train_epoch(model: Model, bags: list[Bag], optimizer: Adam,
     """One epoch: per batch, select instances, forward, backward, Adam step.
 
     The loss is the mean over the batch's bags of the per-bag margin loss
-    on the selected sentence. Deterministic under a fixed config seed.
+    on the selected sentence. A step runs one backward per bag as soon as
+    its loss is known and frees that bag's graph, so peak memory does not
+    grow with `batch_size`. Deterministic under a fixed config seed.
     """
-    E = model.E
     losses: list[float] = []
     hist: dict[int, int] = {}
     for batch in batch_iter(bags, config.batch_size, seed=config.seed + epoch):
-        bag_losses = []
+        optimizer.zero_grad()
+        totals = []
         for bag in batch:
             idx = select_instance(model, bag)
             hist[idx] = hist.get(idx, 0) + 1
             a = model.activations(bag.instances[idx], train=True)
-            total, _ = margin_loss(a, label_vector(bag.labels, E))
+            total = margin_loss(a, label_vector(bag.labels, model.E))[0]
             if not np.isfinite(total.data):
                 raise NonFiniteError(
                     f"non-finite loss for bag {bag.key!r} in epoch {epoch}")
-            bag_losses.append(total.reshape((1,)))
-        batch_loss = stack(bag_losses, axis=0).mean()
-        optimizer.zero_grad()
-        batch_loss.backward()
+            (total * (1.0 / len(batch))).backward()
+            totals.append(total.item())
+            del a, total  # drop this bag's graph before the next forward
         optimizer.step()
-        losses.append(batch_loss.item())
+        losses.append(float(np.asarray(totals).sum() * (1.0 / len(batch))))
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return EpochStats(epoch=epoch, mean_loss=mean_loss, selection_histogram=hist)
 

@@ -6,10 +6,13 @@ import json
 
 import numpy as np
 
+from capsrel.autodiff import NonFiniteError, stack
 from capsrel.config import TrainConfig
-from capsrel.data import EmbeddingStore, SentenceInstance, parse_record
+from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
+                          parse_record)
 from capsrel.evaluation import EvaluationError
 from capsrel.model import Model
+from capsrel.training import EpochStats, label_vector, margin_loss, select_instance
 
 
 def routing_reference(u_hat: np.ndarray, a_hat: np.ndarray,
@@ -149,6 +152,23 @@ def tiny_model(seed: int = 0, B: int = 3, L: int = 10, d_p: int = 2,
     return Model(cfg, store if store is not None else tiny_store(seed=seed))
 
 
+def mixed_bags(M=2, n=10):
+    """`n` bags of one to three sentences. At M=4 each sentence has two
+    entity pairs, and its bag a gold relation for each."""
+    words = ["alpha", "beta", "gamma", "delta"]
+    pairs = [("E1", "E2"), ("E3", "E4")][:M // 2]
+    bags = []
+    for k in range(n):
+        relations = [["NA", "R1", "R2"][(k + j) % 3] for j in range(len(pairs))]
+        insts = [make_instance([words[(k + i) % 4], "E1", words[i], "E2",
+                                "E3", "E4"][:2 + 2 * len(pairs)],
+                               pairs=pairs, relations=relations, M=M)
+                 for i in range(1 + k % 3)]
+        bags.append(Bag(key=(k,), instances=insts,
+                        labels=set(insts[0].relations)))
+    return bags
+
+
 def pr_curve_reference(decisions) -> list[tuple[float, float]]:
     """Sort-and-walk PR staircase over (score, gold) records, in plain Python.
 
@@ -197,3 +217,29 @@ def write_json_checkpoint(path, model: Model) -> None:
                        for name, a in state["params"].items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(state, fh, sort_keys=True)
+
+
+def train_epoch_reference(model: Model, bags, optimizer, config: TrainConfig,
+                          epoch: int) -> EpochStats:
+    """The batch-wide tape: every bag's graph stays alive until one backward
+    of the batch's mean loss. `train_epoch` must match it bit for bit."""
+    losses: list[float] = []
+    hist: dict[int, int] = {}
+    for batch in batch_iter(bags, config.batch_size, seed=config.seed + epoch):
+        bag_losses = []
+        for bag in batch:
+            idx = select_instance(model, bag)
+            hist[idx] = hist.get(idx, 0) + 1
+            a = model.activations(bag.instances[idx], train=True)
+            total, _ = margin_loss(a, label_vector(bag.labels, model.E))
+            if not np.isfinite(total.data):
+                raise NonFiniteError(
+                    f"non-finite loss for bag {bag.key!r} in epoch {epoch}")
+            bag_losses.append(total.reshape((1,)))
+        batch_loss = stack(bag_losses, axis=0).sum() * (1.0 / len(bag_losses))
+        optimizer.zero_grad()
+        batch_loss.backward()
+        optimizer.step()
+        losses.append(batch_loss.item())
+    mean_loss = float(np.mean(losses)) if losses else 0.0
+    return EpochStats(epoch=epoch, mean_loss=mean_loss, selection_histogram=hist)

@@ -190,7 +190,7 @@ COMPOSITES = {
     "transpose_matmul": lambda x: (x @ x.T).sum(),
     "relu_pow": lambda x: ((x.relu() + 0.5) ** 3).sum(),
     "div_sqrt": lambda x: (x / (x * x + 2.0) ** 0.5).sum(),
-    "reshape_mean": lambda x: (x.reshape((4, 3)).mean(axis=0) ** 2).sum(),
+    "reshape_mean": lambda x: ((x.reshape((4, 3)).sum(axis=0) * 0.25) ** 2).sum(),
     "stack_rows": lambda x: stack([x[0], x[1] * 2.0], axis=0).sum(),
     "getitem_scalar": lambda x: x[1, 2] * x[0, 0] + x[2, 3] ** 2,
 }

@@ -234,6 +234,22 @@ class TestDynamicRouting:
         with pytest.raises(ContractViolation):
             dynamic_routing(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)), 0)
 
+    @pytest.mark.parametrize("iters", [1, 2, 3, 4])
+    def test_runs_2r_minus_1_stacked_products(self, monkeypatch, iters):
+        # one coupling sum per iteration and one agreement update between
+        # iterations; none after the last, whose logits nothing reads
+        matmul = Tensor.__matmul__
+        stacked = []
+
+        def counting(a, b):
+            stacked.append(a.ndim == 3)
+            return matmul(a, b)
+
+        monkeypatch.setattr(Tensor, "__matmul__", counting)
+        u_hat, a_hat = self.rand_case(6, 3, 2, seed=12)
+        dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), iters)
+        assert sum(stacked) == 2 * iters - 1
+
 
 class TestCapsuleGradients:
     @pytest.mark.parametrize("seed", range(3))

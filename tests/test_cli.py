@@ -82,6 +82,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert field in err and type(value).__name__ in err
 
+    @pytest.mark.parametrize("text,named", [
+        ('"abc"', "run config"), ("5", "run config"), ("[]", "run config"),
+        ('{"train": [], "B": 4}', "train")])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys,
+                                                  text, named):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"{named} must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("checkpoint", ["m.ckpt"]), ("output_dir", 5), ("corpus", None)])
+    def test_mistyped_path_field_exits_2_before_training(
+            self, workspace, tmp_path, capsys, field, value):
+        _, cfg, _ = workspace
+        run_cfg = dict(cfg, checkpoint=str(tmp_path / "m.ckpt"),
+                       output_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**run_cfg, field: value}))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"{field} must be str" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tiny_run_writes_checkpoint_and_log(self, workspace):
         root, cfg, cfg_path = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -181,6 +204,15 @@ class TestPredict:
                      "--threshold", "0.99", "--out", str(out)]) == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(len(rec["relations"]) <= 2 for rec in lines)
+
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.2", "nan"])
+    def test_threshold_outside_unit_interval_exits_2(self, workspace, capsys,
+                                                     threshold):
+        root, cfg, cfg_path = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["predict", "--config", str(cfg_path), "--multi",
+                     "--threshold", threshold]) == 2
+        assert "threshold must be in (0, 1)" in capsys.readouterr().err
 
     def test_multi_without_entity_embeddings_exits_2(self, workspace, tmp_path):
         root, cfg, _ = workspace

@@ -1,5 +1,7 @@
 """Margin loss, instance selection, the training loop, ablations."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from capsrel.training import (
     train,
     train_epoch,
 )
-from helpers import make_instance, tiny_model, tiny_store
+from helpers import (make_instance, mixed_bags, tiny_model, tiny_store,
+                     train_epoch_reference)
 
 
 class TestMarginLoss:
@@ -189,6 +192,52 @@ class TestTrainLoop:
         opt = Adam(model.params)
         stats = train_epoch(model, bags, opt, model.config, epoch=0)
         assert sum(stats.selection_histogram.values()) == len(bags)
+
+
+class TestPerBagBackward:
+    @pytest.mark.parametrize("capsule", [True, False], ids=["full", "-Capsule"])
+    @pytest.mark.parametrize("M", [2, 4])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 128])
+    def test_matches_batch_wide_tape_bit_for_bit(self, batch_size, M, capsule):
+        runs = []
+        for epoch_fn in (train_epoch, train_epoch_reference):
+            model = tiny_model(seed=4, M=M, dropout=0.5, capsule=capsule,
+                               batch_size=batch_size)
+            bags = mixed_bags(M)
+            opt = Adam(model.params, lr=0.01)
+            stats = [epoch_fn(model, bags, opt, model.config, epoch)
+                     for epoch in range(2)]
+            runs.append((model, opt, stats))
+        (model, opt, stats), (ref, ref_opt, ref_stats) = runs
+        assert stats == ref_stats
+        assert opt.step_count == ref_opt.step_count
+        assert model.dropout_rng.bit_generator.state \
+            == ref.dropout_rng.bit_generator.state
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, ref.params[name].data)
+            np.testing.assert_array_equal(opt.m[name], ref_opt.m[name])
+            np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
+
+    def test_each_bag_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        # a weakref to each train-mode result's array shows whether that
+        # bag's graph is still alive when the next bag's forward starts
+        model = tiny_model(seed=1, dropout=0.5, batch_size=4)
+        forward = model.activations
+        results: list[weakref.ref] = []
+        alive_at_call: list[int] = []
+
+        def tracked(inst, train=False):
+            if train:
+                alive_at_call.append(sum(r() is not None for r in results))
+            out = forward(inst, train=train)
+            if train:
+                results.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(model, "activations", tracked)
+        bags = mixed_bags()
+        train_epoch(model, bags, Adam(model.params), model.config, epoch=0)
+        assert alive_at_call == [0] * len(bags)
 
 
 class TestGradientIsolation:
