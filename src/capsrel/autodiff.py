@@ -67,7 +67,8 @@ class Tensor:
     """A dense float64 array node in the computation graph.
 
     Interior nodes carry their gradient only transiently during a
-    backward sweep; after the sweep only leaves retain ``.grad``.
+    backward sweep; after the sweep only leaves retain ``.grad``, and each
+    interior node has let go of its parents and its backward closure.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
@@ -146,7 +147,10 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad = None  # interior node; free transient gradient
+            # interior node: free its transient gradient and its tape links,
+            # so a loss still held after backward() pins nothing
+            node.grad = None
+            node._parents, node._backward = (), None
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -99,6 +99,7 @@ class RunConfig:
         if not isinstance(train_obj, dict):
             raise ConfigError(
                 f"train must be an object, got {type(train_obj).__name__}")
+        train_obj = dict(train_obj)
         # Accept train hyperparameters at top level too.
         for k in list(obj):
             if k in train_fields:

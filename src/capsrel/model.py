@@ -25,57 +25,64 @@ from .data import EmbeddingStore, SentenceInstance, num_position_buckets
 CHECKPOINT_VERSION = 1
 
 
+# A parameter's init is a (fan_in, fan_out) Glorot-uniform draw from the
+# model's seeded generator, ZEROS, or WORD: a copy of the store's word table.
+ZEROS, WORD = "zeros", "word"
+
+
+def param_table(config: TrainConfig, store: EmbeddingStore
+                ) -> list[tuple[str, tuple[int, ...], object]]:
+    """(name, shape, init) of every parameter, in the order of the draws."""
+    B, d, C, d_p = config.B, config.d, config.C, config.d_p
+    E = store.relation.shape[0]
+    V = store.word.shape[1] + d_p * config.M
+    buckets = num_position_buckets(config.L)
+    table = [("word_emb", store.word.shape, WORD)]
+    table += [(f"pos_emb_{m}", (buckets, d_p), (buckets, d_p))
+              for m in range(config.M)]
+    for direction in ("fwd", "bwd"):
+        table += [(f"lstm_{direction}_Wx", (V, 4 * B), (V, 4 * B)),
+                  (f"lstm_{direction}_Wh", (B, 4 * B), (B, 4 * B)),
+                  (f"lstm_{direction}_b", (4 * B,), ZEROS)]
+    if config.word_att:
+        table += [("att_A", (2 * B, 2 * B), (2 * B, 2 * B)),
+                  ("att_r", (2 * B,), (2 * B, 1))]
+    if config.capsule:
+        table += [("caps_Wb", (C * d, 4 * B), (4 * B, d)),
+                  ("caps_b1", (C * d,), ZEROS),
+                  ("caps_Wc", (E, d, d), (d, d)),
+                  ("caps_bhat", (E, d), ZEROS)]
+    else:
+        table += [("head_W", (2 * B, E), (2 * B, E)),
+                  ("head_b", (E,), ZEROS)]
+    return table
+
+
 class Model:
     """All learned parameters plus the forward pass to relation activations."""
 
-    def __init__(self, config: TrainConfig, store: EmbeddingStore):
+    def __init__(self, config: TrainConfig, store: EmbeddingStore,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """Draw the parameters of `param_table`, or adopt `arrays` as they
+        are: `load_checkpoint` passes them, already checked against it."""
         config.validate()
         self.config = config
         self.store = store
         self.E = store.relation.shape[0]
         self.d_w = store.word.shape[1]
-        self.V = self.d_w + config.d_p * config.M
         rng = np.random.default_rng(config.seed)
         self.params: dict[str, Tensor] = {}
-        self._init_params(rng)
+        for name, shape, init in param_table(config, store):
+            if arrays is not None:
+                data = arrays[name]
+            elif init == WORD:
+                data = store.word.copy()
+            elif init == ZEROS:
+                data = np.zeros(shape)
+            else:
+                data = encoder.glorot_uniform(rng, *init, shape)
+            self.params[name] = Tensor(data, requires_grad=True, name=name)
         self.dropout_rng = np.random.default_rng(config.seed + 1)
-
-    def _param(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data, requires_grad=True, name=name)
-        self.params[name] = t
-        return t
-
-    def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        B, V, E, d, C = cfg.B, self.V, self.E, cfg.d, cfg.C
-        self._param("word_emb", self.store.word.copy())
-        buckets = num_position_buckets(cfg.L)
-        for m in range(cfg.M):
-            self._param(f"pos_emb_{m}",
-                        encoder.glorot_uniform(rng, buckets, cfg.d_p,
-                                               (buckets, cfg.d_p)))
-        for direction in ("fwd", "bwd"):
-            self._param(f"lstm_{direction}_Wx",
-                        encoder.glorot_uniform(rng, V, 4 * B, (V, 4 * B)))
-            self._param(f"lstm_{direction}_Wh",
-                        encoder.glorot_uniform(rng, B, 4 * B, (B, 4 * B)))
-            self._param(f"lstm_{direction}_b", np.zeros(4 * B))
-        if cfg.word_att:
-            self._param("att_A",
-                        encoder.glorot_uniform(rng, 2 * B, 2 * B, (2 * B, 2 * B)))
-            self._param("att_r",
-                        encoder.glorot_uniform(rng, 2 * B, 1, (2 * B,)))
-        if cfg.capsule:
-            self._param("caps_Wb",
-                        encoder.glorot_uniform(rng, 4 * B, d, (C * d, 4 * B)))
-            self._param("caps_b1", np.zeros(C * d))
-            self._param("caps_Wc",
-                        encoder.glorot_uniform(rng, d, d, (E, d, d)))
-            self._param("caps_bhat", np.zeros((E, d)))
-        else:
-            self._param("head_W",
-                        encoder.glorot_uniform(rng, 2 * B, E, (2 * B, E)))
-            self._param("head_b", np.zeros(E))
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -131,56 +138,13 @@ class Model:
         """Eval-mode per-relation score: max over the bag's instances."""
         return self.instance_scores(bag).max(axis=0)
 
-    # -- checkpoints ----------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The checkpoint's fields; `params` maps names to the live arrays."""
-        return {
-            "version": CHECKPOINT_VERSION,
-            "config": dataclasses.asdict(self.config),
-            "relation_names": self.store.relation_names,
-            "params": {name: p.data for name, p in self.params.items()},
-            "dropout_rng_state": self.dropout_rng.bit_generator.state,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Check `state` against this model and copy its arrays in."""
-        version = state.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ContractViolation(
-                f"unsupported checkpoint version {version!r}; "
-                f"expected {CHECKPOINT_VERSION}")
-        if state.get("relation_names") != self.store.relation_names:
-            raise ContractViolation(
-                f"checkpoint relations {state.get('relation_names')} differ "
-                f"from the embedding store's {self.store.relation_names}")
-        missing = sorted(set(self.params) - set(state["params"]))
-        if missing:
-            raise ContractViolation(
-                f"checkpoint lacks parameters: {', '.join(missing)}")
-        for name, data in state["params"].items():
-            if name not in self.params:
-                raise ContractViolation(f"unknown parameter {name!r} in checkpoint")
-            if data.shape != self.params[name].shape:
-                raise ContractViolation(
-                    f"checkpoint shape {data.shape} does not match parameter "
-                    f"{name!r} shape {self.params[name].shape}")
-        for name, data in state["params"].items():
-            np.copyto(self.params[name].data, data)
-        rng_state = state.get("dropout_rng_state")
-        if rng_state is not None:
-            try:
-                self.dropout_rng.bit_generator.state = rng_state
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ContractViolation(
-                    f"invalid dropout_rng_state: {exc}") from exc
-
 
 # Checkpoint container: MAGIC, the header length as a little-endian u64,
 # the UTF-8 JSON header, zero padding to a multiple of 8 bytes, then each
 # parameter's C-order little-endian float64 bytes in sorted-name order.
-# The header holds every state_dict field except `params`, which becomes a
-# table of {name, shape, offset}; offsets count from the end of the padding.
+# The header holds `version`, `config`, `relation_names`,
+# `dropout_rng_state`, `extra` and `params`, a table of {name, shape,
+# offset}; offsets count from the end of the padding.
 MAGIC = b"CAPSREL1"
 _PREFIX = struct.Struct("<8sQ")
 _DTYPE = np.dtype("<f8")
@@ -192,30 +156,39 @@ def _padding(header_len: int) -> int:
 
 def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
     """Write a binary checkpoint atomically; equal models give equal bytes."""
-    state = model.state_dict()
-    arrays = state.pop("params")
+    names = sorted(model.params)
     table, offset = [], 0
-    for name in sorted(arrays):
-        table.append({"name": name, "shape": list(arrays[name].shape),
-                      "offset": offset})
-        offset += arrays[name].size * _DTYPE.itemsize
-    header = json.dumps(dict(state, extra=extra, params=table),
-                        sort_keys=True).encode("utf-8")
+    for name in names:
+        p = model.params[name]
+        table.append({"name": name, "shape": list(p.shape), "offset": offset})
+        offset += p.size * _DTYPE.itemsize
+    header = json.dumps({
+        "version": CHECKPOINT_VERSION,
+        "config": dataclasses.asdict(model.config),
+        "relation_names": model.store.relation_names,
+        "dropout_rng_state": model.dropout_rng.bit_generator.state,
+        "extra": extra,
+        "params": table,
+    }, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, len(header)))
         fh.write(header)
         fh.write(bytes(_padding(len(header))))
-        for name in sorted(arrays):
-            fh.write(np.ascontiguousarray(arrays[name], dtype=_DTYPE))
+        for name in names:
+            fh.write(np.ascontiguousarray(model.params[name].data,
+                                          dtype=_DTYPE))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
     """Read a checkpoint written by `save_checkpoint` into a new model.
 
-    Every way the file can be malformed raises `ContractViolation` naming
-    `path` and the offending field.
+    The file's parameter table is checked against `param_table` before
+    anything is allocated; each buffer is then read straight into the
+    array the model keeps, so loading draws nothing. Every way the file
+    can be malformed raises `ContractViolation` naming `path` and the
+    offending field.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -244,13 +217,25 @@ def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
                 f"is a JSON {type(header).__name__}, not an object"))
         if any(fh.read(_padding(header_len))):
             raise _malformed(path, "header padding", "is not zero bytes")
-        arrays = _read_params(fh, path, header.get("params"),
-                              size - data_start)
-    try:
-        model = Model(TrainConfig.from_dict(header.get("config")), store)
-        model.load_state_dict(dict(header, params=arrays))
-    except (ConfigError, ContractViolation) as exc:
-        raise ContractViolation(f"{path}: {exc}") from exc
+        entries = _parse_table(path, header.get("params"), size - data_start)
+        try:
+            config = TrainConfig.from_dict(header.get("config"))
+            _check_against_model(header, entries, config, store)
+        except (ConfigError, ContractViolation) as exc:
+            raise ContractViolation(f"{path}: {exc}") from exc
+        arrays: dict[str, np.ndarray] = {}
+        for i, (name, shape) in enumerate(entries):
+            data = arrays[name] = np.empty(shape, dtype=_DTYPE)
+            if fh.readinto(data) != data.nbytes:
+                raise _malformed(path, f"params[{i}]", "is cut off")
+    model = Model(config, store, arrays)
+    rng_state = header.get("dropout_rng_state")
+    if rng_state is not None:
+        try:
+            model.dropout_rng.bit_generator.state = rng_state
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ContractViolation(
+                f"{path}: invalid dropout_rng_state: {exc}") from exc
     return model
 
 
@@ -258,13 +243,13 @@ def _malformed(path: str, field: str, problem: str) -> ContractViolation:
     return ContractViolation(f"{path}: {field} {problem}")
 
 
-def _read_params(fh, path: str, table, data_bytes: int
-                 ) -> dict[str, np.ndarray]:
-    """Read each table entry straight into its own array, checking that the
-    entries are sorted, well formed, contiguous and cover the data exactly."""
+def _parse_table(path: str, table, data_bytes: int
+                ) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each entry, checking that the entries are sorted,
+    well formed, contiguous and cover the data exactly."""
     if not isinstance(table, list):
         raise _malformed(path, "params", "is not a list")
-    arrays: dict[str, np.ndarray] = {}
+    entries: list[tuple[str, tuple[int, ...]]] = []
     end, last = 0, ""
     for i, entry in enumerate(table):
         field = f"params[{i}]"
@@ -288,15 +273,36 @@ def _read_params(fh, path: str, table, data_bytes: int
             raise _malformed(path, f"{field}.shape", (
                 f"{shape} ends at byte {end} of a {data_bytes}-byte data "
                 "section"))
-        try:
-            data = np.empty(shape, dtype=_DTYPE)
-        except ValueError as exc:
-            raise _malformed(path, f"{field}.shape", str(exc)) from exc
-        if fh.readinto(data) != data.nbytes:
-            raise _malformed(path, field, "is cut off")
-        arrays[name] = data
+        entries.append((name, tuple(shape)))
         last = name
     if end != data_bytes:
         raise _malformed(path, "params", (
             f"cover {end} bytes of a {data_bytes}-byte data section"))
-    return arrays
+    return entries
+
+
+def _check_against_model(header: dict, entries, config: TrainConfig,
+                         store: EmbeddingStore) -> None:
+    """Check the header's version, relation order and parameter table
+    against the model that `config` and `store` describe."""
+    version = header.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ContractViolation(
+            f"unsupported checkpoint version {version!r}; "
+            f"expected {CHECKPOINT_VERSION}")
+    if header.get("relation_names") != store.relation_names:
+        raise ContractViolation(
+            f"checkpoint relation_names {header.get('relation_names')} "
+            f"differ from the embedding store's {store.relation_names}")
+    expected = {name: shape for name, shape, _ in param_table(config, store)}
+    missing = sorted(set(expected) - {name for name, _ in entries})
+    if missing:
+        raise ContractViolation(
+            f"checkpoint lacks parameters: {', '.join(missing)}")
+    for name, shape in entries:
+        if name not in expected:
+            raise ContractViolation(f"unknown parameter {name!r} in checkpoint")
+        if shape != expected[name]:
+            raise ContractViolation(
+                f"checkpoint shape {shape} does not match parameter "
+                f"{name!r} shape {expected[name]}")

@@ -53,18 +53,3 @@ class Adam:
             m_hat = m / bc1
             v_hat = v / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
-
-    def state_dict(self) -> dict:
-        return {
-            "step": self.step_count,
-            "m": {k: a.tolist() for k, a in self.m.items()},
-            "v": {k: a.tolist() for k, a in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.step_count = int(state["step"])
-        for k in self.m:
-            self.m[k] = np.asarray(state["m"][k], dtype=np.float64).reshape(
-                self.m[k].shape)
-            self.v[k] = np.asarray(state["v"][k], dtype=np.float64).reshape(
-                self.v[k].shape)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -211,10 +212,13 @@ def auc_reference(curve) -> float:
 def write_json_checkpoint(path, model: Model) -> None:
     """Write `model` in the JSON checkpoint format of earlier versions, which
     `load_checkpoint` no longer reads."""
-    state = model.state_dict()
-    state["params"] = {name: {"shape": list(a.shape),
-                              "data": a.reshape(-1).tolist()}
-                       for name, a in state["params"].items()}
+    state = {"version": 1,
+             "config": dataclasses.asdict(model.config),
+             "relation_names": model.store.relation_names,
+             "dropout_rng_state": model.dropout_rng.bit_generator.state,
+             "params": {name: {"shape": list(p.shape),
+                               "data": p.data.reshape(-1).tolist()}
+                        for name, p in model.params.items()}}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(state, fh, sort_keys=True)
 

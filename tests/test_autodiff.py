@@ -1,5 +1,7 @@
 """Tensor core: op semantics, backward rules, gradient checking."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +97,17 @@ class TestBackward:
         y = x * 3.0
         (y + y).sum().backward()
         np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_backward_frees_interior_nodes_while_the_root_lives(self):
+        x = Tensor(rand((3,), 0), requires_grad=True)
+        h = x.tanh()
+        freed = weakref.ref(h.data)  # a Tensor takes no weak references
+        loss = (h * 2.0).sum()
+        del h
+        loss.backward()
+        assert freed() is None
+        assert loss.item() == pytest.approx(2.0 * np.tanh(x.data).sum())
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data) ** 2))
 
     def test_concat_backward_reassembles(self):
         a = Tensor(rand((2, 3), 1), requires_grad=True)

@@ -1,13 +1,16 @@
 """The binary checkpoint container: layout, determinism, malformed files."""
 
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsrel import encoder
 from capsrel.autodiff import ContractViolation
 from capsrel.config import TrainConfig
 from capsrel.data import Bag
@@ -26,6 +29,22 @@ def join(header: dict, body: bytes) -> bytes:
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     return (MAGIC + struct.pack("<Q", len(text)) + text
             + bytes(-(16 + len(text)) % 8) + body)
+
+
+def entries(header: dict, body: bytes) -> list[tuple[str, list, bytes]]:
+    """(name, shape, raw bytes) of each parameter-table entry."""
+    return [(e["name"], e["shape"],
+             body[e["offset"]:e["offset"] + 8 * math.prod(e["shape"])])
+            for e in header["params"]]
+
+
+def join_entries(header: dict, items) -> bytes:
+    """`join` with the table and the body rebuilt from (name, shape, raw)."""
+    table, offset = [], 0
+    for name, shape, raw in items:
+        table.append({"name": name, "shape": shape, "offset": offset})
+        offset += len(raw)
+    return join(dict(header, params=table), b"".join(raw for *_, raw in items))
 
 
 def perturbed(model: Model) -> Model:
@@ -129,6 +148,36 @@ class TestBoundary:
             load_checkpoint(str(path), tiny_store())
 
 
+class TestAllocationOnlyLoad:
+    def test_load_makes_no_glorot_draw(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, tiny_model())
+        draws = []
+        draw = encoder.glorot_uniform
+        monkeypatch.setattr(encoder, "glorot_uniform",
+                            lambda *args: draws.append(args) or draw(*args))
+        load_checkpoint(path, tiny_store())
+        assert draws == []
+        tiny_model()
+        assert draws  # the counter sees the draws of a fresh model
+
+    def test_load_peak_memory_is_one_copy_of_the_parameters(self, tmp_path):
+        store = tiny_store(d_w=50, n_relations=53)
+        model = Model(TrainConfig(B=100, seed=3), store)
+        param_bytes = 8 * model.param_count()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model)
+        del model
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * loaded.param_count() == param_bytes
+        assert peak < 1.5 * param_bytes
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """A tiny checkpoint's bytes, the same model as a JSON checkpoint, and a
@@ -142,13 +191,16 @@ def saved(tmp_path_factory):
 
 
 MUTANTS = ("truncate", "magic", "json", "length", "not_json", "not_object",
-           "padding", "offset", "overlap", "shape", "swap_names", "trailing")
+           "padding", "offset", "overlap", "shape", "swap_names", "trailing",
+           "unknown_name", "drop_entry", "version", "relation_order")
 # the field each mutant's message names, where only one field can be at fault
 FIELDS = {"magic": "magic", "json": "JSON checkpoints are no longer read",
           "length": "header length", "not_json": "header",
           "not_object": "header", "padding": "header padding",
           "offset": "offset", "overlap": "offset", "swap_names": "name",
-          "trailing": "params"}
+          "trailing": "params", "unknown_name": "unknown parameter",
+          "drop_entry": "lacks parameters", "version": "version",
+          "relation_order": "relation_names"}
 
 
 def mutate(draw, kind: str, good: bytes, old_json: bytes) -> bytes:
@@ -187,6 +239,29 @@ def mutate(draw, kind: str, good: bytes, old_json: bytes) -> bytes:
                 + body)
     if kind == "trailing":
         return good + draw(st.binary(min_size=1, max_size=16))
+    if kind == "unknown_name":
+        items = entries(header, body)
+        name = draw(st.text(min_size=1, max_size=8).filter(
+            lambda n: n not in {e[0] for e in items}))
+        shape = draw(st.lists(st.integers(0, 3), max_size=2))
+        items.append((name, shape, bytes(8 * math.prod(shape))))
+        return join_entries(header, sorted(items))
+    if kind == "drop_entry":
+        items = entries(header, body)
+        del items[draw(st.integers(0, len(items) - 1))]
+        return join_entries(header, items)
+    if kind == "version":
+        version = draw(st.sampled_from([None, 0, 2, "1", 1.0, True, [1]]))
+        if version is None:
+            del header["version"]
+        else:
+            header["version"] = version
+        return join(header, body)
+    if kind == "relation_order":
+        names = header["relation_names"]
+        header["relation_names"] = draw(
+            st.permutations(names).filter(lambda p: p != names))
+        return join(header, body)
     i = draw(st.integers(0, len(table) - 1))
     if kind == "offset":
         right = table[i]["offset"]

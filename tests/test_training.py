@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capsrel.autodiff import ContractViolation, NonFiniteError, Tensor, no_grad
-from capsrel.config import TrainConfig
+from capsrel.config import RunConfig, TrainConfig
 from capsrel.data import Bag
 from capsrel.model import Model, load_checkpoint, save_checkpoint
 from capsrel.optim import Adam
@@ -20,6 +20,7 @@ from capsrel.training import (
 )
 from helpers import (make_instance, mixed_bags, tiny_model, tiny_store,
                      train_epoch_reference)
+from test_checkpoint import entries, join, join_entries, split
 
 
 class TestMarginLoss:
@@ -319,24 +320,37 @@ class TestBuildModel:
     def test_float_field_takes_an_integer(self):
         assert TrainConfig(lr=1, dropout=0).validate().lr == 1
 
+    def test_run_config_leaves_the_callers_dict_unchanged(self):
+        obj = {"train": {"B": 4}, "C": 2}
+        cfg = RunConfig.from_dict(obj)
+        assert (cfg.train.B, cfg.train.C) == (4, 2)
+        assert obj == {"train": {"B": 4}, "C": 2}
+
 
 class TestCheckpointBoundary:
-    def test_missing_parameters_are_named(self):
-        state = tiny_model().state_dict()
-        del state["params"]["caps_Wc"], state["params"]["lstm_bwd_b"]
+    def test_missing_parameters_are_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), tiny_model())
+        header, body = split(path.read_bytes())
+        path.write_bytes(join_entries(header, [
+            e for e in entries(header, body)
+            if e[0] not in ("caps_Wc", "lstm_bwd_b")]))
         with pytest.raises(ContractViolation,
                            match="caps_Wc, lstm_bwd_b"):
-            tiny_model().load_state_dict(state)
+            load_checkpoint(str(path), tiny_store())
 
     @pytest.mark.parametrize("version", [None, 0, 2, "1"])
-    def test_unknown_version_rejected(self, version):
-        state = tiny_model().state_dict()
+    def test_unknown_version_rejected(self, tmp_path, version):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), tiny_model())
+        header, body = split(path.read_bytes())
         if version is None:
-            del state["version"]
+            del header["version"]
         else:
-            state["version"] = version
+            header["version"] = version
+        path.write_bytes(join(header, body))
         with pytest.raises(ContractViolation, match="version"):
-            tiny_model().load_state_dict(state)
+            load_checkpoint(str(path), tiny_store())
 
     def test_relation_order_mismatch_names_both_lists(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
