@@ -12,15 +12,11 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import evaluation, prediction, synth
 from .config import ConfigError, RunConfig
 from .data import Corpus, EmbeddingStore, load_corpus, load_embeddings
 from .model import Model, load_checkpoint, save_checkpoint
-from .training import bag_top1_accuracy, train
-
-log = logging.getLogger("capsrel")
+from .training import train
 
 
 def _load_run_config(path: str) -> RunConfig:
@@ -47,11 +43,33 @@ def _load_inputs(cfg: RunConfig, need_entities: bool = False
     return store, corpus
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write_output(path: str, text: str) -> None:
+    """Create the parent directory, then write `path` atomically."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _load_trained(cfg: RunConfig, args, need_entities: bool = False
+                  ) -> tuple[EmbeddingStore, Corpus, Model]:
+    """Resolve --checkpoint/--corpus against `cfg`, then load the inputs
+    and the checkpoint."""
+    ckpt = args.checkpoint or cfg.checkpoint
+    if not ckpt or not os.path.exists(ckpt):
+        raise ConfigError(f"checkpoint not found: {ckpt!r}")
+    if args.corpus:
+        cfg.corpus = args.corpus
+    store, corpus = _load_inputs(cfg, need_entities)
+    return store, corpus, load_checkpoint(ckpt, store)
+
+
+def _evaluate(model: Model, corpus: Corpus):
+    """Score every bag; return the PR curve, its AUC and precision@recall."""
+    curve = evaluation.pr_curve(evaluation.decisions_from_scores(
+        (bag, model.bag_scores(bag)) for bag in corpus.bags))
+    return curve, evaluation.auc(curve), evaluation.precision_at(curve)
 
 
 def cmd_train(args) -> int:
@@ -74,62 +92,36 @@ def cmd_train(args) -> int:
                                     sorted(stats.selection_histogram.items())},
             "config": cfg.to_dict(),
         }, sort_keys=True))
-        _atomic_write(log_path, "\n".join(records) + "\n")
+        _write_output(log_path, "\n".join(records) + "\n")
         return False
 
     train(model, corpus.bags, cfg.train, callback=on_epoch)
     if cfg.train.epochs == 0:
         save_checkpoint(cfg.checkpoint, model,
                         extra={"epoch": -1, "run_config": cfg.to_dict()})
-    acc = bag_top1_accuracy(model, corpus.bags)
-    log.info("final bag-level top-1 accuracy on training corpus: %.3f", acc)
     return 0
-
-
-def _bag_score_pairs(model: Model, corpus: Corpus):
-    return [(bag, model.bag_scores(bag)) for bag in corpus.bags]
 
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args.config)
-    ckpt = args.checkpoint or cfg.checkpoint
-    if not ckpt or not os.path.exists(ckpt):
-        raise ConfigError(f"checkpoint not found: {ckpt!r}")
-    if args.corpus:
-        cfg.corpus = args.corpus
-    store, corpus = _load_inputs(cfg)
-    model = load_checkpoint(ckpt, store)
-    decisions = evaluation.decisions_from_scores(_bag_score_pairs(model, corpus))
-    curve = evaluation.pr_curve(decisions)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _, corpus, model = _load_trained(cfg, args)
+    curve, auc, precisions = _evaluate(model, corpus)
+    metrics = json.dumps({"auc": auc, **{f"p@{r}": p for r, p in
+                                         precisions.items()}}, sort_keys=True)
+    # the metrics write creates output_dir for the curve beside it
+    _write_output(os.path.join(cfg.output_dir, "metrics.json"), metrics + "\n")
     evaluation.write_curve_csv(curve, os.path.join(cfg.output_dir, "pr_curve.csv"))
-    precisions = evaluation.precision_at(curve)
-    metrics = {
-        "auc": evaluation.auc(curve),
-        "p@0.1": precisions[0.1],
-        "p@0.2": precisions[0.2],
-        "p@0.3": precisions[0.3],
-        "p@0.4": precisions[0.4],
-    }
-    _atomic_write(os.path.join(cfg.output_dir, "metrics.json"),
-                  json.dumps(metrics, sort_keys=True) + "\n")
-    print(json.dumps(metrics, sort_keys=True))
+    print(metrics)
     return 0
 
 
 def cmd_predict(args) -> int:
     cfg = _load_run_config(args.config)
-    ckpt = args.checkpoint or cfg.checkpoint
-    if not ckpt or not os.path.exists(ckpt):
-        raise ConfigError(f"checkpoint not found: {ckpt!r}")
-    if args.corpus:
-        cfg.corpus = args.corpus
     if args.multi and not cfg.entity_embeddings:
         raise ConfigError("--multi requires the 'entity_embeddings' config field")
     threshold = args.threshold if args.threshold is not None else cfg.train.threshold
     dataclasses.replace(cfg.train, threshold=threshold).validate()
-    store, corpus = _load_inputs(cfg, need_entities=args.multi)
-    model = load_checkpoint(ckpt, store)
+    store, corpus, model = _load_trained(cfg, args, need_entities=args.multi)
     lines = []
     for bag in corpus.bags:
         scores = model.bag_scores(bag)
@@ -145,9 +137,8 @@ def cmd_predict(args) -> int:
             entry["name"] = store.relation_names[entry["id"]]
         lines.append(json.dumps(
             {"key": [list(p) for p in bag.key], "relations": rels}))
-    out_path = args.out or os.path.join(cfg.output_dir, "predictions.jsonl")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    _atomic_write(out_path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_output(args.out or os.path.join(cfg.output_dir, "predictions.jsonl"),
+                  "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
@@ -165,25 +156,30 @@ def cmd_synth(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
     store, corpus = _load_inputs(cfg)
-    iters = [int(x) for x in args.iters.split(",")]
-    dims = [int(x) for x in args.dims.split(",")]
-    grid = [{"routing_iters": it, "d": d} for it in iters for d in dims]
+    grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]
 
     def run_point(train_cfg):
         model = Model(train_cfg, store)
         train(model, corpus.bags, train_cfg)
-        decisions = evaluation.decisions_from_scores(
-            _bag_score_pairs(model, corpus))
-        curve = evaluation.pr_curve(decisions)
-        return evaluation.auc(curve), evaluation.precision_at(curve)
+        return _evaluate(model, corpus)[1:]
 
-    rows = evaluation.experiment_sweep(cfg.train, grid, run_point)
-    report = evaluation.sweep_markdown(rows)
-    out_path = args.out or os.path.join(cfg.output_dir, "sweep.md")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    _atomic_write(out_path, report)
+    report = evaluation.sweep_markdown(
+        evaluation.experiment_sweep(cfg.train, grid, run_point))
+    _write_output(args.out or os.path.join(cfg.output_dir, "sweep.md"), report)
     print(report)
     return 0
+
+
+def _positive_ints(text: str) -> list[int]:
+    """A comma-separated list of integers >= 1, such as 1,3,5."""
+    try:
+        values = [int(x) for x in text.split(",")]
+        if min(values) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated integers >= 1, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="capsule-dim / routing-iteration grid")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--iters", default="1,3,5")
-    p_sweep.add_argument("--dims", default="4,8")
+    p_sweep.add_argument("--iters", type=_positive_ints, default="1,3,5")
+    p_sweep.add_argument("--dims", type=_positive_ints, default="4,8")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 
@@ -13,6 +14,9 @@ class ConfigError(ValueError):
 # Accepted value types per annotated field type: a bool is not an int, and a
 # float field takes an integer such as 0 too.
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+# Smallest legal value of each bounded integer field.
+_INT_MINIMA = {"B": 1, "L": 1, "C": 1, "d": 1, "batch_size": 1,
+               "routing_iters": 1, "d_p": 0, "epochs": 0, "seed": 0}
 
 
 @dataclass
@@ -59,14 +63,16 @@ class TrainConfig:
             if type(value) not in _FIELD_TYPES[f.type]:
                 raise ConfigError(f"{f.name} must be {f.type}, got "
                                   f"{type(value).__name__} {value!r}")
+        for name, low in _INT_MINIMA.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.M not in (2, 4):
             raise ConfigError(f"M must be 2 or 4, got {self.M}")
-        if self.routing_iters < 1:
-            raise ConfigError(f"routing_iters must be >= 1, got {self.routing_iters}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.pair_diff not in ("e2-e1", "e1-e2"):
             raise ConfigError(f"pair_diff must be 'e2-e1' or 'e1-e2', "
                               f"got {self.pair_diff!r}")

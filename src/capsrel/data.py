@@ -241,7 +241,8 @@ def dump_corpus(corpus: Corpus, path: str,
                 fh.write(json.dumps(obj) + "\n")
 
 
-def _load_vector_file(path: str, expected_dim: int | None
+def _load_vector_file(path: str, expected_dim: int | None,
+                      first: str | None = None
                       ) -> tuple[list[str], np.ndarray]:
     names: list[str] = []
     rows: list[np.ndarray] = []
@@ -252,7 +253,13 @@ def _load_vector_file(path: str, expected_dim: int | None
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
-            if expected_dim is not None and len(values) != expected_dim:
+            if first is not None and not names and token != first:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: the first name must be {first!r}, "
+                    f"got {token!r}")
+            if expected_dim is None:
+                expected_dim = len(values)
+            if len(values) != expected_dim:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected {expected_dim} floats for "
                     f"{token!r}, got {len(values)}")
@@ -273,9 +280,6 @@ def _load_vector_file(path: str, expected_dim: int | None
                 rows.append(vec)
     if not rows:
         raise CorpusFormatError(f"{path}: no embedding rows")
-    dims = {r.shape[0] for r in rows}
-    if len(dims) != 1:
-        raise CorpusFormatError(f"{path}: inconsistent dimensions {sorted(dims)}")
     return names, np.vstack(rows)
 
 
@@ -285,9 +289,10 @@ def load_embeddings(word_path: str, entity_path: str | None,
     """Load the three embedding tables; the word UNK row is the mean row.
 
     The entity table is optional (only TransE pair assignment needs it).
+    The relation file lists NA first, since relation id 0 is NA.
     """
     word_names, word = _load_vector_file(word_path, d_w)
-    relation_names, relation = _load_vector_file(relation_path, k)
+    relation_names, relation = _load_vector_file(relation_path, k, first="NA")
     if entity_path:
         entity_names, entity = _load_vector_file(entity_path, relation.shape[1])
     else:

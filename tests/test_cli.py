@@ -7,9 +7,10 @@ import os
 import pytest
 
 from capsrel.cli import main
-from capsrel.config import TrainConfig
-from capsrel.data import load_embeddings
+from capsrel.config import RunConfig, TrainConfig
+from capsrel.data import load_corpus, load_embeddings
 from capsrel.model import Model
+from capsrel.training import train
 from helpers import write_json_checkpoint
 
 
@@ -104,6 +105,46 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert f"{field} must be str" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("B", 0), ("L", 0), ("C", 0), ("d", 0), ("d_p", -1), ("epochs", -1),
+        ("seed", -1), ("lr", -0.001), ("lr", float("nan")),
+        ("lr", float("inf"))])
+    def test_out_of_range_config_field_exits_2_before_output_dir(
+            self, workspace, tmp_path, capsys, field, value):
+        _, cfg, _ = workspace
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, field: value,
+                                        "checkpoint": str(tmp_path / "m.ckpt"),
+                                        "output_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_runs_no_forward_after_the_last_epoch(self, workspace, tmp_path,
+                                                   monkeypatch):
+        _, cfg, _ = workspace
+        run_cfg = RunConfig.from_dict(dict(
+            cfg, checkpoint=str(tmp_path / "m.ckpt"),
+            output_dir=str(tmp_path / "out"), epochs=2))
+        calls = []
+        activations = Model.activations
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return activations(self, *args, **kwargs)
+        monkeypatch.setattr(Model, "activations", counting)
+        store = load_embeddings(run_cfg.word_embeddings, None,
+                                run_cfg.relation_embeddings)
+        corpus = load_corpus(run_cfg.corpus, run_cfg.train.L, run_cfg.train.M,
+                             {n: i for i, n in enumerate(store.relation_names)})
+        train(Model(run_cfg.train, store), corpus.bags, run_cfg.train)
+        in_train = len(calls)
+        calls.clear()
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(run_cfg.to_dict()))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert in_train > 0 and len(calls) == in_train
 
     def test_tiny_run_writes_checkpoint_and_log(self, workspace):
         root, cfg, cfg_path = workspace
@@ -232,3 +273,19 @@ class TestSweep:
         text = out.read_text()
         assert "routing_iters=1" in text and "routing_iters=3" in text
         assert "AUC" in text
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--iters", "1,,3"), ("--iters", "x"), ("--dims", "0")])
+    def test_bad_grid_flag_exits_2_naming_it_before_reading_data(
+            self, workspace, tmp_path, capsys, monkeypatch, flag, value):
+        root, cfg, cfg_path = workspace
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("data read before the flags were checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", no_read)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg_path), flag, value,
+                  "--out", str(tmp_path / "report.md")])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()

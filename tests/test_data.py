@@ -324,6 +324,20 @@ class TestLoadEmbeddings:
             load_embeddings(str(tmp_path / "w.txt"), None,
                             str(tmp_path / "r.txt"), d_w=2)
 
+    def test_width_mismatch_without_a_given_width_names_line(self, tmp_path):
+        self.write(tmp_path / "w.txt", [("a", [1.0, 2.0]), ("b", [3.0])])
+        self.write(tmp_path / "r.txt", [("NA", [0.0])])
+        with pytest.raises(CorpusFormatError, match=r"w\.txt:2: expected 2 floats"):
+            load_embeddings(str(tmp_path / "w.txt"), None,
+                            str(tmp_path / "r.txt"))
+
+    def test_relation_file_must_list_na_first(self, tmp_path):
+        self.write(tmp_path / "w.txt", [("a", [1.0])])
+        self.write(tmp_path / "r.txt", [("R1", [1.0]), ("NA", [0.0])])
+        with pytest.raises(CorpusFormatError, match=r"r\.txt:1: .*'R1'"):
+            load_embeddings(str(tmp_path / "w.txt"), None,
+                            str(tmp_path / "r.txt"))
+
     def test_duplicate_token_last_wins(self, tmp_path):
         self.write(tmp_path / "w.txt", [("a", [1.0]), ("a", [9.0])])
         self.write(tmp_path / "r.txt", [("NA", [0.0])])
