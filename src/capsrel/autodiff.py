@@ -267,13 +267,9 @@ class Tensor:
         data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def bw(g):
-            if axis is None:
-                _send(a, np.broadcast_to(g, a.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            _send(a, np.broadcast_to(gg, a.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            _send(a, np.broadcast_to(g, a.shape))
         return Tensor._from_op(data, (a,), bw)
 
     def norm(self, axis=None, keepdims: bool = False) -> "Tensor":

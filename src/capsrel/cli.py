@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -78,6 +79,7 @@ def cmd_train(args) -> int:
         raise ConfigError("config field 'checkpoint' is required")
     store, corpus = _load_inputs(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(cfg.checkpoint) or ".", exist_ok=True)
     model = Model(cfg.train, store)
     log_path = os.path.join(cfg.output_dir, "train_log.jsonl")
     records = []
@@ -105,10 +107,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args.config)
     _, corpus, model = _load_trained(cfg, args)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     curve, auc, precisions = _evaluate(model, corpus)
     metrics = json.dumps({"auc": auc, **{f"p@{r}": p for r, p in
                                          precisions.items()}}, sort_keys=True)
-    # the metrics write creates output_dir for the curve beside it
     _write_output(os.path.join(cfg.output_dir, "metrics.json"), metrics + "\n")
     evaluation.write_curve_csv(curve, os.path.join(cfg.output_dir, "pr_curve.csv"))
     print(metrics)
@@ -182,6 +184,20 @@ def _positive_ints(text: str) -> list[int]:
         f"expected comma-separated integers >= 1, got {text!r}")
 
 
+def _at_least(low: int, cast=int):
+    """An argparse type: a finite `cast` value of at least `low`."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if low <= value < math.inf:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a finite {cast.__name__} >= {low}, got {text!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capsrel",
@@ -210,15 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.add_argument("--relations", type=int, default=4,
+    p_synth.add_argument("--relations", type=_at_least(2), default=4,
                          help="number of relations including NA")
-    p_synth.add_argument("--vocab", type=int, default=30)
-    p_synth.add_argument("--bags", type=int, default=50)
+    p_synth.add_argument("--vocab", type=_at_least(1), default=30)
+    p_synth.add_argument("--bags", type=_at_least(1), default=50)
     p_synth.add_argument("--pairs", type=int, default=1, choices=(1, 2))
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--dw", type=int, default=16)
-    p_synth.add_argument("--k", type=int, default=8)
+    p_synth.add_argument("--seed", type=_at_least(0), default=0)
+    p_synth.add_argument("--noise", type=_at_least(0, float), default=0.0)
+    p_synth.add_argument("--dw", type=_at_least(1), default=16)
+    p_synth.add_argument("--k", type=_at_least(1), default=8)
     p_synth.set_defaults(func=cmd_synth)
 
     p_sweep = sub.add_parser("sweep", help="capsule-dim / routing-iteration grid")

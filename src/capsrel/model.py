@@ -141,13 +141,27 @@ class Model:
 
 # Checkpoint container: MAGIC, the header length as a little-endian u64,
 # the UTF-8 JSON header, zero padding to a multiple of 8 bytes, then each
-# parameter's C-order little-endian float64 bytes in sorted-name order.
-# The header holds `version`, `config`, `relation_names`,
-# `dropout_rng_state`, `extra` and `params`, a table of {name, shape,
-# offset}; offsets count from the end of the padding.
+# parameter's C-order little-endian float64 bytes in the order of the
+# `params` table. The header holds exactly the keys of HEADER_KEYS;
+# `params` is the table `checkpoint_layout` gives.
 MAGIC = b"CAPSREL1"
+HEADER_KEYS = frozenset({"version", "config", "relation_names",
+                         "dropout_rng_state", "extra", "params"})
 _PREFIX = struct.Struct("<8sQ")
 _DTYPE = np.dtype("<f8")
+
+
+def checkpoint_layout(config: TrainConfig, store: EmbeddingStore
+                      ) -> tuple[list[dict], int]:
+    """The `params` table of a checkpoint of this model, and the size of
+    its data section: a {name, shape, offset} entry per `param_table`
+    parameter, sorted by name, each buffer right after the one before."""
+    table, offset = [], 0
+    for name, shape, _ in sorted(param_table(config, store),
+                                 key=lambda entry: entry[0]):
+        table.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape) * _DTYPE.itemsize
+    return table, offset
 
 
 def _padding(header_len: int) -> int:
@@ -156,12 +170,7 @@ def _padding(header_len: int) -> int:
 
 def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
     """Write a binary checkpoint atomically; equal models give equal bytes."""
-    names = sorted(model.params)
-    table, offset = [], 0
-    for name in names:
-        p = model.params[name]
-        table.append({"name": name, "shape": list(p.shape), "offset": offset})
-        offset += p.size * _DTYPE.itemsize
+    table, _ = checkpoint_layout(model.config, model.store)
     header = json.dumps({
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(model.config),
@@ -175,8 +184,8 @@ def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
         fh.write(_PREFIX.pack(MAGIC, len(header)))
         fh.write(header)
         fh.write(bytes(_padding(len(header))))
-        for name in names:
-            fh.write(np.ascontiguousarray(model.params[name].data,
+        for entry in table:
+            fh.write(np.ascontiguousarray(model.params[entry["name"]].data,
                                           dtype=_DTYPE))
     os.replace(tmp, path)
 
@@ -184,11 +193,11 @@ def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
 def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
     """Read a checkpoint written by `save_checkpoint` into a new model.
 
-    The file's parameter table is checked against `param_table` before
-    anything is allocated; each buffer is then read straight into the
-    array the model keeps, so loading draws nothing. Every way the file
-    can be malformed raises `ContractViolation` naming `path` and the
-    offending field.
+    The header's `version`, `relation_names` and `params` must equal, type
+    for type, what `save_checkpoint` writes for its config and `store`
+    before anything is allocated; each buffer is then read straight into
+    the array the model keeps. Every way the file can be malformed raises
+    `ContractViolation` naming `path` and the offending field.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -217,25 +226,30 @@ def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
                 f"is a JSON {type(header).__name__}, not an object"))
         if any(fh.read(_padding(header_len))):
             raise _malformed(path, "header padding", "is not zero bytes")
-        entries = _parse_table(path, header.get("params"), size - data_start)
+        if header.keys() != HEADER_KEYS:
+            raise _malformed(path, "header", (
+                f"lacks keys {sorted(HEADER_KEYS - header.keys())} and has "
+                f"unknown keys {sorted(header.keys() - HEADER_KEYS)}"))
         try:
-            config = TrainConfig.from_dict(header.get("config"))
-            _check_against_model(header, entries, config, store)
+            config = TrainConfig.from_dict(header["config"])
+            table, data_bytes = checkpoint_layout(config, store)
+            _check_header(header, table, store)
         except (ConfigError, ContractViolation) as exc:
             raise ContractViolation(f"{path}: {exc}") from exc
-        arrays: dict[str, np.ndarray] = {}
-        for i, (name, shape) in enumerate(entries):
-            data = arrays[name] = np.empty(shape, dtype=_DTYPE)
-            if fh.readinto(data) != data.nbytes:
-                raise _malformed(path, f"params[{i}]", "is cut off")
+        if size - data_start != data_bytes:
+            raise _malformed(path, "params", (
+                f"cover {data_bytes} bytes of a {size - data_start}-byte "
+                "data section"))
+        arrays = {entry["name"]: np.empty(entry["shape"], dtype=_DTYPE)
+                  for entry in table}
+        for data in arrays.values():
+            fh.readinto(data)
     model = Model(config, store, arrays)
-    rng_state = header.get("dropout_rng_state")
-    if rng_state is not None:
-        try:
-            model.dropout_rng.bit_generator.state = rng_state
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ContractViolation(
-                f"{path}: invalid dropout_rng_state: {exc}") from exc
+    try:
+        model.dropout_rng.bit_generator.state = header["dropout_rng_state"]
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ContractViolation(
+            f"{path}: invalid dropout_rng_state: {exc}") from exc
     return model
 
 
@@ -243,66 +257,49 @@ def _malformed(path: str, field: str, problem: str) -> ContractViolation:
     return ContractViolation(f"{path}: {field} {problem}")
 
 
-def _parse_table(path: str, table, data_bytes: int
-                ) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each entry, checking that the entries are sorted,
-    well formed, contiguous and cover the data exactly."""
-    if not isinstance(table, list):
-        raise _malformed(path, "params", "is not a list")
-    entries: list[tuple[str, tuple[int, ...]]] = []
-    end, last = 0, ""
-    for i, entry in enumerate(table):
-        field = f"params[{i}]"
-        if not (isinstance(entry, dict)
-                and set(entry) == {"name", "shape", "offset"}):
-            raise _malformed(path, field,
-                             "is not an object of name, shape and offset")
-        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-        if not isinstance(name, str) or name <= last:
-            raise _malformed(path, f"{field}.name",
-                             f"{name!r} does not sort after {last!r}")
-        if not (isinstance(shape, list)
-                and all(type(n) is int and n >= 0 for n in shape)):
-            raise _malformed(path, f"{field}.shape",
-                             f"{shape!r} is not a list of non-negative ints")
-        if type(offset) is not int or offset != end:
-            raise _malformed(path, f"{field}.offset", (
-                f"is {offset!r}; the previous parameter ends at {end}"))
-        end += math.prod(shape) * _DTYPE.itemsize
-        if end > data_bytes:
-            raise _malformed(path, f"{field}.shape", (
-                f"{shape} ends at byte {end} of a {data_bytes}-byte data "
-                "section"))
-        entries.append((name, tuple(shape)))
-        last = name
-    if end != data_bytes:
-        raise _malformed(path, "params", (
-            f"cover {end} bytes of a {data_bytes}-byte data section"))
-    return entries
+def _same(a, b) -> bool:
+    """Equal JSON values of equal types: 1.0, true and 1 all differ."""
+    return json.dumps(a) == json.dumps(b)
 
 
-def _check_against_model(header: dict, entries, config: TrainConfig,
-                         store: EmbeddingStore) -> None:
-    """Check the header's version, relation order and parameter table
-    against the model that `config` and `store` describe."""
-    version = header.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:
+def _check_header(header: dict, table: list[dict],
+                  store: EmbeddingStore) -> None:
+    """Raise at the first field where the header's version, relation order
+    or `params` differ from what `save_checkpoint` writes."""
+    if not _same(header["version"], CHECKPOINT_VERSION):
         raise ContractViolation(
-            f"unsupported checkpoint version {version!r}; "
+            f"unsupported checkpoint version {header['version']!r}; "
             f"expected {CHECKPOINT_VERSION}")
-    if header.get("relation_names") != store.relation_names:
+    if not _same(header["relation_names"], store.relation_names):
         raise ContractViolation(
-            f"checkpoint relation_names {header.get('relation_names')} "
+            f"checkpoint relation_names {header['relation_names']} "
             f"differ from the embedding store's {store.relation_names}")
-    expected = {name: shape for name, shape, _ in param_table(config, store)}
-    missing = sorted(set(expected) - {name for name, _ in entries})
+    entries = header["params"]
+    if not isinstance(entries, list):
+        raise ContractViolation("params is not a list")
+    names = [want["name"] for want in table]
+    found = [entry.get("name") for entry in entries if isinstance(entry, dict)]
+    missing = [name for name in names if name not in found]
     if missing:
         raise ContractViolation(
             f"checkpoint lacks parameters: {', '.join(missing)}")
-    for name, shape in entries:
-        if name not in expected:
-            raise ContractViolation(f"unknown parameter {name!r} in checkpoint")
-        if shape != expected[name]:
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict)
+                and entry.keys() == {"name", "shape", "offset"}):
             raise ContractViolation(
-                f"checkpoint shape {shape} does not match parameter "
-                f"{name!r} shape {expected[name]}")
+                f"params[{i}] is not an object of name, shape and offset")
+        name = entry["name"]
+        if name not in names:
+            raise ContractViolation(f"unknown parameter {name!r} in checkpoint")
+        if i >= len(table) or not _same(name, table[i]["name"]):
+            raise ContractViolation(
+                f"params[{i}].name {name!r} is out of place: the table lists "
+                "each parameter once, sorted by name")
+        if not _same(entry["shape"], table[i]["shape"]):
+            raise ContractViolation(
+                f"checkpoint shape {entry['shape']} does not match parameter "
+                f"{name!r} shape {table[i]['shape']}")
+        if not _same(entry["offset"], table[i]["offset"]):
+            raise ContractViolation(
+                f"params[{i}].offset is {entry['offset']!r}; the previous "
+                f"parameter ends at {table[i]['offset']}")

@@ -301,3 +301,72 @@ def test_malformed_checkpoint_raises_contract_violation_naming_path(saved,
     message = str(info.value)
     assert message.startswith(f"{path}: ")
     assert FIELDS.get(kind, "") in message
+
+
+class TestHeaderEqualsLayout:
+    """The header's keys are exactly the six save writes, and its table is
+    the one save writes for its config: anything else is named."""
+
+    @pytest.fixture()
+    def saved_parts(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), tiny_model(dropout=0.3), extra={"epoch": 0})
+        return (path, *split(path.read_bytes()))
+
+    @pytest.mark.parametrize("key", ["config", "dropout_rng_state", "extra",
+                                     "params", "relation_names", "version"])
+    def test_missing_header_key_is_named(self, saved_parts, key):
+        path, header, body = saved_parts
+        del header[key]
+        path.write_bytes(join(header, body))
+        with pytest.raises(ContractViolation,
+                           match=rf"m\.ckpt: header lacks keys \['{key}'\]"):
+            load_checkpoint(str(path), tiny_store())
+
+    def test_unknown_header_key_is_named(self, saved_parts):
+        path, header, body = saved_parts
+        header["colour"] = "red"
+        path.write_bytes(join(header, body))
+        with pytest.raises(ContractViolation,
+                           match=r"m\.ckpt: header .*unknown keys \['colour'\]"):
+            load_checkpoint(str(path), tiny_store())
+
+    @pytest.mark.parametrize("where", ["inside", "past_the_end"])
+    def test_duplicated_entry_is_named(self, saved_parts, where):
+        path, header, body = saved_parts
+        items = entries(header, body)
+        at = 2 if where == "inside" else len(items)
+        items.insert(at, items[at - 1])
+        path.write_bytes(join_entries(header, items))
+        with pytest.raises(ContractViolation, match=(
+                rf"m\.ckpt: params\[{at}\]\.name '{items[at][0]}' is out of "
+                "place")):
+            load_checkpoint(str(path), tiny_store())
+
+    def test_unknown_entry_past_the_end_is_named(self, saved_parts):
+        path, header, body = saved_parts
+        items = entries(header, body) + [("zz", [1], bytes(8))]
+        path.write_bytes(join_entries(header, items))
+        with pytest.raises(ContractViolation,
+                           match=r"m\.ckpt: unknown parameter 'zz'"):
+            load_checkpoint(str(path), tiny_store())
+
+    @pytest.mark.parametrize("kw,name", [
+        ({"word_att": False}, "lstm_bwd_Wx"), ({"capsule": False}, "head_W"),
+        ({"M": 4}, "pos_emb_3")])
+    def test_other_model_shapes_round_trip_and_reject_a_shape(self, tmp_path,
+                                                              kw, name):
+        store = tiny_store()
+        model = perturbed(tiny_model(store=store, **kw))
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(str(first), model, extra={"epoch": 2})
+        save_checkpoint(str(second), load_checkpoint(str(first), store),
+                        extra={"epoch": 2})
+        assert first.read_bytes() == second.read_bytes()
+        header, body = split(first.read_bytes())
+        entry = next(e for e in header["params"] if e["name"] == name)
+        entry["shape"] = entry["shape"] + [1]
+        first.write_bytes(join(header, body))
+        with pytest.raises(ContractViolation,
+                           match=rf"a\.ckpt: checkpoint shape .*'{name}'"):
+            load_checkpoint(str(first), store)

@@ -58,6 +58,20 @@ class TestSynth:
             assert sha256(tmp_path / "a" / name) == sha256(tmp_path / "b" / name)
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--bags", "0"), ("--bags", "-3"), ("--dw", "0"), ("--k", "0"),
+        ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"),
+        ("--relations", "1"), ("--vocab", "0"), ("--seed", "-1"),
+        ("--bags", "x")])
+    def test_bad_flag_exits_2_naming_it_before_writing(self, tmp_path, capsys,
+                                                       flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out-dir", str(tmp_path / "s"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
 class TestTrain:
     def test_missing_corpus_path_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -157,6 +171,16 @@ class TestTrain:
         assert {"epoch", "mean_loss", "selection_histogram", "config"} \
             <= set(rec)
 
+    def test_creates_the_checkpoint_directory_before_training(self, workspace,
+                                                             tmp_path):
+        _, cfg, _ = workspace
+        ckpt = tmp_path / "nodir" / "m.ckpt"
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, checkpoint=str(ckpt),
+                                     output_dir=str(tmp_path / "out"))))
+        assert main(["train", "--config", str(p)]) == 0
+        assert ckpt.exists()
+
     def test_rerun_same_seed_byte_identical_checkpoint(self, workspace, tmp_path):
         root, cfg, _ = workspace
         run_cfg = dict(cfg, checkpoint=str(tmp_path / "m.ckpt"),
@@ -198,6 +222,21 @@ class TestEval:
         assert main(["eval", "--config", str(cfg_path),
                      "--corpus", str(na_corpus)]) == 1
         assert "zero gold positives" in capsys.readouterr().err
+
+    def test_output_dir_that_is_a_file_exits_1_before_scoring(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        _, cfg, cfg_path = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(taken))))
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("bags scored before output_dir was made")
+        monkeypatch.setattr(Model, "bag_scores", no_scoring)
+        assert main(["eval", "--config", str(p)]) == 1
+        assert "FileExistsError" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         root, cfg, _ = workspace
