@@ -71,15 +71,14 @@ class Tensor:
     interior node has let go of its parents and its backward closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self.name = name
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
@@ -325,10 +324,6 @@ class Tensor:
             _send(a, data * (g - dot))
         return Tensor._from_op(data, (a,), bw)
 
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -398,12 +393,13 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
             training: bool) -> Tensor:
-    """Inverted dropout: identity in eval mode, mask/keep scaling in train."""
+    """Inverted dropout: identity in eval mode; in train, each unit is kept
+    with probability 1 - rate and scaled by 1 / (1 - rate)."""
     if not training or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
-    return x * Tensor(mask)
+    kept = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    return x * Tensor(kept)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,

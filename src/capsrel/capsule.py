@@ -10,21 +10,9 @@ iteratively couples children to the E relation capsules over E x d x H
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import ContractViolation, Tensor, concat
-
-
-@dataclass
-class RoutingState:
-    """Final-iteration routing internals (numpy copies, for inspection)."""
-
-    b: np.ndarray   # H x E logits entering the final iteration
-    c: np.ndarray   # H x E couplings
-    v: np.ndarray   # E x d parent vectors
-    a: np.ndarray   # E activations
 
 
 def squash(x: Tensor, axis: int = -1) -> Tensor:
@@ -67,8 +55,8 @@ def votes(u: Tensor, Wc: Tensor, b_hat: Tensor) -> Tensor:
     return u_hat + b_hat.reshape((E, d, 1))
 
 
-def dynamic_routing(u_hat: Tensor, a_hat: Tensor, iterations: int,
-                    return_state: bool = False):
+def dynamic_routing(u_hat: Tensor, a_hat: Tensor,
+                    iterations: int) -> tuple[Tensor, Tensor]:
     """Routing-by-agreement over E x d x H votes: E parent capsules, activations.
 
     Per iteration: b[j] += v_j @ u_hat[j] from the second iteration on,
@@ -81,7 +69,7 @@ def dynamic_routing(u_hat: Tensor, a_hat: Tensor, iterations: int,
         raise ContractViolation(f"routing needs >= 1 iterations, got {iterations}")
     E, d, H = u_hat.shape
     b = Tensor(np.zeros((E, 1, H)))   # row j: parent j's logits over the children
-    v = a = c = None
+    v = a = None
     for it in range(iterations):
         if it:
             b = b + v.reshape((E, 1, d)) @ u_hat
@@ -89,9 +77,4 @@ def dynamic_routing(u_hat: Tensor, a_hat: Tensor, iterations: int,
         s = (u_hat @ c.reshape((E, H, 1))).reshape((E, d))
         v = squash(s, axis=-1)
         a = v.norm(axis=-1)
-    if return_state:
-        state = RoutingState(b=b.data.reshape((E, H)).T.copy(),
-                             c=c.data.reshape((E, H)).T.copy(),
-                             v=v.data.copy(), a=a.data.copy())
-        return v, a, state
     return v, a

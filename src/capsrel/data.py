@@ -53,7 +53,6 @@ class SentenceInstance:
     """One tokenized sentence with entity anchors and gold relations."""
 
     tokens: list[str]
-    entities: dict[str, tuple[int, int]]   # entity id -> [start, end) span
     pairs: list[tuple[str, str]]
     relations: list[int]                   # relation ids aligned with pairs
     position_ids: np.ndarray               # len(tokens) x M bucket ids
@@ -75,7 +74,6 @@ class Bag:
 @dataclass
 class Corpus:
     bags: list[Bag]
-    excluded_overlength: int = 0
 
 
 @dataclass
@@ -184,7 +182,7 @@ def parse_record(obj: dict, L: int, M: int,
         rel_ids.append(relation_vocab[name])
     anchors = entity_anchors(pairs, entities, M)
     return SentenceInstance(
-        tokens=list(tokens), entities=entities, pairs=pairs, relations=rel_ids,
+        tokens=list(tokens), pairs=pairs, relations=rel_ids,
         position_ids=_position_ids(tokens, anchors, L))
 
 
@@ -222,26 +220,10 @@ def load_corpus(path: str, L: int, M: int,
             bag.labels.update(inst.relations)
     if excluded:
         log.warning("excluded %d sentences longer than L=%d", excluded, L)
-    return Corpus(bags=list(groups.values()), excluded_overlength=excluded)
+    return Corpus(bags=list(groups.values()))
 
 
-def dump_corpus(corpus: Corpus, path: str,
-                relation_names: list[str]) -> None:
-    """Serialize bags back to the JSON-lines record format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for bag in corpus.bags:
-            for inst in bag.instances:
-                obj = {
-                    "tokens": inst.tokens,
-                    "entities": [{"id": eid, "span": list(span)}
-                                 for eid, span in inst.entities.items()],
-                    "pairs": [list(p) for p in inst.pairs],
-                    "relations": [relation_names[r] for r in inst.relations],
-                }
-                fh.write(json.dumps(obj) + "\n")
-
-
-def _load_vector_file(path: str, expected_dim: int | None,
+def _load_vector_file(path: str, expected_dim: int | None = None,
                       first: str | None = None
                       ) -> tuple[list[str], np.ndarray]:
     names: list[str] = []
@@ -284,15 +266,16 @@ def _load_vector_file(path: str, expected_dim: int | None,
 
 
 def load_embeddings(word_path: str, entity_path: str | None,
-                    relation_path: str, d_w: int | None = None,
-                    k: int | None = None) -> EmbeddingStore:
+                    relation_path: str) -> EmbeddingStore:
     """Load the three embedding tables; the word UNK row is the mean row.
 
-    The entity table is optional (only TransE pair assignment needs it).
-    The relation file lists NA first, since relation id 0 is NA.
+    The first row of the word and relation files fixes each table's width,
+    and the entity table takes the relation width. The entity table is
+    optional (only TransE pair assignment needs it). The relation file
+    lists NA first, since relation id 0 is NA.
     """
-    word_names, word = _load_vector_file(word_path, d_w)
-    relation_names, relation = _load_vector_file(relation_path, k, first="NA")
+    word_names, word = _load_vector_file(word_path)
+    relation_names, relation = _load_vector_file(relation_path, first="NA")
     if entity_path:
         entity_names, entity = _load_vector_file(entity_path, relation.shape[1])
     else:

@@ -48,8 +48,13 @@ def param_table(config: TrainConfig, store: EmbeddingStore
         table += [("att_A", (2 * B, 2 * B), (2 * B, 2 * B)),
                   ("att_r", (2 * B,), (2 * B, 1))]
     if config.capsule:
+        # caps_b1's fan sum 8d gives std 0.5/sqrt(d): each child capsule
+        # starts at a norm of about 0.5, in the squash's working range. From
+        # zeros, attention (~1/L per row) and the two squashes (~2n^2 at
+        # small n) start a paper-shape model at activations of 1e-13 to
+        # 1e-20, with gradients far below Adam's eps.
         table += [("caps_Wb", (C * d, 4 * B), (4 * B, d)),
-                  ("caps_b1", (C * d,), ZEROS),
+                  ("caps_b1", (C * d,), (4 * d, 4 * d)),
                   ("caps_Wc", (E, d, d), (d, d)),
                   ("caps_bhat", (E, d), ZEROS)]
     else:
@@ -81,11 +86,8 @@ class Model:
                 data = np.zeros(shape)
             else:
                 data = encoder.glorot_uniform(rng, *init, shape)
-            self.params[name] = Tensor(data, requires_grad=True, name=name)
+            self.params[name] = Tensor(data, requires_grad=True)
         self.dropout_rng = np.random.default_rng(config.seed + 1)
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     # -- forward --------------------------------------------------------------
 
@@ -94,38 +96,38 @@ class Model:
                           dtype=np.int64)
 
     def encode(self, inst: SentenceInstance, train: bool = False
-               ) -> tuple[Tensor, np.ndarray]:
-        """Attention-weighted hidden sequence x_tilde (L x 2B) and mask."""
+               ) -> tuple[Tensor, int]:
+        """Attention-weighted hidden sequence x_tilde (n x 2B) of the n-token
+        sentence, and n."""
         cfg = self.config
         p = self.params
-        X, mask = encoder.embed(
-            self.word_ids(inst), inst.position_ids, p["word_emb"],
-            [p[f"pos_emb_{m}"] for m in range(cfg.M)])
-        if not mask.any():
+        ids = self.word_ids(inst)
+        if len(ids) == 0:
             raise ContractViolation("cannot encode an empty sentence")
+        X = encoder.embed(ids, inst.position_ids, p["word_emb"],
+                          [p[f"pos_emb_{m}"] for m in range(cfg.M)])
         H = encoder.bilstm(
-            X, mask,
-            (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
+            X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
             (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]))
         H = dropout(H, cfg.dropout, self.dropout_rng, training=train)
         if cfg.word_att:
-            x_tilde, _ = encoder.word_attention(H, p["att_A"], p["att_r"], mask)
+            x_tilde, _ = encoder.word_attention(H, p["att_A"], p["att_r"])
         else:
             x_tilde = H
-        return x_tilde, mask
+        return x_tilde, len(ids)
 
     def activations(self, inst: SentenceInstance, train: bool = False) -> Tensor:
         """Per-relation activations a in [0, 1), length E."""
         cfg = self.config
         p = self.params
-        x_tilde, mask = self.encode(inst, train=train)
+        x_tilde, n = self.encode(inst, train=train)
         if cfg.capsule:
             u, a_hat = caps.primary_capsules(x_tilde, p["caps_Wb"],
                                              p["caps_b1"], cfg.C, cfg.d)
             u_hat = caps.votes(u, p["caps_Wc"], p["caps_bhat"])
             _, a = caps.dynamic_routing(u_hat, a_hat, cfg.routing_iters)
             return a
-        pooled = x_tilde.sum(axis=0) * (1.0 / int(mask.sum()))
+        pooled = x_tilde.sum(axis=0) * (1.0 / n)
         return (pooled @ p["head_W"] + p["head_b"]).sigmoid()
 
     def instance_scores(self, bag) -> np.ndarray:
@@ -193,8 +195,9 @@ def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
 def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
     """Read a checkpoint written by `save_checkpoint` into a new model.
 
-    The header's `version`, `relation_names` and `params` must equal, type
-    for type, what `save_checkpoint` writes for its config and `store`
+    The header's `config` must name every `TrainConfig` field, and its
+    `version`, `relation_names` and `params` must equal, type for type,
+    what `save_checkpoint` writes for that config and `store`
     before anything is allocated; each buffer is then read straight into
     the array the model keeps. Every way the file can be malformed raises
     `ContractViolation` naming `path` and the offending field.
@@ -232,6 +235,10 @@ def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
                 f"unknown keys {sorted(header.keys() - HEADER_KEYS)}"))
         try:
             config = TrainConfig.from_dict(header["config"])
+            missing = [name for name in dataclasses.asdict(config)
+                       if name not in header["config"]]
+            if missing:
+                raise ContractViolation(f"config lacks fields {missing}")
             table, data_bytes = checkpoint_layout(config, store)
             _check_header(header, table, store)
         except (ConfigError, ContractViolation) as exc:

@@ -59,11 +59,11 @@ def votes_reference(u: np.ndarray, Wc: np.ndarray,
     return u_hat
 
 
-def bilstm_reference(X: np.ndarray, mask: np.ndarray, fwd, bwd) -> np.ndarray:
+def bilstm_reference(X: np.ndarray, fwd, bwd) -> np.ndarray:
     """Per-step LSTM in both directions on plain arrays; L x 2B.
 
     `fwd` and `bwd` are (Wx, Wh, b) arrays. Each step projects its own
-    input row; a masked step emits zeros and carries h and c unchanged.
+    input row.
     """
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
@@ -75,8 +75,6 @@ def bilstm_reference(X: np.ndarray, mask: np.ndarray, fwd, bwd) -> np.ndarray:
         h, c = np.zeros(B), np.zeros(B)
         out = np.zeros((L, B))
         for t in steps:
-            if not mask[t]:
-                continue
             z = X[t] @ Wx + h @ Wh + b
             i, f = sigmoid(z[:B]), sigmoid(z[B:2 * B])
             g, o = np.tanh(z[2 * B:3 * B]), sigmoid(z[3 * B:])
@@ -145,6 +143,10 @@ def make_instance(tokens, pairs=(("E1", "E2"),), relations=("R1",),
     return parse_record(record, L, M, relation_vocab)
 
 
+def param_count(model: Model) -> int:
+    return sum(p.size for p in model.params.values())
+
+
 def tiny_model(seed: int = 0, B: int = 3, L: int = 10, d_p: int = 2,
                d: int = 2, C: int = 2, M: int = 2, dropout: float = 0.0,
                store: EmbeddingStore | None = None, **kw) -> Model:
@@ -168,6 +170,36 @@ def mixed_bags(M=2, n=10):
         bags.append(Bag(key=(k,), instances=insts,
                         labels=set(insts[0].relations)))
     return bags
+
+
+def planted_trigger_bags(n_bags: int = 48, relations: int = 4,
+                         lengths=(10, 30, 60, 119)) -> list[Bag]:
+    """Single-sentence bags whose relation r > 0 is planted as the token
+    `t{r}` right between the mentions "E1" and "E2" (NA bags have none).
+    Bag k holds relation k % `relations` at length lengths[k // relations
+    % len(lengths)]; the other tokens are fillers `w0`..`w19`."""
+    rng = np.random.default_rng(0)
+    vocab = {"NA": 0, **{f"R{r}": r for r in range(1, 53)}}
+    bags = []
+    for k in range(n_bags):
+        r = k % relations
+        n = lengths[k // relations % len(lengths)]
+        middle = ["E1"] + ([f"t{r}"] if r else []) + ["E2"]
+        fill = [f"w{i}" for i in rng.integers(0, 20, n - len(middle))]
+        at = int(rng.integers(0, len(fill) + 1))
+        inst = make_instance(fill[:at] + middle + fill[at:],
+                             relations=("NA" if r == 0 else f"R{r}",),
+                             L=120, relation_vocab=vocab)
+        bags.append(Bag(key=(k,), instances=[inst], labels={r}))
+    return bags
+
+
+def planted_trigger_store() -> EmbeddingStore:
+    """53 relations, as published, over the vocabulary of
+    `planted_trigger_bags`."""
+    vocab = (tuple(f"w{i}" for i in range(20))
+             + tuple(f"t{r}" for r in range(1, 53)) + ("E1", "E2"))
+    return tiny_store(d_w=8, n_relations=53, vocab=vocab)
 
 
 def pr_curve_reference(decisions) -> list[tuple[float, float]]:

@@ -12,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workload", ["tiny", "heldout"])
+@pytest.mark.parametrize("workload", ["tiny", "paper", "heldout"])
 def test_bench_workload_runs_correctly(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,

@@ -213,12 +213,24 @@ class TestDynamicRouting:
         np.testing.assert_allclose(vp.data, v.data[perm], atol=1e-12)
         np.testing.assert_allclose(ap.data, a.data[perm], atol=1e-12)
 
-    def test_couplings_per_child_sum_to_activation(self):
+    def test_couplings_per_child_sum_to_activation(self, monkeypatch):
+        # the couplings are the E x H x 1 right operand of each coupling sum
+        matmul = Tensor.__matmul__
+        couplings = []
+
+        def recording(a, b):
+            if a.ndim == 3 and b.shape[-1] == 1:
+                couplings.append(b.data[:, :, 0].copy())
+            return matmul(a, b)
+
+        monkeypatch.setattr(Tensor, "__matmul__", recording)
         u_hat, a_hat = self.rand_case(7, 3, 2, seed=11)
-        _, _, state = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
-                                      Tensor(a_hat), 3, return_state=True)
-        np.testing.assert_allclose(state.c.sum(axis=1), a_hat, atol=1e-12)
-        assert np.all(state.a < 1.0)
+        _, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
+                               Tensor(a_hat), 3)
+        assert len(couplings) == 3
+        for c in couplings:
+            np.testing.assert_allclose(c.sum(axis=0), a_hat, atol=1e-12)
+        assert np.all(a.data < 1.0)
 
     def test_paper_shape_matches_loop_oracle(self):
         rng = np.random.default_rng(13)

@@ -15,7 +15,7 @@ from capsrel.autodiff import ContractViolation
 from capsrel.config import TrainConfig
 from capsrel.data import Bag
 from capsrel.model import MAGIC, Model, load_checkpoint, save_checkpoint
-from helpers import (make_instance, tiny_model, tiny_store,
+from helpers import (make_instance, param_count, tiny_model, tiny_store,
                      write_json_checkpoint)
 
 
@@ -69,7 +69,7 @@ class TestLayout:
         assert header["version"] == 1
         names = [e["name"] for e in header["params"]]
         assert names == sorted(model.params)
-        assert len(body) == 8 * model.param_count()
+        assert len(body) == 8 * param_count(model)
         for entry in header["params"]:
             p = model.params[entry["name"]].data
             assert entry["shape"] == list(p.shape)
@@ -164,7 +164,7 @@ class TestAllocationOnlyLoad:
     def test_load_peak_memory_is_one_copy_of_the_parameters(self, tmp_path):
         store = tiny_store(d_w=50, n_relations=53)
         model = Model(TrainConfig(B=100, seed=3), store)
-        param_bytes = 8 * model.param_count()
+        param_bytes = 8 * param_count(model)
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, model)
         del model
@@ -174,7 +174,7 @@ class TestAllocationOnlyLoad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 * loaded.param_count() == param_bytes
+        assert 8 * param_count(loaded) == param_bytes
         assert peak < 1.5 * param_bytes
 
 
@@ -329,6 +329,15 @@ class TestHeaderEqualsLayout:
         path.write_bytes(join(header, body))
         with pytest.raises(ContractViolation,
                            match=r"m\.ckpt: header .*unknown keys \['colour'\]"):
+            load_checkpoint(str(path), tiny_store())
+
+    def test_config_lacking_fields_is_named(self, saved_parts):
+        # a partial config would load with the defaults lr 0.001, threshold 0.7
+        path, header, body = saved_parts
+        del header["config"]["lr"], header["config"]["threshold"]
+        path.write_bytes(join(header, body))
+        with pytest.raises(ContractViolation, match=(
+                r"m\.ckpt: config lacks fields \['lr', 'threshold'\]")):
             load_checkpoint(str(path), tiny_store())
 
     @pytest.mark.parametrize("where", ["inside", "past_the_end"])

@@ -13,7 +13,6 @@ from capsrel.data import (
     CorpusFormatError,
     _position_ids,
     batch_iter,
-    dump_corpus,
     entity_anchors,
     load_corpus,
     load_embeddings,
@@ -151,12 +150,12 @@ class TestLoadCorpus:
         assert len(corpus.bags) == 1
         assert len(corpus.bags[0].instances) == 2
 
-    def test_overlength_sentence_excluded_and_counted(self, tmp_path):
+    def test_overlength_sentence_excluded_and_counted(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
         long_tokens = ["w"] * 119 + ["E1", "E2"]  # 121 tokens
         write_corpus(path, [record(long_tokens), record(["E1", "E2"])])
         corpus = load_corpus(str(path), L=120, M=2, relation_vocab=REL_VOCAB)
-        assert corpus.excluded_overlength == 1
+        assert "excluded 1 sentences longer than L=120" in caplog.text
         assert len(corpus.bags) == 1
 
     def test_empty_file_gives_empty_bag_list(self, tmp_path):
@@ -230,12 +229,20 @@ class TestLoadCorpus:
         inst = [i for bag in corpus.bags for i in bag.instances][1]
         assert inst.tokens == rec["tokens"]
         assert all(type(t) is str for t in inst.tokens)
-        assert len(inst.entities) == len(rec["entities"])
+        spans = {e["id"]: e["span"] for e in rec["entities"]}
+        assert len(spans) == len(rec["entities"])
         for e in rec["entities"]:
-            start, end = inst.entities[e["id"]]
-            assert (start, end) == tuple(e["span"])
+            start, end = e["span"]
             assert type(start) is int and type(end) is int
             assert 0 <= start < end <= len(inst.tokens)
+        # M=2: the first pair's mentions anchor at their spans' first tokens
+        e1, e2 = inst.pairs[0]
+        anchors = [spans[e1][0] if e1 in spans else None,
+                   spans[e2][0] if e2 in spans and e2 != e1 else None]
+        for m, anchor in enumerate(anchors):
+            assert inst.position_ids[:, m].tolist() == [
+                position_feature_reference(t, anchor, 120)
+                for t in range(len(inst.tokens))]
         assert inst.pairs == [tuple(p) for p in rec["pairs"]]
         assert all(len(p) == 2 and all(type(x) is str for x in p)
                    for p in inst.pairs)
@@ -268,27 +275,6 @@ class TestLoadCorpus:
         assert np.all(ids[:, 3] == missing_bucket(10))
         assert not np.any(ids[:, :2] == missing_bucket(10))
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        write_corpus(path, [
-            record(["a", "E1", "E2"], relations=("R1",)),
-            record(["E3", "b", "E4"], pairs=(("E3", "E4"),), relations=("R2",)),
-            record(["E1", "E2", "E3", "E4"],
-                   pairs=(("E1", "E2"), ("E3", "E4")),
-                   relations=("R1", "R2")),
-        ])
-        corpus = load_corpus(str(path), L=10, M=2, relation_vocab=REL_VOCAB)
-        path2 = tmp_path / "c2.jsonl"
-        dump_corpus(corpus, str(path2), ["NA", "R1", "R2"])
-        corpus2 = load_corpus(str(path2), L=10, M=2, relation_vocab=REL_VOCAB)
-        assert len(corpus2.bags) == len(corpus.bags)
-        for b1, b2 in zip(corpus.bags, corpus2.bags):
-            assert b1.key == b2.key and b1.labels == b2.labels
-            for i1, i2 in zip(b1.instances, b2.instances):
-                assert i1.tokens == i2.tokens
-                assert i1.relations == i2.relations
-                np.testing.assert_array_equal(i1.position_ids, i2.position_ids)
-
 
 class TestEntityAnchors:
     def test_shared_entity_duplicate_slot_is_missing(self):
@@ -313,16 +299,19 @@ class TestLoadEmbeddings:
         self.write(tmp_path / "w.txt", rows)
         self.write(tmp_path / "r.txt", [("NA", [0.0]), ("R1", [1.0])])
         store = load_embeddings(str(tmp_path / "w.txt"), None,
-                                str(tmp_path / "r.txt"), d_w=2)
+                                str(tmp_path / "r.txt"))
         assert store.word.shape == (4, 2)
         np.testing.assert_allclose(store.word[store.unk_id], [3.0, 4.0])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
-        self.write(tmp_path / "w.txt", [("a", [1.0, 2.0]), ("b", [3.0])])
-        self.write(tmp_path / "r.txt", [("NA", [0.0])])
-        with pytest.raises(CorpusFormatError, match=":2"):
-            load_embeddings(str(tmp_path / "w.txt"), None,
-                            str(tmp_path / "r.txt"), d_w=2)
+        # the entity table takes the relation table's width
+        self.write(tmp_path / "w.txt", [("a", [1.0, 2.0])])
+        self.write(tmp_path / "r.txt", [("NA", [0.0]), ("R1", [1.0])])
+        self.write(tmp_path / "e.txt", [("E1", [1.0]), ("E2", [1.0, 2.0])])
+        with pytest.raises(CorpusFormatError,
+                           match=r"e\.txt:2: expected 1 floats"):
+            load_embeddings(str(tmp_path / "w.txt"), str(tmp_path / "e.txt"),
+                            str(tmp_path / "r.txt"))
 
     def test_width_mismatch_without_a_given_width_names_line(self, tmp_path):
         self.write(tmp_path / "w.txt", [("a", [1.0, 2.0]), ("b", [3.0])])

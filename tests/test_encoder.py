@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from capsrel.autodiff import ContractViolation, Tensor, grad_check
-from capsrel.data import missing_bucket
+from capsrel.data import SentenceInstance, missing_bucket
 from capsrel.encoder import bilstm, embed, word_attention
 from helpers import bilstm_reference, make_instance, tiny_model, tiny_store
 
@@ -19,38 +19,26 @@ class TestEmbed:
     def test_row_width_is_dw_plus_dp_times_m(self):
         model = tiny_model(d_p=5, M=2, store=tiny_store(d_w=4))
         inst = make_instance(["alpha", "E1", "E2"], L=10, M=2)
-        X, mask = embed(model.word_ids(inst), inst.position_ids,
-                        model.params["word_emb"],
-                        [model.params["pos_emb_0"], model.params["pos_emb_1"]])
+        X = embed(model.word_ids(inst), inst.position_ids,
+                  model.params["word_emb"],
+                  [model.params["pos_emb_0"], model.params["pos_emb_1"]])
         assert X.shape == (3, 14)
-        assert mask.all()
 
-    def test_all_padding_sentence_is_zero_and_masked(self):
-        model = tiny_model()
-        X, mask = embed(np.array([], dtype=np.int64),
-                        np.zeros((0, 2), dtype=np.int64),
-                        model.params["word_emb"],
-                        [model.params["pos_emb_0"], model.params["pos_emb_1"]],
-                        pad_to=4)
-        assert not mask.any()
-        np.testing.assert_array_equal(X.data, np.zeros((4, X.shape[1])))
-
-    def test_padding_rows_are_zero_and_masked(self):
-        model = tiny_model()
-        inst = make_instance(["E1", "E2"], L=10, M=2)
-        X, mask = embed(model.word_ids(inst), inst.position_ids,
-                        model.params["word_emb"],
-                        [model.params["pos_emb_0"], model.params["pos_emb_1"]],
-                        pad_to=5)
-        assert list(mask) == [True, True, False, False, False]
-        np.testing.assert_array_equal(X.data[2:], 0.0)
+    @pytest.mark.parametrize("capsule", [True, False], ids=["full", "-Capsule"])
+    def test_empty_sentence_is_a_contract_violation(self, capsule):
+        # load_corpus never yields one; a caller building instances might
+        model = tiny_model(capsule=capsule)
+        inst = SentenceInstance(tokens=[], pairs=[("E1", "E2")], relations=[1],
+                                position_ids=np.zeros((0, 2), dtype=np.int64))
+        with pytest.raises(ContractViolation, match="empty sentence"):
+            model.activations(inst)
 
     def test_m4_single_pair_uses_missing_bucket_rows(self):
         model = tiny_model(M=4)
         inst = make_instance(["E1", "E2"], L=10, M=4)
         tables = [model.params[f"pos_emb_{m}"] for m in range(4)]
-        X, _ = embed(model.word_ids(inst), inst.position_ids,
-                     model.params["word_emb"], tables)
+        X = embed(model.word_ids(inst), inst.position_ids,
+                  model.params["word_emb"], tables)
         d_w = model.d_w
         d_p = model.config.d_p
         miss = missing_bucket(10)
@@ -75,14 +63,14 @@ class TestBiLstm:
         zeros = (Tensor(np.zeros((V, 4 * B))), Tensor(np.zeros((B, 4 * B))),
                  Tensor(np.zeros(4 * B)))
         X = Tensor(np.random.default_rng(0).normal(size=(L, V)))
-        H = bilstm(X, np.ones(L, dtype=bool), zeros, zeros)
+        H = bilstm(X, zeros, zeros)
         np.testing.assert_array_equal(H.data, np.zeros((L, 2 * B)))
 
     def test_single_step_output_width(self):
         rng = np.random.default_rng(1)
         V, B = 3, 4
-        H = bilstm(Tensor(rng.normal(size=(1, V))), np.ones(1, dtype=bool),
-                   lstm_params(rng, V, B), lstm_params(rng, V, B))
+        H = bilstm(Tensor(rng.normal(size=(1, V))), lstm_params(rng, V, B),
+                   lstm_params(rng, V, B))
         assert H.shape == (1, 2 * B)
 
     def test_reversal_swaps_directions(self):
@@ -91,39 +79,22 @@ class TestBiLstm:
         fwd = lstm_params(rng, V, B)
         bwd = lstm_params(rng, V, B)
         X = rng.normal(size=(L, V))
-        mask = np.ones(L, dtype=bool)
-        H = bilstm(Tensor(X), mask, fwd, bwd).data
-        H_rev = bilstm(Tensor(X[::-1].copy()), mask, bwd, fwd).data
+        H = bilstm(Tensor(X), fwd, bwd).data
+        H_rev = bilstm(Tensor(X[::-1].copy()), bwd, fwd).data
         # forward half on x == backward half on reverse(x), row-reversed
         np.testing.assert_allclose(H[:, :B], H_rev[::-1, B:], atol=1e-12)
 
-    def test_masked_steps_carry_state_and_emit_zero(self):
-        rng = np.random.default_rng(3)
-        V, B = 3, 2
-        fwd = lstm_params(rng, V, B)
-        bwd = lstm_params(rng, V, B)
-        X = rng.normal(size=(4, V))
-        full = bilstm(Tensor(X[:2].copy()), np.ones(2, dtype=bool), fwd, bwd).data
-        mask = np.array([True, True, False, False])
-        padded = bilstm(Tensor(X), mask, fwd, bwd).data
-        np.testing.assert_allclose(padded[:2], full, atol=1e-12)
-        np.testing.assert_array_equal(padded[2:], 0.0)
-
-
-    @pytest.mark.parametrize("mask", [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
-                                      [0, 1, 1, 0, 1]])
-    def test_matches_per_step_oracle(self, mask):
-        rng = np.random.default_rng(len(mask) + sum(mask))
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_matches_per_step_oracle(self, length):
+        rng = np.random.default_rng(length)
         V, B = 3, 4
         fwd, bwd = [[rng.normal(0, 0.5, shape)
                      for shape in ((V, 4 * B), (B, 4 * B), (4 * B,))]
                     for _ in range(2)]
-        mask = np.array(mask, dtype=bool)
-        X = rng.normal(size=(len(mask), V))
-        X[~mask] = 0.0  # padded rows, as embed() emits them
-        H = bilstm(Tensor(X), mask, [Tensor(p) for p in fwd],
+        X = rng.normal(size=(length, V))
+        H = bilstm(Tensor(X), [Tensor(p) for p in fwd],
                    [Tensor(p) for p in bwd]).data
-        np.testing.assert_allclose(H, bilstm_reference(X, mask, fwd, bwd),
+        np.testing.assert_allclose(H, bilstm_reference(X, fwd, bwd),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -137,16 +108,8 @@ class TestWordAttention:
     def test_identical_rows_get_uniform_weights(self):
         A, r = self.att()
         H = Tensor(np.tile(np.random.default_rng(1).normal(size=6), (4, 1)))
-        _, alpha = word_attention(H, A, r, np.ones(4, dtype=bool))
+        _, alpha = word_attention(H, A, r)
         np.testing.assert_allclose(alpha.data, 0.25, atol=1e-12)
-
-    def test_single_unmasked_position_takes_all_weight(self):
-        A, r = self.att()
-        H = Tensor(np.random.default_rng(2).normal(size=(3, 6)))
-        mask = np.array([False, True, False])
-        out, alpha = word_attention(H, A, r, mask)
-        np.testing.assert_allclose(alpha.data, [0.0, 1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(out.data[1], H.data[1], atol=1e-12)
 
     def test_identity_bilinear_scores_first_component(self):
         B = 3
@@ -154,38 +117,24 @@ class TestWordAttention:
         A = Tensor(np.eye(2 * B))
         e1 = np.zeros(2 * B)
         e1[0] = 1.0
-        _, alpha = word_attention(H, A, Tensor(e1), np.ones(5, dtype=bool))
+        _, alpha = word_attention(H, A, Tensor(e1))
         expected = np.exp(H.data[:, 0] - H.data[:, 0].max())
         expected /= expected.sum()
         np.testing.assert_allclose(alpha.data, expected, atol=1e-12)
 
-    def test_all_masked_is_a_contract_violation(self):
-        A, r = self.att()
-        H = Tensor(np.zeros((3, 6)))
-        with pytest.raises(ContractViolation):
-            word_attention(H, A, r, np.zeros(3, dtype=bool))
-
-    def test_weights_sum_to_one_and_masked_get_zero(self):
-        A, r = self.att(seed=5)
-        H = Tensor(np.random.default_rng(5).normal(size=(6, 6)))
-        mask = np.array([True, False, True, True, False, True])
-        _, alpha = word_attention(H, A, r, mask)
-        assert abs(alpha.data[mask].sum() - 1.0) < 1e-9
-        np.testing.assert_array_equal(alpha.data[~mask], 0.0)
-
     def test_scaling_bilinear_matrix_preserves_argmax(self):
         A, r = self.att(seed=6)
         H = Tensor(np.random.default_rng(6).normal(size=(5, 6)))
-        mask = np.ones(5, dtype=bool)
-        _, a1 = word_attention(H, A, r, mask)
-        _, a2 = word_attention(H, Tensor(A.data * 7.5), r, mask)
+        _, a1 = word_attention(H, A, r)
+        _, a2 = word_attention(H, Tensor(A.data * 7.5), r)
         assert a1.data.argmax() == a2.data.argmax()
 
     def test_output_rows_are_nonneg_combinations(self):
         A, r = self.att(seed=7)
         H = Tensor(np.random.default_rng(7).normal(size=(4, 6)))
-        out, alpha = word_attention(H, A, r, np.ones(4, dtype=bool))
+        out, alpha = word_attention(H, A, r)
         assert np.all(alpha.data >= 0)
+        assert abs(alpha.data.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(out.data, alpha.data[:, None] * H.data,
                                    atol=1e-15)
 

@@ -18,8 +18,9 @@ from capsrel.training import (
     train,
     train_epoch,
 )
-from helpers import (make_instance, mixed_bags, tiny_model, tiny_store,
-                     train_epoch_reference)
+from helpers import (make_instance, mixed_bags, param_count,
+                     planted_trigger_bags, planted_trigger_store, tiny_model,
+                     tiny_store, train_epoch_reference)
 from test_checkpoint import entries, join, join_entries, split
 
 
@@ -195,6 +196,36 @@ class TestTrainLoop:
         assert sum(stats.selection_histogram.values()) == len(bags)
 
 
+class TestTrainableStart:
+    """A fresh model at the published E=53 over sentences of 10 to 119
+    tokens gets gradients Adam can act on, and its loss falls."""
+
+    CONFIG = {"B": 16, "C": 4, "d": 4, "dropout": 0.0, "batch_size": 2}
+
+    @pytest.mark.parametrize("length", [10, 30, 60, 119])
+    def test_first_backward_reaches_every_parameter_group(self, length):
+        model = Model(TrainConfig(**self.CONFIG), planted_trigger_store())
+        bag = planted_trigger_bags(n_bags=2, relations=2, lengths=(length,))[1]
+        assert len(bag.instances[0].tokens) == length
+        a = model.activations(bag.instances[0], train=True)
+        margin_loss(a, label_vector(bag.labels, model.E))[0].backward()
+        largest: dict[str, float] = {}
+        for name, p in model.params.items():
+            group = name.split("_")[0]  # word, pos, lstm, att or caps
+            largest[group] = max(largest.get(group, 0.0),
+                                 float(np.abs(p.grad).max()))
+        # Adam's eps is 1e-8: a smaller gradient barely moves a parameter
+        assert min(largest.values()) >= 1e-6, largest
+
+    def test_loss_falls_below_the_all_zero_activation_loss(self):
+        # every activation at zero costs (0.9)^2 = 0.81 on the gold relation
+        cfg = TrainConfig(**self.CONFIG)
+        model = Model(cfg, planted_trigger_store())
+        history = train(model, planted_trigger_bags(), cfg, epochs=5,
+                        callback=lambda stats: stats.mean_loss < 0.7)
+        assert history[-1].mean_loss < 0.7, [s.mean_loss for s in history]
+
+
 class TestPerBagBackward:
     @pytest.mark.parametrize("capsule", [True, False], ids=["full", "-Capsule"])
     @pytest.mark.parametrize("M", [2, 4])
@@ -287,7 +318,7 @@ class TestBuildModel:
         store = tiny_store()
         full = Model(TrainConfig(seed=1), store)
         ablated = Model(TrainConfig(seed=1, word_att=False), store)
-        assert full.param_count() - ablated.param_count() == 600 * 600 + 600
+        assert param_count(full) - param_count(ablated) == 600 * 600 + 600
         assert "att_A" not in ablated.params
         assert "att_r" not in ablated.params
 
