@@ -31,11 +31,12 @@ def _load_run_config(path: str) -> RunConfig:
     return RunConfig.from_dict(obj)
 
 
-def _load_inputs(cfg: RunConfig, need_entities: bool = False
-                 ) -> tuple[EmbeddingStore, Corpus]:
-    cfg.require_paths("corpus", "word_embeddings", "relation_embeddings")
-    if need_entities:
-        cfg.require_paths("entity_embeddings")
+def _load_inputs(cfg: RunConfig) -> tuple[EmbeddingStore, Corpus]:
+    """Check every configured input path, then load the embeddings and the
+    corpus; the entity file is optional, but checked when it is set."""
+    optional = ["entity_embeddings"] if cfg.entity_embeddings else []
+    cfg.require_paths("corpus", "word_embeddings", "relation_embeddings",
+                      *optional)
     store = load_embeddings(cfg.word_embeddings,
                             cfg.entity_embeddings or None,
                             cfg.relation_embeddings)
@@ -53,8 +54,7 @@ def _write_output(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_trained(cfg: RunConfig, args, need_entities: bool = False
-                  ) -> tuple[EmbeddingStore, Corpus, Model]:
+def _load_trained(cfg: RunConfig, args) -> tuple[EmbeddingStore, Corpus, Model]:
     """Resolve --checkpoint/--corpus against `cfg`, then load the inputs
     and the checkpoint."""
     ckpt = args.checkpoint or cfg.checkpoint
@@ -62,7 +62,7 @@ def _load_trained(cfg: RunConfig, args, need_entities: bool = False
         raise ConfigError(f"checkpoint not found: {ckpt!r}")
     if args.corpus:
         cfg.corpus = args.corpus
-    store, corpus = _load_inputs(cfg, need_entities)
+    store, corpus = _load_inputs(cfg)
     return store, corpus, load_checkpoint(ckpt, store)
 
 
@@ -112,7 +112,8 @@ def cmd_eval(args) -> int:
     metrics = json.dumps({"auc": auc, **{f"p@{r}": p for r, p in
                                          precisions.items()}}, sort_keys=True)
     _write_output(os.path.join(cfg.output_dir, "metrics.json"), metrics + "\n")
-    evaluation.write_curve_csv(curve, os.path.join(cfg.output_dir, "pr_curve.csv"))
+    _write_output(os.path.join(cfg.output_dir, "pr_curve.csv"),
+                  evaluation.curve_csv(curve))
     print(metrics)
     return 0
 
@@ -123,18 +124,17 @@ def cmd_predict(args) -> int:
         raise ConfigError("--multi requires the 'entity_embeddings' config field")
     threshold = args.threshold if args.threshold is not None else cfg.train.threshold
     dataclasses.replace(cfg.train, threshold=threshold).validate()
-    store, corpus, model = _load_trained(cfg, args, need_entities=args.multi)
+    store, corpus, model = _load_trained(cfg, args)
     lines = []
     for bag in corpus.bags:
         scores = model.bag_scores(bag)
-        pairs = list(bag.key)
+        # single mode ranks every relation and assigns no pair
         if args.multi:
-            picked = prediction.predict_multi(scores, threshold=threshold)
-            rels = prediction.assign_all(picked, pairs, store,
-                                         direction=cfg.train.pair_diff)
+            picked = prediction.predict_multi(scores, threshold)
+            pairs = list(bag.key)
         else:
-            rels = [{"id": j, "score": s, "pair": None}
-                    for j, s in prediction.predict_single(scores)]
+            picked, pairs = prediction.predict_single(scores), []
+        rels = prediction.assign_all(picked, pairs, store, cfg.train.pair_diff)
         for entry in rels:
             entry["name"] = store.relation_names[entry["id"]]
         lines.append(json.dumps(
@@ -145,6 +145,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.pairs == 2 and args.relations < 3:
+        raise ConfigError("--pairs 2 needs --relations >= 3 (two distinct "
+                          f"non-NA relations per bag), got --relations "
+                          f"{args.relations}")
     spec = synth.SynthSpec(
         E=args.relations, vocab_size=args.vocab, bags=args.bags,
         pairs_per_sentence=args.pairs, seed=args.seed,
@@ -247,12 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CAPSREL_LOG", "INFO"),
-        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("CAPSREL_LOG", "INFO")
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError("CAPSREL_LOG must be a logging level name such "
+                              f"as DEBUG, INFO or WARNING, got {level!r}")
+        logging.basicConfig(level=level,
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

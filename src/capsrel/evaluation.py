@@ -84,11 +84,10 @@ def _as_curve(curve: np.ndarray) -> np.ndarray:
     return curve
 
 
-def write_curve_csv(curve: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("recall,precision\n")
-        for recall, precision in curve:
-            fh.write(f"{recall:.6f},{precision:.6f}\n")
+def curve_csv(curve: np.ndarray) -> str:
+    """The PR curve as `recall,precision` CSV text, six decimals a value."""
+    return "recall,precision\n" + "".join(
+        f"{recall:.6f},{precision:.6f}\n" for recall, precision in curve)
 
 
 @dataclass

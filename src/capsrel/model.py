@@ -74,7 +74,6 @@ class Model:
         self.config = config
         self.store = store
         self.E = store.relation.shape[0]
-        self.d_w = store.word.shape[1]
         rng = np.random.default_rng(config.seed)
         self.params: dict[str, Tensor] = {}
         for name, shape, init in param_table(config, store):

@@ -13,10 +13,6 @@ import numpy as np
 from .data import EmbeddingStore
 
 
-class AssignmentError(ValueError):
-    """No candidate pair had embeddings available for assignment."""
-
-
 def predict_single(a: np.ndarray) -> list[tuple[int, float]]:
     """All relations sorted by score descending, ties by relation id."""
     order = np.argsort(-np.asarray(a), kind="stable")
@@ -31,56 +27,29 @@ def predict_multi(a: np.ndarray, threshold: float = 0.7) -> list[tuple[int, floa
     return [(j, s) for j, s in ranked[:2] if s > threshold]
 
 
-def pair_difference(pair: tuple[str, str], store: EmbeddingStore,
-                    direction: str = "e2-e1") -> np.ndarray | None:
-    """Entity embedding difference for a pair; None if either is missing."""
-    v1 = store.entity_vec(pair[0])
-    v2 = store.entity_vec(pair[1])
-    if v1 is None or v2 is None:
-        return None
-    return v2 - v1 if direction == "e2-e1" else v1 - v2
-
-
-def assign_relation(pairs: list[tuple[str, str]], relation: int,
-                    store: EmbeddingStore,
-                    direction: str = "e2-e1") -> tuple[str, str]:
-    """Pair whose embedding difference is closest (L2) to the relation's.
-
-    Pairs with a missing entity embedding are skipped; ties go to the
-    first pair in order.
-    """
-    if not pairs:
-        raise AssignmentError("no candidate pairs")
-    rel_vec = store.relation[relation]
-    best_pair, best_dist = None, np.inf
-    for pair in pairs:
-        delta = pair_difference(pair, store, direction)
-        if delta is None:
-            continue
-        dist = float(np.linalg.norm(delta - rel_vec))
-        if dist < best_dist:
-            best_pair, best_dist = pair, dist
-    if best_pair is None:
-        raise AssignmentError(
-            f"no candidate pair has entity embeddings: {pairs}")
-    return best_pair
-
-
 def assign_all(relations: list[tuple[int, float]],
                pairs: list[tuple[str, str]], store: EmbeddingStore,
                direction: str = "e2-e1") -> list[dict]:
-    """Greedy relation -> pair assignment in score order, each pair once."""
-    remaining = list(pairs)
+    """One `{id, score, pair}` entry per relation, in the given order.
+
+    Each relation takes the remaining pair whose entity difference (e2 − e1,
+    or e1 − e2) is nearest (L2) its relation embedding, the first on ties.
+    A pair with a missing entity embedding is never assigned, and a
+    relation with no pair left gets `pair: None`.
+    """
+    diffs = []
+    for e1, e2 in pairs:
+        v1, v2 = store.entity_vec(e1), store.entity_vec(e2)
+        if v1 is not None and v2 is not None:
+            delta = v2 - v1 if direction == "e2-e1" else v1 - v2
+            diffs.append(([e1, e2], delta))
     out = []
     for rel, score in relations:
-        entry = {"id": rel, "score": score, "pair": None}
-        if remaining:
-            try:
-                pair = assign_relation(remaining, rel, store, direction)
-            except AssignmentError:
-                pair = None
-            if pair is not None:
-                remaining.remove(pair)
-                entry["pair"] = list(pair)
-        out.append(entry)
+        dists = [float(np.linalg.norm(delta - store.relation[rel]))
+                 for _, delta in diffs]
+        # the first of equal distances wins; an overflowed one never does
+        nearest = min(((d, i) for i, d in enumerate(dists) if d < np.inf),
+                      default=None)
+        pair = None if nearest is None else diffs.pop(nearest[1])[0]
+        out.append({"id": rel, "score": score, "pair": pair})
     return out

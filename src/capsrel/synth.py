@@ -52,6 +52,9 @@ def generate(spec: SynthSpec, out_dir: str) -> SynthPaths:
         raise ValueError(f"need at least 2 relations (NA + 1), got E={spec.E}")
     if spec.pairs_per_sentence not in (1, 2):
         raise ValueError("pairs_per_sentence must be 1 or 2")
+    if spec.pairs_per_sentence == 2 and spec.E < 3:
+        raise ValueError("two pairs per sentence need two distinct non-NA "
+                         f"relations (E >= 3), got E={spec.E}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     names = relation_names(spec.E)
@@ -64,12 +67,10 @@ def generate(spec: SynthSpec, out_dir: str) -> SynthPaths:
 
     rel_vecs = {name: rng.normal(0.0, 1.0, spec.k) for name in names}
     entity_vecs: dict[str, np.ndarray] = {}
-    next_entity = [0]
 
     def new_pair(rel_name: str) -> tuple[str, str]:
-        e1 = f"E{next_entity[0]:05d}"
-        e2 = f"E{next_entity[0] + 1:05d}"
-        next_entity[0] += 2
+        n = len(entity_vecs)
+        e1, e2 = f"E{n:05d}", f"E{n + 1:05d}"
         v1 = rng.normal(0.0, 1.0, spec.k)
         noise = (rng.normal(0.0, spec.transe_noise, spec.k)
                  if spec.transe_noise > 0 else 0.0)
@@ -104,26 +105,19 @@ def generate(spec: SynthSpec, out_dir: str) -> SynthPaths:
             "relations": [names[r] for r in rels],
         }
 
-    records: list[dict] = []
+    # each bag's relation tuple: one relation, or two distinct non-NA ones
     if spec.pairs_per_sentence == 1:
-        bag_relations = [b % spec.E for b in range(spec.bags)]
+        combos = [[r] for r in range(spec.E)]
     else:
-        combos = [(i, j) for i in range(1, spec.E)
+        combos = [[i, j] for i in range(1, spec.E)
                   for j in range(1, spec.E) if i != j]
-        bag_relations = [combos[b % len(combos)] for b in range(spec.bags)]
-
-    for rels in bag_relations:
-        if spec.pairs_per_sentence == 1:
-            rel = rels
-            pair = new_pair(names[rel])
-            rel_list, pair_list = [rel], [pair]
-        else:
-            rel_a, rel_b = rels
-            pair_list = [new_pair(names[rel_a]), new_pair(names[rel_b])]
-            rel_list = [rel_a, rel_b]
+    records: list[dict] = []
+    for b in range(spec.bags):
+        rels = combos[b % len(combos)]
+        pairs = [new_pair(names[r]) for r in rels]
         lo, hi = spec.instances_per_bag
         for _ in range(int(rng.integers(lo, hi + 1))):
-            records.append(make_sentence(rel_list, pair_list))
+            records.append(make_sentence(rels, pairs))
 
     paths = SynthPaths(
         corpus=os.path.join(out_dir, "corpus.jsonl"),

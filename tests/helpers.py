@@ -241,6 +241,37 @@ def auc_reference(curve) -> float:
     return area
 
 
+def assign_all_reference(relations, pairs, store: EmbeddingStore,
+                         direction: str = "e2-e1") -> list[dict]:
+    """Greedy relation -> pair assignment as three steps per relation: each
+    remaining pair's entity difference is computed again, the nearest (L2)
+    to the relation embedding wins with ties to the first, and the winner
+    is removed by value. Pairs with a missing entity embedding are skipped;
+    a relation that finds no pair gets `pair: None`."""
+    def difference(pair):
+        v1, v2 = store.entity_vec(pair[0]), store.entity_vec(pair[1])
+        if v1 is None or v2 is None:
+            return None
+        return v2 - v1 if direction == "e2-e1" else v1 - v2
+
+    remaining = list(pairs)
+    out = []
+    for rel, score in relations:
+        best_pair, best_dist = None, np.inf
+        for pair in remaining:
+            delta = difference(pair)
+            if delta is None:
+                continue
+            dist = float(np.linalg.norm(delta - store.relation[rel]))
+            if dist < best_dist:
+                best_pair, best_dist = pair, dist
+        if best_pair is not None:
+            remaining.remove(best_pair)
+        out.append({"id": rel, "score": score,
+                    "pair": None if best_pair is None else list(best_pair)})
+    return out
+
+
 def write_json_checkpoint(path, model: Model) -> None:
     """Write `model` in the JSON checkpoint format of earlier versions, which
     `load_checkpoint` no longer reads."""

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from capsrel import cli, synth
 from capsrel.cli import main
 from capsrel.config import RunConfig, TrainConfig
 from capsrel.data import load_corpus, load_embeddings
@@ -70,6 +71,50 @@ class TestSynth:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_two_pairs_with_one_non_na_relation_exits_2_before_writing(
+            self, tmp_path, capsys):
+        assert main(["synth", "--out-dir", str(tmp_path / "s"), "--pairs", "2",
+                     "--relations", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--pairs" in err and "--relations" in err
+        assert not (tmp_path / "s").exists()
+        with pytest.raises(ValueError, match="E >= 3"):
+            synth.generate(synth.SynthSpec(E=2, pairs_per_sentence=2),
+                           str(tmp_path / "g"))
+        assert not (tmp_path / "g").exists()
+
+
+class TestLogLevel:
+    def test_unknown_capsrel_log_exits_2_before_any_work(self, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.setenv("CAPSREL_LOG", "verbose")
+        assert main(["synth", "--out-dir", str(tmp_path / "s")]) == 2
+        assert "config error: CAPSREL_LOG" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_level_name_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAPSREL_LOG", "WARNING")
+        assert main(["synth", "--out-dir", str(tmp_path / "s")]) == 0
+
+
+class TestMissingEntityFile:
+    """A configured entity file that does not exist is a config error for
+    every command that reads the inputs, as a missing corpus is."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_exits_2_naming_entity_embeddings(self, workspace, tmp_path,
+                                              capsys, command):
+        _, cfg, cfg_path = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(
+            cfg, entity_embeddings=str(tmp_path / "missing.txt"),
+            output_dir=str(tmp_path / "out"),
+            checkpoint=(str(tmp_path / "m.ckpt") if command == "train"
+                        else cfg["checkpoint"]))))
+        assert main([command, "--config", str(p)]) == 2
+        assert "'entity_embeddings'" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -208,6 +253,24 @@ class TestEval:
         assert open(metrics_path).read() == first
         assert open(os.path.join(cfg["output_dir"],
                                  "pr_curve.csv")).read() == curve_first
+
+    def test_writes_both_files_through_the_atomic_writer(self, workspace,
+                                                          tmp_path,
+                                                          monkeypatch):
+        _, cfg, cfg_path = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"))))
+        written = []
+        write = cli._write_output
+
+        def recording(path, text):
+            written.append(os.path.basename(path))
+            write(path, text)
+        monkeypatch.setattr(cli, "_write_output", recording)
+        assert main(["eval", "--config", str(p)]) == 0
+        assert sorted(written) == ["metrics.json", "pr_curve.csv"]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(written)
 
     def test_corpus_without_positives_exits_1(self, workspace, tmp_path, capsys):
         root, cfg, cfg_path = workspace

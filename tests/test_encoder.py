@@ -39,7 +39,7 @@ class TestEmbed:
         tables = [model.params[f"pos_emb_{m}"] for m in range(4)]
         X = embed(model.word_ids(inst), inst.position_ids,
                   model.params["word_emb"], tables)
-        d_w = model.d_w
+        d_w = model.store.word.shape[1]
         d_p = model.config.d_p
         miss = missing_bucket(10)
         for t in range(2):

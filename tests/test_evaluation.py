@@ -10,12 +10,12 @@ from capsrel.evaluation import (
     DECISION_DTYPE,
     EvaluationError,
     auc,
+    curve_csv,
     decisions_from_scores,
     experiment_sweep,
     pr_curve,
     precision_at,
     sweep_markdown,
-    write_curve_csv,
 )
 from helpers import auc_reference, pr_curve_reference, precision_at_reference
 
@@ -163,10 +163,9 @@ class TestReferenceEquality:
 
 
 class TestCsvExport:
-    def test_fixed_six_decimal_format(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        write_curve_csv(np.array([[0.5, 1 / 3]]), str(path))
-        assert path.read_text() == "recall,precision\n0.500000,0.333333\n"
+    def test_fixed_six_decimal_format(self):
+        assert curve_csv(np.array([[0.5, 1 / 3]])) \
+            == "recall,precision\n0.500000,0.333333\n"
 
 
 class TestExperimentSweep:

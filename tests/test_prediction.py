@@ -2,16 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capsrel.prediction import (
-    AssignmentError,
-    assign_all,
-    assign_relation,
-    pair_difference,
-    predict_multi,
-    predict_single,
-)
-from helpers import tiny_store
+from capsrel.data import EmbeddingStore
+from capsrel.prediction import assign_all, predict_multi, predict_single
+from helpers import assign_all_reference, tiny_store
 
 
 class TestPredictSingle:
@@ -73,52 +69,54 @@ def toy_store():
     return store
 
 
+def nearest(pairs, relation, store, direction="e2-e1"):
+    """The pair `assign_all` gives one relation."""
+    return assign_all([(relation, 0.9)], pairs, store, direction)[0]["pair"]
+
+
 class TestAssignRelation:
     def test_single_candidate_pair(self):
         store = toy_store()
-        assert assign_relation([("E1", "E2")], 2, store) == ("E1", "E2")
+        assert nearest([("E1", "E2")], 2, store) == ["E1", "E2"]
 
     def test_hand_euclidean_distances(self):
         store = toy_store()
         # R1 embedding (1,0): pair (E1,E2) has delta (1,0) -> distance 0
-        assert assign_relation([("E1", "E2"), ("E3", "E4")], 1, store) == ("E1", "E2")
-        assert assign_relation([("E1", "E2"), ("E3", "E4")], 2, store) == ("E3", "E4")
+        assert nearest([("E1", "E2"), ("E3", "E4")], 1, store) == ["E1", "E2"]
+        assert nearest([("E1", "E2"), ("E3", "E4")], 2, store) == ["E3", "E4"]
 
     def test_swapping_a_pair_flips_the_difference_sign(self):
         store = toy_store()
-        d1 = pair_difference(("E1", "E2"), store)
-        d2 = pair_difference(("E2", "E1"), store)
-        np.testing.assert_array_equal(d1, -d2)
-        r1 = store.relation[1]
-        assert (np.linalg.norm(d1 - r1) != np.linalg.norm(d2 - r1))
+        # R1 is (1,0): (E1,E2) has delta (1,0), (E2,E1) has (-1,0)
+        for pairs in ([("E1", "E2"), ("E2", "E1")],
+                      [("E2", "E1"), ("E1", "E2")]):
+            assert nearest(pairs, 1, store) == ["E1", "E2"]
 
     def test_direction_flag_selects_literal_reading(self):
         store = toy_store()
-        fwd = pair_difference(("E1", "E2"), store, direction="e2-e1")
-        rev = pair_difference(("E1", "E2"), store, direction="e1-e2")
-        np.testing.assert_array_equal(fwd, -rev)
+        pairs = [("E1", "E2"), ("E2", "E1")]
+        assert nearest(pairs, 1, store, direction="e2-e1") == ["E1", "E2"]
+        assert nearest(pairs, 1, store, direction="e1-e2") == ["E2", "E1"]
 
     def test_translation_invariance_of_assignment(self):
         store = toy_store()
         shifted = toy_store()
         shifted.entity = store.entity + np.array([5.0, -3.0])
         for rel in (1, 2):
-            assert (assign_relation([("E1", "E2"), ("E3", "E4")], rel, store)
-                    == assign_relation([("E1", "E2"), ("E3", "E4")], rel, shifted))
+            assert (nearest([("E1", "E2"), ("E3", "E4")], rel, store)
+                    == nearest([("E1", "E2"), ("E3", "E4")], rel, shifted))
 
     def test_missing_entity_embedding_skips_pair(self):
         store = toy_store()
-        assert assign_relation([("E1", "UNKNOWN"), ("E3", "E4")], 2, store) \
-            == ("E3", "E4")
+        assert nearest([("E1", "UNKNOWN"), ("E3", "E4")], 2, store) \
+            == ["E3", "E4"]
 
     def test_all_pairs_missing_is_checked_failure(self):
         store = toy_store()
-        with pytest.raises(AssignmentError):
-            assign_relation([("X", "Y")], 1, store)
+        assert nearest([("X", "Y")], 1, store) is None
 
     def test_no_candidates_is_checked_failure(self):
-        with pytest.raises(AssignmentError):
-            assign_relation([], 1, toy_store())
+        assert nearest([], 1, toy_store()) is None
 
 
 class TestAssignAll:
@@ -137,3 +135,38 @@ class TestAssignAll:
                          [("E1", "E2"), ("E3", "E4")], store)
         assert out[0]["pair"] == ["E1", "E2"]
         assert out[1]["pair"] == ["E3", "E4"]
+
+
+ENTITIES = ("E1", "E2", "E3", "E4")
+
+
+@st.composite
+def assignment_cases(draw):
+    """Small-integer embeddings (exact ties), duplicate pairs, pairs with an
+    unknown entity, relation 0 and both directions."""
+    k = draw(st.integers(1, 3))
+    n_rel = draw(st.integers(1, 4))
+    ints = st.integers(-2, 2).map(float)
+    entity = draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                           min_size=len(ENTITIES), max_size=len(ENTITIES)))
+    relation = draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                             min_size=n_rel, max_size=n_rel))
+    store = EmbeddingStore(
+        word=np.zeros((1, 1)), word_vocab={}, entity=np.array(entity),
+        entity_vocab={e: i for i, e in enumerate(ENTITIES)},
+        relation=np.array(relation),
+        relation_names=["NA"] + [f"R{i}" for i in range(1, n_rel)])
+    entity_id = st.sampled_from(ENTITIES + ("UNKNOWN",))
+    pairs = draw(st.lists(st.tuples(entity_id, entity_id), max_size=4))
+    relations = draw(st.lists(st.tuples(st.integers(0, n_rel - 1),
+                                        st.floats(0.0, 1.0)), max_size=3))
+    direction = draw(st.sampled_from(["e2-e1", "e1-e2"]))
+    return relations, pairs, store, direction
+
+
+@settings(max_examples=400, deadline=None)
+@given(assignment_cases())
+def test_assign_all_matches_reference(case):
+    relations, pairs, store, direction = case
+    assert (assign_all(relations, pairs, store, direction)
+            == assign_all_reference(relations, pairs, store, direction))

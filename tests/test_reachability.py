@@ -1,19 +1,22 @@
 """`capsrel` holds only what the program reaches.
 
 Every public function, method and property defined in a `capsrel` module is
-wrapped to record its name, and every read of a dataclass field is
-recorded too. The test then runs each CLI command on a tiny synthetic
-corpus (the full model, both ablations, and M=4 over one entity pair, which
-takes the missing-entity position bucket) plus one `grad_check`, and names
-whatever nothing reached. A name that only tests call belongs in
+wrapped to record its name. Every read of a dataclass field is recorded
+too, and so is every read of a public attribute that `Model.__init__` or
+`Adam.__init__` assigns. The test then runs each CLI command on a tiny
+synthetic corpus (the full model, both ablations, and M=4 over one entity
+pair, which takes the missing-entity position bucket) plus one
+`grad_check`, and names whatever nothing reached. A name that only tests call belongs in
 `tests/helpers.py`.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import json
 import pkgutil
+import textwrap
 
 import numpy as np
 
@@ -22,6 +25,10 @@ from capsrel import autodiff, cli
 
 # Reached by no command: c05 scores its training with it.
 ALLOWED = {"capsrel.training.bag_top1_accuracy"}
+
+# Classes whose `__init__`-assigned attributes are recorded like fields.
+# `Tensor` is left out: its attributes are read on every op.
+INIT_ATTRS_OF = {"capsrel.model.Model", "capsrel.optim.Adam"}
 
 CONFIGS = {"full": {}, "no_att": {"word_att": False},
            "no_caps": {"capsule": False}, "m4": {"M": 4}}
@@ -52,6 +59,16 @@ def field_reads(reached: set[str], prefix: str, fields: set[str]):
     return __getattribute__
 
 
+def init_attrs(cls) -> set[str]:
+    """Public attributes that `cls.__init__` assigns on `self`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and public(node.attr)}
+
+
 def instrument(monkeypatch, reached: set[str]) -> set[str]:
     """Wrap every public name of every capsrel module to record into
     `reached`; return the names wrapped."""
@@ -76,6 +93,11 @@ def instrument(monkeypatch, reached: set[str]) -> set[str]:
 def instrument_class(monkeypatch, reached: set[str], cls, qual: str) -> set[str]:
     names: set[str] = set()
     source = inspect.getsourcefile(cls)
+    fields = set()
+    if dataclasses.is_dataclass(cls):
+        fields |= {f.name for f in dataclasses.fields(cls)}
+    if qual in INIT_ATTRS_OF:  # read before __init__ is wrapped
+        fields |= init_attrs(cls)
     for name, member in list(vars(cls).items()):
         if isinstance(member, (classmethod, staticmethod)):
             fn = member.__func__
@@ -94,8 +116,7 @@ def instrument_class(monkeypatch, reached: set[str], cls, qual: str) -> set[str]
         elif not inspect.isfunction(member):
             wrapped = type(member)(wrapped)
         monkeypatch.setattr(cls, name, wrapped)
-    if dataclasses.is_dataclass(cls):
-        fields = {f.name for f in dataclasses.fields(cls)}
+    if fields:
         names |= {f"{qual}.{name}" for name in fields}
         monkeypatch.setattr(cls, "__getattribute__",
                             field_reads(reached, qual, fields))
@@ -140,7 +161,8 @@ def test_names_are_found(monkeypatch):
     assert {"capsrel.autodiff.Tensor.__rsub__", "capsrel.autodiff.Tensor.T",
             "capsrel.autodiff.concat", "capsrel.cli.main",
             "capsrel.config.TrainConfig.from_dict",
-            "capsrel.data.Corpus.bags"} <= names
+            "capsrel.data.Corpus.bags", "capsrel.model.Model.params",
+            "capsrel.optim.Adam.step_count"} <= names
 
 
 def test_every_public_name_is_reached(monkeypatch, tmp_path):
