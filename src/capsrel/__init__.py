@@ -1,7 +1,7 @@
 """Capsule-network relation extraction with attention under MIML
 distant supervision, built on a minimal reverse-mode autodiff core."""
 
-from .autodiff import Tensor, concat, dropout, grad_check, no_grad, stack
+from .autodiff import Tensor, concat, dropout, grad_check, no_grad
 from .capsule import dynamic_routing, primary_capsules, squash, votes
 from .config import RunConfig, TrainConfig
 from .data import Bag, EmbeddingStore, SentenceInstance, load_corpus, load_embeddings
@@ -14,7 +14,7 @@ __all__ = [
     "Tensor", "TrainConfig", "concat", "dropout",
     "dynamic_routing", "grad_check", "load_checkpoint", "load_corpus",
     "load_embeddings", "margin_loss", "no_grad", "primary_capsules",
-    "save_checkpoint", "select_instance", "squash", "stack", "train",
+    "save_checkpoint", "select_instance", "squash", "train",
     "train_epoch", "votes",
 ]
 

@@ -9,10 +9,11 @@ and forward passes are plain numpy.
 An op stays in this module only while code under ``src/`` calls it. The
 ops kept are: ``+``, ``-`` (binary and unary), ``*``, ``/``, ``**``, ``@``
 on 1-D/2-D operands or on equal 3-D stacks (slice by slice), indexing,
-``reshape``, ``T``, ``sum``, ``norm``, ``tanh``, ``sigmoid``, ``relu``,
-``softmax``, and the free functions :func:`concat`, :func:`stack`,
-:func:`take_rows` and :func:`dropout`. :func:`grad_check` compares any of
-them against central differences.
+``reshape``, ``T``, ``sum``, ``norm``, ``sigmoid``, ``relu``, ``softmax``,
+and the free functions :func:`concat`, :func:`take_rows`, :func:`dropout`
+and :func:`lstm_sequence`, one fused LSTM direction with a hand-written
+BPTT backward. :func:`grad_check` compares any of them against central
+differences.
 """
 
 from __future__ import annotations
@@ -287,19 +288,9 @@ class Tensor:
 
     # -- nonlinearities -------------------------------------------------------
 
-    def tanh(self) -> "Tensor":
-        a = self
-        data = np.tanh(a.data)
-
-        def bw(g):
-            _send(a, g * (1.0 - data * data))
-        return Tensor._from_op(data, (a,), bw)
-
     def sigmoid(self) -> "Tensor":
         a = self
-        z = np.abs(a.data)
-        e = np.exp(-z)
-        data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        data = _sigmoid(a.data)
 
         def bw(g):
             _send(a, g * data * (1.0 - data))
@@ -334,6 +325,12 @@ def _send(node: Tensor, g: np.ndarray) -> None:
         node._accumulate(g)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _matmul_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y on matrices or equal stacks. An inner size of 1 is an outer
     product, which a broadcast multiply computes faster than non-BLAS matmul."""
@@ -365,21 +362,64 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(data, tensors, bw)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis as one tape node."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractViolation("stack of an empty sequence")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeError(f"stack shapes do not conform: {shape} vs {t.shape}")
-    data = np.stack([t.data for t in tensors], axis=axis)
+def lstm_sequence(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
+                  reverse: bool = False) -> Tensor:
+    """One LSTM direction over the L rows of X, in order or reversed; L x B.
 
-    def bw(g):
-        for t, part in zip(tensors, np.moveaxis(g, axis, 0)):
-            _send(t, part)
-    return Tensor._from_op(data, tensors, bw)
+    The 4B gate columns are ordered input, forget, cell, output, and the
+    state starts at zero. The whole recurrence is one tape node: the
+    forward keeps the activated gates and the cells, and the backward is
+    one reverse BPTT sweep that fills dZ, the L x 4B gradient of the gate
+    pre-activations, then forms dX, dWx and dWh with one product each and
+    db with one sum.
+    """
+    L, B = X.shape[0], Wh.shape[0]
+    if Wx.shape != (X.shape[1], 4 * B) or Wh.shape != (B, 4 * B) \
+            or b.shape != (4 * B,):
+        raise ShapeError(f"lstm_sequence shapes do not conform: X {X.shape}, "
+                         f"Wx {Wx.shape}, Wh {Wh.shape}, b {b.shape}")
+    order = slice(None, None, -1) if reverse else slice(None)
+    # every array below holds one row per step, in step order
+    XW = (X.data @ Wx.data + b.data)[order]     # the input projection, hoisted
+    gates = np.empty((L, 4, B))
+    hs, cs = np.empty((L, B)), np.empty((L, B))
+    h = c = np.zeros(B)
+    for s in range(L):
+        z = XW[s] + h @ Wh.data
+        gates[s] = _sigmoid(z).reshape(4, B)
+        gates[s, 2] = np.tanh(z[2 * B:3 * B])
+        i, f, g, o = gates[s]
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[s], cs[s] = h, c
+
+    def bw(dH):
+        dH = dH[order]
+        i, f, g, o = gates.transpose(1, 0, 2)
+        tanh_c = np.tanh(cs)
+        slope = gates * (1.0 - gates)           # sigmoid'(z) = a (1 - a)
+        slope[:, 2] = 1.0 - g * g               # tanh'(z) = 1 - a^2
+        # dZ[s] = [dc g, dc c_prev, dc i, dh tanh(c)] * slope[s]
+        c_prev = np.vstack([np.zeros(B), cs[:-1]])
+        by_dc = np.stack([g, c_prev, i], axis=1) * slope[:, :3]
+        by_dh = tanh_c * slope[:, 3]
+        dc_by_dh = o * (1.0 - tanh_c * tanh_c)
+        dZ = np.empty((L, 4, B))
+        dh_next = dc_next = np.zeros(B)
+        for s in range(L - 1, -1, -1):
+            dh = dH[s] + dh_next
+            dc = dh * dc_by_dh[s] + dc_next
+            np.multiply(dc, by_dc[s], out=dZ[s, :3])
+            np.multiply(dh, by_dh[s], out=dZ[s, 3])
+            dc_next = dc * f[s]
+            dh_next = Wh.data @ dZ[s].reshape(-1)
+        dZ = dZ.reshape(L, 4 * B)
+        _send(Wh, np.vstack([np.zeros(B), hs[:-1]]).T @ dZ)
+        dZ = dZ[order]                          # back to row order
+        _send(X, dZ @ Wx.data.T)
+        _send(Wx, X.data.T @ dZ)
+        _send(b, dZ.sum(axis=0))
+    return Tensor._from_op(hs[order], (X, Wx, Wh, b), bw)
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:

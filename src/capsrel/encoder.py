@@ -4,14 +4,17 @@ Shapes follow the model config: a sentence of n tokens gives n input rows
 of width V = d_w + d_p * M, the Bi-LSTM emits n x 2B hidden states, and
 attention rescales each row by its softmax weight, keeping the
 per-position sequence for the capsule layer. Every sentence is encoded at
-its own length; nothing is padded.
+its own length; nothing is padded. Each LSTM direction is one tape node,
+:func:`~capsrel.autodiff.lstm_sequence`: its forward is a numpy loop over
+the tokens, and its backward is hand-written BPTT (one reverse sweep,
+then one product per weight).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, stack, take_rows
+from .autodiff import Tensor, concat, lstm_sequence, take_rows
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -33,38 +36,15 @@ def embed(word_ids: np.ndarray, position_ids: np.ndarray,
     return concat(cols, axis=1)
 
 
-def _lstm_direction(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
-                    reverse: bool) -> list[Tensor]:
-    """One LSTM direction over every row of X, in order or reversed.
-
-    The input projection X Wx + b does not depend on the recurrence, so it
-    is one L x 4B product ahead of the loop; each step adds only h Wh.
-    """
-    L = X.shape[0]
-    B = Wh.shape[0]
-    XW = X @ Wx + b
-    h = Tensor(np.zeros(B))
-    c = Tensor(np.zeros(B))
-    out = [None] * L
-    order = range(L - 1, -1, -1) if reverse else range(L)
-    for t in order:
-        gates = XW[t] + h @ Wh
-        i = gates[0:B].sigmoid()
-        f = gates[B:2 * B].sigmoid()
-        g = gates[2 * B:3 * B].tanh()
-        o = gates[3 * B:4 * B].sigmoid()
-        c = f * c + i * g
-        h = o * c.tanh()
-        out[t] = h
-    return out
-
-
 def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
            bwd: tuple[Tensor, Tensor, Tensor]) -> Tensor:
-    """L x 2B hidden sequence: forward states beside backward states."""
-    h_fwd = stack(_lstm_direction(X, *fwd, reverse=False))
-    h_bwd = stack(_lstm_direction(X, *bwd, reverse=True))
-    return concat([h_fwd, h_bwd], axis=1)
+    """L x 2B hidden sequence: forward states beside backward states.
+
+    Each direction is one `lstm_sequence` tape node, whose backward is a
+    hand-written BPTT sweep.
+    """
+    return concat([lstm_sequence(X, *fwd, reverse=False),
+                   lstm_sequence(X, *bwd, reverse=True)], axis=1)
 
 
 def word_attention(H: Tensor, A: Tensor, r: Tensor) -> tuple[Tensor, Tensor]:

@@ -27,6 +27,7 @@ def predict_multi(a: np.ndarray, threshold: float = 0.7) -> list[tuple[int, floa
     return [(j, s) for j, s in ranked[:2] if s > threshold]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed difference is skipped
 def assign_all(relations: list[tuple[int, float]],
                pairs: list[tuple[str, str]], store: EmbeddingStore,
                direction: str = "e2-e1") -> list[dict]:
@@ -34,8 +35,9 @@ def assign_all(relations: list[tuple[int, float]],
 
     Each relation takes the remaining pair whose entity difference (e2 − e1,
     or e1 − e2) is nearest (L2) its relation embedding, the first on ties.
-    A pair with a missing entity embedding is never assigned, and a
-    relation with no pair left gets `pair: None`.
+    A pair with a missing entity embedding, or whose difference is not
+    finite, is never assigned, and a relation with no pair left gets
+    `pair: None`.
     """
     diffs = []
     for e1, e2 in pairs:
@@ -45,11 +47,21 @@ def assign_all(relations: list[tuple[int, float]],
             diffs.append(([e1, e2], delta))
     out = []
     for rel, score in relations:
-        dists = [float(np.linalg.norm(delta - store.relation[rel]))
-                 for _, delta in diffs]
-        # the first of equal distances wins; an overflowed one never does
-        nearest = min(((d, i) for i, d in enumerate(dists) if d < np.inf),
+        dists = [_norm_key(delta - store.relation[rel]) for _, delta in diffs]
+        # the first of equal distances wins; a non-finite one never does
+        nearest = min(((d, i) for i, d in enumerate(dists) if d is not None),
                       default=None)
         pair = None if nearest is None else diffs.pop(nearest[1])[0]
         out.append({"id": rel, "score": score, "pair": pair})
     return out
+
+
+def _norm_key(v: np.ndarray) -> tuple[float, float] | None:
+    """||v|| as (exponent, mantissa), ordered as the norm is, or None if v
+    is not finite. v is scaled by the power of two above its largest entry
+    before the norm, so no finite v overflows, and the scaling is exact."""
+    if not np.all(np.isfinite(v)):
+        return None
+    _, scale = np.frexp(np.abs(v).max())
+    mantissa, exponent = np.frexp(np.linalg.norm(np.ldexp(v, -scale)))
+    return (float(exponent + scale) if mantissa else -np.inf, float(mantissa))

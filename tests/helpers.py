@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from capsrel.autodiff import NonFiniteError, stack
+from capsrel.autodiff import NonFiniteError, Tensor, concat
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
                           parse_record)
@@ -83,6 +83,32 @@ def bilstm_reference(X: np.ndarray, fwd, bwd) -> np.ndarray:
             out[t] = h
         halves.append(out)
     return np.concatenate(halves, axis=1)
+
+
+def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
+                             reverse: bool) -> Tensor:
+    """One LSTM direction recorded step by step on the tape; L x B.
+
+    The composed graph that `lstm_sequence` fuses, built from the generic
+    tape ops: tanh is 2 sigmoid(2x) - 1, and the rows are joined with
+    `concat`. Its gradients come from their backward rules.
+    """
+    def tanh(x):
+        return (x * 2.0).sigmoid() * 2.0 - 1.0
+
+    L, B = X.shape[0], Wh.shape[0]
+    XW = X @ Wx + b
+    h = Tensor(np.zeros(B))
+    c = Tensor(np.zeros(B))
+    rows = [None] * L
+    for t in (range(L - 1, -1, -1) if reverse else range(L)):
+        z = XW[t] + h @ Wh
+        i, f = z[0:B].sigmoid(), z[B:2 * B].sigmoid()
+        g, o = tanh(z[2 * B:3 * B]), z[3 * B:4 * B].sigmoid()
+        c = f * c + i * g
+        h = o * tanh(c)
+        rows[t] = h.reshape((1, B))
+    return concat(rows, axis=0)
 
 
 def position_feature_reference(token_idx: int, entity_anchor: int | None,
@@ -303,7 +329,7 @@ def train_epoch_reference(model: Model, bags, optimizer, config: TrainConfig,
                 raise NonFiniteError(
                     f"non-finite loss for bag {bag.key!r} in epoch {epoch}")
             bag_losses.append(total.reshape((1,)))
-        batch_loss = stack(bag_losses, axis=0).sum() * (1.0 / len(bag_losses))
+        batch_loss = concat(bag_losses, axis=0).sum() * (1.0 / len(bag_losses))
         optimizer.zero_grad()
         batch_loss.backward()
         optimizer.step()

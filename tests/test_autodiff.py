@@ -16,7 +16,6 @@ from capsrel.autodiff import (
     dropout,
     grad_check,
     no_grad,
-    stack,
     take_rows,
 )
 
@@ -100,14 +99,15 @@ class TestBackward:
 
     def test_backward_frees_interior_nodes_while_the_root_lives(self):
         x = Tensor(rand((3,), 0), requires_grad=True)
-        h = x.tanh()
+        h = x.sigmoid()
         freed = weakref.ref(h.data)  # a Tensor takes no weak references
         loss = (h * 2.0).sum()
         del h
         loss.backward()
         assert freed() is None
-        assert loss.item() == pytest.approx(2.0 * np.tanh(x.data).sum())
-        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data) ** 2))
+        s = 1.0 / (1.0 + np.exp(-x.data))
+        assert loss.item() == pytest.approx(2.0 * s.sum())
+        np.testing.assert_allclose(x.grad, 2.0 * s * (1.0 - s))
 
     def test_concat_backward_reassembles(self):
         a = Tensor(rand((2, 3), 1), requires_grad=True)
@@ -119,7 +119,7 @@ class TestBackward:
 
 
 class TestGeneralOps:
-    """`@`, `stack` and `take_rows` against numpy over drawn shapes."""
+    """`@`, `concat` and `take_rows` against numpy over drawn shapes."""
 
     @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
            st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
@@ -163,25 +163,37 @@ class TestGeneralOps:
         with pytest.raises(ShapeError, match="1-D/2-D"):
             Tensor(rand(a_shape, 0)) @ Tensor(rand(b_shape, 1))
 
-    @given(st.sampled_from([0, 1, -1]), st.integers(1, 4), st.integers(1, 3),
+    @given(st.sampled_from([0, 1, -1]),
+           st.lists(st.integers(1, 3), min_size=1, max_size=4),
            st.integers(1, 3), st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_stack_matches_numpy_and_grad_checks(self, axis, n, rows, cols, seed):
-        x = rand((n, rows, cols), seed)
-        expected = np.stack(list(x), axis=axis)
-        out = stack([Tensor(p) for p in x], axis=axis)
-        np.testing.assert_array_equal(out.data, expected)
-        w = Tensor(rand(expected.shape, seed + 1))
+    def test_concat_matches_numpy_and_grad_checks(self, axis, sizes, width, seed):
+        shape = [width] * 3
+        shape[axis] = sum(sizes)
+        x = rand(tuple(shape), seed)
+        bounds = np.cumsum([0, *sizes])
 
-        def f(t):
-            parts = [t[i] * (i + 1.0) for i in range(n)]
-            return (stack(parts, axis=axis) * w).sum()
-        assert grad_check(f, Tensor(x)) < 1e-6
+        def parts(t):
+            # block k of `sizes` along `axis`, scaled by k + 1
+            out = []
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                idx = [slice(None)] * 3
+                idx[axis] = slice(lo, hi)
+                out.append(t[tuple(idx)] * (k + 1.0))
+            return out
+        blocks = parts(Tensor(x))
+        out = concat(blocks, axis=axis)
+        np.testing.assert_array_equal(
+            out.data, np.concatenate([b.data for b in blocks], axis=axis))
+        w = Tensor(rand(out.shape, seed + 1))
+        assert grad_check(lambda t: (concat(parts(t), axis=axis) * w).sum(),
+                          Tensor(x)) < 1e-6
 
     @pytest.mark.parametrize("axis", [0, 1, -1])
-    def test_stack_shape_mismatch(self, axis):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
-            stack([Tensor(rand((2, 3), 0)), Tensor(rand((3, 2), 1))], axis=axis)
+    def test_concat_shape_mismatch_names_both_shapes(self, axis):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 2, 4\)"):
+            concat([Tensor(rand((2, 3, 4), 0)), Tensor(rand((3, 2, 4), 1))],
+                   axis=axis)
 
     def test_take_rows_gradient_counts_every_duplicate(self):
         table = Tensor(rand((4, 3), 0), requires_grad=True)
@@ -195,7 +207,9 @@ class TestGeneralOps:
 
 
 COMPOSITES = {
-    "affine_tanh": lambda x: (x.tanh() @ Tensor(rand((4, 2), 99))).sum(),
+    # tanh x = 2 sigmoid(2x) - 1
+    "affine_tanh": lambda x: (((x * 2.0).sigmoid() * 2.0 - 1.0)
+                              @ Tensor(rand((4, 2), 99))).sum(),
     "sigmoid_mul": lambda x: (x.sigmoid() * x).sum(),
     "softmax_weighted": lambda x: (x.softmax(axis=1) * Tensor(rand((3, 4), 98))).sum(),
     "norm_rows": lambda x: x.norm(axis=1).sum(),
@@ -204,7 +218,8 @@ COMPOSITES = {
     "relu_pow": lambda x: ((x.relu() + 0.5) ** 3).sum(),
     "div_sqrt": lambda x: (x / (x * x + 2.0) ** 0.5).sum(),
     "reshape_mean": lambda x: ((x.reshape((4, 3)).sum(axis=0) * 0.25) ** 2).sum(),
-    "stack_rows": lambda x: stack([x[0], x[1] * 2.0], axis=0).sum(),
+    "stack_rows": lambda x: concat([x[0].reshape((1, 4)),
+                                    (x[1] * 2.0).reshape((1, 4))], axis=0).sum(),
     "getitem_scalar": lambda x: x[1, 2] * x[0, 0] + x[2, 3] ** 2,
 }
 

@@ -1,12 +1,19 @@
 """Embedding lookup, Bi-LSTM recurrence, word-level attention."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capsrel.autodiff import ContractViolation, Tensor, grad_check
+from capsrel.autodiff import (ContractViolation, ShapeError, Tensor, grad_check,
+                              lstm_sequence, no_grad)
 from capsrel.data import SentenceInstance, missing_bucket
 from capsrel.encoder import bilstm, embed, word_attention
-from helpers import bilstm_reference, make_instance, tiny_model, tiny_store
+from capsrel.training import label_vector, margin_loss
+from helpers import (bilstm_reference, lstm_direction_reference, make_instance,
+                     tiny_model, tiny_store)
 
 
 def lstm_params(rng, V, B, scale=0.4):
@@ -96,6 +103,114 @@ class TestBiLstm:
                    [Tensor(p) for p in bwd]).data
         np.testing.assert_allclose(H, bilstm_reference(X, fwd, bwd),
                                    rtol=1e-12, atol=1e-12)
+
+
+def lstm_arrays(rng, L, V, B, scale=0.5):
+    """X, Wx, Wh and b of one direction."""
+    return [rng.normal(0, scale, shape)
+            for shape in ((L, V), (V, 4 * B), (B, 4 * B), (4 * B,))]
+
+
+def lstm_grads(fn, arrays, weights, reverse):
+    """Output of `fn` and the gradients of sum(out * weights) by X, Wx, Wh, b."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves, reverse=reverse)
+    (out * Tensor(weights)).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def tape_nodes(root: Tensor) -> int:
+    seen = {id(root)}
+    todo = [root]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+class TestLstmSequence:
+    """The fused direction against the per-step oracles of tests/helpers.py."""
+
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 6),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_step_oracles(self, L, B, V, seed):
+        rng = np.random.default_rng(seed)
+        X, *fwd = lstm_arrays(rng, L, V, B)
+        _, *bwd = lstm_arrays(rng, L, V, B)
+        H = bilstm(Tensor(X), [Tensor(p) for p in fwd],
+                   [Tensor(p) for p in bwd]).data
+        np.testing.assert_allclose(H, bilstm_reference(X, fwd, bwd),
+                                   rtol=1e-10, atol=1e-10)
+        weights = rng.normal(size=(L, B))
+        for reverse, params in ((False, fwd), (True, bwd)):
+            out, grads = lstm_grads(lstm_sequence, [X, *params], weights, reverse)
+            ref_out, ref_grads = lstm_grads(lstm_direction_reference,
+                                            [X, *params], weights, reverse)
+            np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
+            for name, g, ref in zip(("X", "Wx", "Wh", "b"), grads, ref_grads):
+                np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10,
+                                           err_msg=name)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_grad_check_every_input(self, L, reverse):
+        rng = np.random.default_rng(L)
+        arrays = lstm_arrays(rng, L, V=3, B=2)
+        weights = Tensor(rng.normal(size=(L, 2)))
+        for k in range(4):
+            def f(t):
+                args = [Tensor(a) for a in arrays]
+                args[k] = t
+                return (lstm_sequence(*args, reverse=reverse) * weights).sum()
+            assert grad_check(f, Tensor(arrays[k].copy())) < 1e-6, k
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_saturated_gates_raise_no_warning(self, reverse):
+        rng = np.random.default_rng(5)
+        L, V, B = 6, 3, 4
+        X, Wx, Wh, _ = lstm_arrays(rng, L, V, B)
+        b = 800.0 * rng.choice([-1.0, 1.0], size=4 * B)
+        weights = rng.normal(size=(L, B))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, grads = lstm_grads(lstm_sequence, [X, Wx, Wh, b], weights,
+                                    reverse)
+            ref_out, ref_grads = lstm_grads(lstm_direction_reference,
+                                            [X, Wx, Wh, b], weights, reverse)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
+        for g, ref in zip(grads, ref_grads):
+            assert np.all(np.isfinite(g))
+            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10)
+
+    def test_no_grad_records_nothing(self):
+        rng = np.random.default_rng(6)
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in lstm_arrays(rng, 5, V=3, B=2)]
+        with no_grad():
+            out = lstm_sequence(*leaves)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, lstm_sequence(*leaves).data)
+
+    def test_nonconforming_weights_name_every_shape(self):
+        X, Wx, Wh, b = (Tensor(a) for a in
+                        lstm_arrays(np.random.default_rng(7), 3, V=3, B=2))
+        with pytest.raises(ShapeError,
+                           match=r"X \(3, 2\), Wx \(3, 8\), Wh \(2, 8\), b \(8,\)"):
+            lstm_sequence(Tensor(X.data[:, :2]), Wx, Wh, b)
+
+    @pytest.mark.parametrize("capsule", [True, False], ids=["full", "-Capsule"])
+    def test_tape_size_does_not_grow_with_sentence_length(self, capsule):
+        model = tiny_model(L=40, capsule=capsule)
+        counts = []
+        for n in (3, 30):
+            inst = make_instance(["E1"] + ["alpha"] * (n - 2) + ["E2"], L=40)
+            a = model.activations(inst, train=True)
+            counts.append(tape_nodes(margin_loss(a, label_vector({1}, 3))[0]))
+        assert counts[0] == counts[1]
 
 
 class TestWordAttention:

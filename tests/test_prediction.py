@@ -137,6 +137,27 @@ class TestAssignAll:
         assert out[1]["pair"] == ["E3", "E4"]
 
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_finite_differences_still_find_the_nearest_pair(self, scale):
+        # their squared norms overflow; the suite turns the numpy overflow
+        # warning into an error
+        store = toy_store()
+        store.entity = store.entity * scale
+        store.relation = store.relation * scale
+        out = assign_all([(2, 0.95), (1, 0.85)],
+                         [("E1", "E2"), ("E3", "E4")], store)
+        assert [r["pair"] for r in out] == [["E3", "E4"], ["E1", "E2"]]
+
+    def test_non_finite_difference_is_never_assigned(self):
+        store = toy_store()
+        # (E1, E2) differ by 3.4e308, past the largest float
+        store.entity = np.array([[-1.7e308, 0.0], [1.7e308, 0.0],
+                                 [0.0, 0.0], [0.0, 1.0]])
+        out = assign_all([(1, 0.95), (2, 0.85)],
+                         [("E1", "E2"), ("E3", "E4")], store)
+        assert [r["pair"] for r in out] == [["E3", "E4"], None]
+
+
 ENTITIES = ("E1", "E2", "E3", "E4")
 
 
