@@ -7,13 +7,14 @@ in reverse topological order. Inside :func:`no_grad` nothing is recorded
 and forward passes are plain numpy.
 
 An op stays in this module only while code under ``src/`` calls it. The
-ops kept are: ``+``, ``-`` (binary and unary), ``*``, ``/``, ``**``, ``@``
-on 1-D/2-D operands or on equal 3-D stacks (slice by slice), indexing,
-``reshape``, ``T``, ``sum``, ``norm``, ``sigmoid``, ``relu``, ``softmax``,
-and the free functions :func:`concat`, :func:`take_rows`, :func:`dropout`
-and :func:`lstm_sequence`, one fused LSTM direction with a hand-written
-BPTT backward. :func:`grad_check` compares any of them against central
-differences.
+ops kept are: ``+``, ``*``, ``/``, ``@`` on 1-D/2-D operands or on equal
+3-D stacks (slice by slice), ``reshape``, ``T``, ``sum``, ``norm``,
+``sigmoid``, ``softmax``, and the free functions :func:`concat`,
+:func:`take_rows` (the only gather), :func:`dropout` and
+:func:`lstm_sequence`, one fused LSTM direction with a hand-written BPTT
+backward. A layer with its own backward, such as the margin loss in
+``capsrel.training``, records its node with ``Tensor._from_op``.
+:func:`grad_check` compares any of them against central differences.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def assert_finite(self, what: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"{what} contains non-finite values")
-        return self
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -166,19 +162,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-
-        def bw(g):
-            _send(a, -g)
-        return Tensor._from_op(-a.data, (a,), bw)
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other)
         a, b = self, other
@@ -189,8 +172,6 @@ class Tensor:
             _send(b, _unbroadcast(g * a.data, b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = _as_tensor(other)
         a, b = self, other
@@ -200,15 +181,6 @@ class Tensor:
             _send(a, _unbroadcast(g / b.data, a.shape))
             _send(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
         return Tensor._from_op(data, (a, b), bw)
-
-    def __pow__(self, exponent: float):
-        a = self
-        e = float(exponent)
-        data = a.data ** e
-
-        def bw(g):
-            _send(a, g * e * a.data ** (e - 1.0))
-        return Tensor._from_op(data, (a,), bw)
 
     def __matmul__(self, other):
         other = _as_tensor(other)
@@ -229,18 +201,6 @@ class Tensor:
             _send(a, _matmul_2d(G, np.swapaxes(Bm, -1, -2)).reshape(a.shape))
             _send(b, _matmul_2d(np.swapaxes(A, -1, -2), G).reshape(b.shape))
         return Tensor._from_op(data, (a, b), bw)
-
-    def __getitem__(self, idx):
-        a = self
-        data = a.data[idx]
-
-        def bw(g):
-            # Scatter into the parent's gradient in place: a zero array per
-            # read would make reading every row of an L-row tensor O(L^2).
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
-        return Tensor._from_op(np.array(data, dtype=np.float64), (a,), bw)
 
     # -- shape ops ------------------------------------------------------------
 
@@ -294,14 +254,6 @@ class Tensor:
 
         def bw(g):
             _send(a, g * data * (1.0 - data))
-        return Tensor._from_op(data, (a,), bw)
-
-    def relu(self) -> "Tensor":
-        a = self
-        data = np.maximum(a.data, 0.0)
-
-        def bw(g):
-            _send(a, g * (a.data > 0.0))
         return Tensor._from_op(data, (a,), bw)
 
     def softmax(self, axis: int = -1) -> "Tensor":
@@ -423,12 +375,19 @@ def lstm_sequence(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: rows of `table` at integer `ids` (scatter-add grad)."""
+    """The rows of `table` at integer `ids`: the only gather. Its backward
+    scatter-adds into the table's gradient in place, since a zero array per
+    read would make reading every row of an L-row table O(L^2)."""
     ids = np.asarray(ids, dtype=np.int64)
     if np.any(ids < 0) or np.any(ids >= table.shape[0]):
         raise ContractViolation(
             f"row index out of range for table with {table.shape[0]} rows")
-    return table[ids]
+
+    def bw(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids, g)
+    return Tensor._from_op(table.data[ids], (table,), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
@@ -454,7 +413,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
     out = f(probe)
     if out.size != 1:
         raise ContractViolation("grad_check target must return a scalar")
-    out.assert_finite("grad_check objective")
+    if not np.isfinite(out.item()):
+        raise NonFiniteError("grad_check objective contains non-finite values")
     out.backward()
     analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
 

@@ -36,9 +36,9 @@ def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
     if Wb.shape != (C * d, 2 * width):
         raise ContractViolation(
             f"filter bank shape {Wb.shape} != {(C * d, 2 * width)}")
-    zero = Tensor(np.zeros((1, width)))
-    padded = concat([zero, x_tilde, zero], axis=0)          # (L+2) x 2B
-    windows = concat([padded[:-1], padded[1:]], axis=1)     # (L+1) x 4B
+    zero = Tensor(np.zeros((1, width)))         # window t: rows t-1 and t
+    windows = concat([concat([zero, x_tilde]), concat([x_tilde, zero])],
+                     axis=1)                                # (L+1) x 4B
     s = windows @ Wb.T + b1                                 # (L+1) x C*d
     u = squash(s.reshape(((L + 1) * C, d)), axis=-1)
     a_hat = u.norm(axis=-1)
@@ -69,12 +69,11 @@ def dynamic_routing(u_hat: Tensor, a_hat: Tensor,
         raise ContractViolation(f"routing needs >= 1 iterations, got {iterations}")
     E, d, H = u_hat.shape
     b = Tensor(np.zeros((E, 1, H)))   # row j: parent j's logits over the children
-    v = a = None
+    v = None
     for it in range(iterations):
         if it:
             b = b + v.reshape((E, 1, d)) @ u_hat
         c = a_hat * b.softmax(axis=0)                            # E x 1 x H
         s = (u_hat @ c.reshape((E, H, 1))).reshape((E, d))
         v = squash(s, axis=-1)
-        a = v.norm(axis=-1)
-    return v, a
+    return v, v.norm(axis=-1)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import evaluation, prediction, synth
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, TrainConfig
 from .data import Corpus, EmbeddingStore, load_corpus, load_embeddings
 from .model import Model, load_checkpoint, save_checkpoint
 from .training import train
@@ -31,18 +31,21 @@ def _load_run_config(path: str) -> RunConfig:
     return RunConfig.from_dict(obj)
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[EmbeddingStore, Corpus]:
-    """Check every configured input path, then load the embeddings and the
-    corpus; the entity file is optional, but checked when it is set."""
+def _load_store(cfg: RunConfig) -> EmbeddingStore:
+    """Check every configured input path, then load the embeddings; the
+    entity file is optional, but checked when it is set."""
     optional = ["entity_embeddings"] if cfg.entity_embeddings else []
     cfg.require_paths("corpus", "word_embeddings", "relation_embeddings",
                       *optional)
-    store = load_embeddings(cfg.word_embeddings,
-                            cfg.entity_embeddings or None,
-                            cfg.relation_embeddings)
-    relation_vocab = {n: i for i, n in enumerate(store.relation_names)}
-    corpus = load_corpus(cfg.corpus, cfg.train.L, cfg.train.M, relation_vocab)
-    return store, corpus
+    return load_embeddings(cfg.word_embeddings, cfg.entity_embeddings or None,
+                           cfg.relation_embeddings)
+
+
+def _load_corpus(cfg: RunConfig, store: EmbeddingStore,
+                 train_cfg: TrainConfig) -> Corpus:
+    """The corpus, parsed at the sentence limit L and M of `train_cfg`."""
+    vocab = {n: i for i, n in enumerate(store.relation_names)}
+    return load_corpus(cfg.corpus, train_cfg.L, train_cfg.M, vocab)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -55,15 +58,16 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _load_trained(cfg: RunConfig, args) -> tuple[EmbeddingStore, Corpus, Model]:
-    """Resolve --checkpoint/--corpus against `cfg`, then load the inputs
-    and the checkpoint."""
+    """Resolve --checkpoint/--corpus against `cfg`, then load the embeddings,
+    the checkpoint, and the corpus parsed for the checkpoint's model."""
     ckpt = args.checkpoint or cfg.checkpoint
     if not ckpt or not os.path.exists(ckpt):
         raise ConfigError(f"checkpoint not found: {ckpt!r}")
     if args.corpus:
         cfg.corpus = args.corpus
-    store, corpus = _load_inputs(cfg)
-    return store, corpus, load_checkpoint(ckpt, store)
+    store = _load_store(cfg)
+    model = load_checkpoint(ckpt, store)
+    return store, _load_corpus(cfg, store, model.config), model
 
 
 def _evaluate(model: Model, corpus: Corpus):
@@ -77,7 +81,8 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
     if not cfg.checkpoint:
         raise ConfigError("config field 'checkpoint' is required")
-    store, corpus = _load_inputs(cfg)
+    store = _load_store(cfg)
+    corpus = _load_corpus(cfg, store, cfg.train)
     os.makedirs(cfg.output_dir, exist_ok=True)
     os.makedirs(os.path.dirname(cfg.checkpoint) or ".", exist_ok=True)
     model = Model(cfg.train, store)
@@ -161,7 +166,8 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
-    store, corpus = _load_inputs(cfg)
+    store = _load_store(cfg)
+    corpus = _load_corpus(cfg, store, cfg.train)
     grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]
 
     def run_point(train_cfg):

@@ -240,6 +240,10 @@ def _load_vector_file(path: str, expected_dim: int | None = None,
                     f"{path}:{lineno}: the first name must be {first!r}, "
                     f"got {token!r}")
             if expected_dim is None:
+                if not values:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: {token!r} has no vector; the first "
+                        "row fixes the width, which must be at least 1")
                 expected_dim = len(values)
             if len(values) != expected_dim:
                 raise CorpusFormatError(

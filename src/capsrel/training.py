@@ -27,15 +27,19 @@ def label_vector(labels: set[int], E: int) -> np.ndarray:
 
 
 def margin_loss(a: Tensor, y: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Per-relation hinge-squared loss and its sum.
+    """Summed margin loss (one tape node) and its per-relation terms (constant).
 
-    L_k = Y_k max(0, 0.9 - a_k)^2 + 0.5 (1 - Y_k) max(0, a_k - 0.1)^2
+    L_k = Y_k max(0, 0.9 - a_k)^2 + 0.5 (1 - Y_k) max(0, a_k - 0.1)^2, so
+    dL/da_k = 2 (0.5 (1 - Y_k) max(0, a_k - 0.1) - Y_k max(0, 0.9 - a_k)).
     """
-    yt = Tensor(y)
-    pos = yt * ((M_POS - a).relu() ** 2)
-    neg = LAMBDA_NEG * Tensor(1.0 - y) * ((a - M_NEG).relu() ** 2)
-    per = pos + neg
-    return per.sum(), per
+    short = np.maximum(M_POS - a.data, 0.0)
+    over = np.maximum(a.data - M_NEG, 0.0)
+    off = LAMBDA_NEG * (1.0 - y)
+    per = y * short ** 2 + off * over ** 2
+
+    def bw(g):
+        a._accumulate(2.0 * g * (off * over - y * short))
+    return Tensor._from_op(per.sum(), (a,), bw), Tensor(per)
 
 
 def select_instance(model: Model, bag: Bag) -> int:

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from capsrel.autodiff import NonFiniteError, Tensor, concat
+from capsrel.autodiff import NonFiniteError, Tensor, concat, take_rows
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
                           parse_record)
@@ -90,11 +90,12 @@ def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
     """One LSTM direction recorded step by step on the tape; L x B.
 
     The composed graph that `lstm_sequence` fuses, built from the generic
-    tape ops: tanh is 2 sigmoid(2x) - 1, and the rows are joined with
-    `concat`. Its gradients come from their backward rules.
+    tape ops: tanh is 2 sigmoid(2x) - 1, rows and gates are read with
+    `take_rows`, and the rows are joined with `concat`. Its gradients come
+    from their backward rules.
     """
     def tanh(x):
-        return (x * 2.0).sigmoid() * 2.0 - 1.0
+        return (x * 2.0).sigmoid() * 2.0 + (-1.0)
 
     L, B = X.shape[0], Wh.shape[0]
     XW = X @ Wx + b
@@ -102,9 +103,9 @@ def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
     c = Tensor(np.zeros(B))
     rows = [None] * L
     for t in (range(L - 1, -1, -1) if reverse else range(L)):
-        z = XW[t] + h @ Wh
-        i, f = z[0:B].sigmoid(), z[B:2 * B].sigmoid()
-        g, o = tanh(z[2 * B:3 * B]), z[3 * B:4 * B].sigmoid()
+        z = (take_rows(XW, t) + h @ Wh).reshape((4, B))
+        i, f = take_rows(z, 0).sigmoid(), take_rows(z, 1).sigmoid()
+        g, o = tanh(take_rows(z, 2)), take_rows(z, 3).sigmoid()
         c = f * c + i * g
         h = o * tanh(c)
         rows[t] = h.reshape((1, B))

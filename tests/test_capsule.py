@@ -307,7 +307,7 @@ class TestCapsuleGradients:
 
         def f(t):
             u, a_hat = primary_capsules(Tensor(x), t, Tensor(b1), C, d)
-            return (u * Tensor(w)).sum() + (a_hat ** 2).sum()
+            return (u * Tensor(w)).sum() + (a_hat * a_hat).sum()
 
         Wb = rng.normal(0, 0.6, size=(C * d, 2 * width))
         assert grad_check(f, Tensor(Wb), eps=1e-5) < 1e-4

@@ -323,6 +323,42 @@ class TestEval:
         assert "JSON checkpoints are no longer read" in err
 
 
+class TestModelFieldsFromCheckpoint:
+    """`eval` and `predict` parse the corpus with the checkpoint's L and M,
+    whatever the run config says."""
+
+    @pytest.mark.parametrize("trained,stated", [
+        ({"L": 60}, {"L": 120}),     # run config beyond the position table
+        ({"L": 60}, {"L": 10}),      # run config that shifts the buckets
+        ({"M": 4}, {"M": 2}),        # run config with one pair too few
+    ], ids=["L-larger", "L-smaller", "M-smaller"])
+    def test_run_config_model_fields_change_no_output(self, tmp_path, trained,
+                                                      stated):
+        data = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(data), "--relations", "3",
+                     "--bags", "8", "--seed", "5", "--vocab", "6",
+                     "--pairs", str(trained.get("M", 2) // 2)]) == 0
+        cfg = {"corpus": str(data / "corpus.jsonl"),
+               "word_embeddings": str(data / "words.txt"),
+               "entity_embeddings": str(data / "entities.txt"),
+               "relation_embeddings": str(data / "relations.txt"),
+               "checkpoint": str(tmp_path / "model.ckpt"),
+               "B": 3, "C": 2, "d": 2, "epochs": 1, "seed": 1}
+        outputs = []
+        for name, fields in (("trained", trained), ("stated", stated)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**cfg, **fields,
+                                        "output_dir": str(tmp_path / name)}))
+            if name == "trained":
+                assert main(["train", "--config", str(path)]) == 0
+            assert main(["eval", "--config", str(path)]) == 0
+            assert main(["predict", "--config", str(path), "--multi",
+                         "--threshold", "0.01"]) == 0
+            outputs.append([(tmp_path / name / f).read_bytes() for f in
+                            ("metrics.json", "pr_curve.csv", "predictions.jsonl")])
+        assert outputs[0] == outputs[1]
+
+
 class TestPredict:
     def test_single_mode_ranks_all_relations(self, workspace, tmp_path):
         root, cfg, cfg_path = workspace

@@ -320,6 +320,17 @@ class TestLoadEmbeddings:
             load_embeddings(str(tmp_path / "w.txt"), None,
                             str(tmp_path / "r.txt"))
 
+    @pytest.mark.parametrize("bare", ["w.txt", "r.txt"])
+    def test_file_of_bare_tokens_names_its_first_line(self, tmp_path, bare):
+        # a bare-token file would load as an n x 0 table
+        self.write(tmp_path / "w.txt", [("a", [1.0]), ("b", [2.0])])
+        self.write(tmp_path / "r.txt", [("NA", [0.0]), ("R1", [1.0])])
+        self.write(tmp_path / bare, [("NA", []), ("R1", [])])
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{bare}:1: 'NA' has no vector")):
+            load_embeddings(str(tmp_path / "w.txt"), None,
+                            str(tmp_path / "r.txt"))
+
     def test_relation_file_must_list_na_first(self, tmp_path):
         self.write(tmp_path / "w.txt", [("a", [1.0])])
         self.write(tmp_path / "r.txt", [("R1", [1.0]), ("NA", [0.0])])

@@ -4,8 +4,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capsrel.autodiff import ContractViolation, NonFiniteError, Tensor, no_grad
+from capsrel.autodiff import (ContractViolation, NonFiniteError, Tensor,
+                              grad_check, no_grad)
 from capsrel.config import RunConfig, TrainConfig
 from capsrel.data import Bag
 from capsrel.model import Model, load_checkpoint, save_checkpoint
@@ -66,6 +69,39 @@ class TestMarginLoss:
         total, per = self.loss([0.0, 0.95, 0.05], label_vector({1}, 3))
         assert per.shape == (3,)
         assert abs(total - per.sum()) < 1e-15
+
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 0.1, 0.9, 1.0]),
+                                        st.floats(0.0, 1.0)),
+                              st.booleans()), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_formula(self, entries):
+        a = np.array([act for act, _ in entries])
+        y = np.array([float(gold) for _, gold in entries])
+        expected = [gold * max(0.0, 0.9 - act) ** 2
+                    + 0.5 * (1.0 - gold) * max(0.0, act - 0.1) ** 2
+                    for act, gold in zip(a, y)]
+        total, per = self.loss(a, y)
+        np.testing.assert_allclose(per, expected, rtol=1e-14, atol=0.0)
+        assert total == per.sum()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_checks(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 1.0, 6)
+        a = a[(np.abs(a - 0.1) > 1e-3) & (np.abs(a - 0.9) > 1e-3)]
+        y = (rng.uniform(size=a.size) < 0.5).astype(float)
+        assert grad_check(lambda t: margin_loss(t, y)[0], Tensor(a)) < 1e-6
+
+    def test_is_one_tape_node(self):
+        a = Tensor([0.3, 0.95, 0.05], requires_grad=True)
+        total, per = margin_loss(a, label_vector({1}, 3))
+        assert total._parents == (a,)
+        assert not per.requires_grad
+
+    def test_constant_activations_record_no_node(self):
+        total, per = margin_loss(Tensor([0.3, 0.95]), np.array([1.0, 0.0]))
+        assert not total.requires_grad and not per.requires_grad
+        assert total._parents == () and total._backward is None
 
 
 class TestLabelVector:
