@@ -7,13 +7,14 @@ in reverse topological order. Inside :func:`no_grad` nothing is recorded
 and forward passes are plain numpy.
 
 An op stays in this module only while code under ``src/`` calls it. The
-ops kept are: ``+``, ``*``, ``/``, ``@`` on 1-D/2-D operands or on equal
-3-D stacks (slice by slice), ``reshape``, ``T``, ``sum``, ``norm``,
-``sigmoid``, ``softmax``, and the free functions :func:`concat`,
-:func:`take_rows` (the only gather), :func:`dropout` and
-:func:`lstm_sequence`, one fused LSTM direction with a hand-written BPTT
-backward. A layer with its own backward, such as the margin loss in
-``capsrel.training``, records its node with ``Tensor._from_op``.
+ops kept are: ``+``, ``*``, ``@`` on 1-D/2-D operands or on equal 3-D
+stacks (slice by slice), ``reshape``, ``T``, ``sum``, ``sigmoid``,
+``softmax``, and the free functions :func:`concat`, :func:`take_rows`
+(the only gather), :func:`dropout` and :func:`lstm_sequence`, one fused
+LSTM direction with a hand-written BPTT backward. A layer with its own
+backward, such as the margin loss in ``capsrel.training`` or ``squash``
+and ``capsule_length`` in ``capsrel.capsule``, records its node with
+``Tensor._from_op``.
 :func:`grad_check` compares any of them against central differences.
 """
 
@@ -160,8 +161,6 @@ class Tensor:
             _send(b, _unbroadcast(g, b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = _as_tensor(other)
         a, b = self, other
@@ -170,16 +169,6 @@ class Tensor:
         def bw(g):
             _send(a, _unbroadcast(g * b.data, a.shape))
             _send(b, _unbroadcast(g * a.data, b.shape))
-        return Tensor._from_op(data, (a, b), bw)
-
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        a, b = self, other
-        data = a.data / b.data
-
-        def bw(g):
-            _send(a, _unbroadcast(g / b.data, a.shape))
-            _send(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
     def __matmul__(self, other):
@@ -230,20 +219,6 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _send(a, np.broadcast_to(g, a.shape))
-        return Tensor._from_op(data, (a,), bw)
-
-    def norm(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Euclidean norm; the gradient at an exact zero vector is zero."""
-        a = self
-        data = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=keepdims))
-
-        def bw(g):
-            n = data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                n = np.expand_dims(n, axis)
-            safe = np.where(n == 0.0, 1.0, n)
-            _send(a, g * a.data / safe)
         return Tensor._from_op(data, (a,), bw)
 
     # -- nonlinearities -------------------------------------------------------

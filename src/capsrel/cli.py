@@ -48,6 +48,16 @@ def _load_corpus(cfg: RunConfig, store: EmbeddingStore,
     return load_corpus(cfg.corpus, train_cfg.L, train_cfg.M, vocab)
 
 
+def _load_training_inputs(cfg: RunConfig) -> tuple[EmbeddingStore, Corpus]:
+    """The embeddings, and the corpus at L and M if it has a sentence left."""
+    store = _load_store(cfg)
+    corpus = _load_corpus(cfg, store, cfg.train)
+    if not corpus.bags:
+        raise ValueError(f"no sentence to train on in {cfg.corpus}: it is "
+                         f"empty or every sentence is longer than L={cfg.train.L}")
+    return store, corpus
+
+
 def _write_output(path: str, text: str) -> None:
     """Create the parent directory, then write `path` atomically."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -81,8 +91,7 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
     if not cfg.checkpoint:
         raise ConfigError("config field 'checkpoint' is required")
-    store = _load_store(cfg)
-    corpus = _load_corpus(cfg, store, cfg.train)
+    store, corpus = _load_training_inputs(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     os.makedirs(os.path.dirname(cfg.checkpoint) or ".", exist_ok=True)
     model = Model(cfg.train, store)
@@ -166,8 +175,7 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
-    store = _load_store(cfg)
-    corpus = _load_corpus(cfg, store, cfg.train)
+    store, corpus = _load_training_inputs(cfg)
     grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]
 
     def run_point(train_cfg):

@@ -118,6 +118,8 @@ class RunConfig:
             if type(value) is not str:
                 raise ConfigError(f"{name} must be str, got "
                                   f"{type(value).__name__} {value!r}")
+        if obj.get("output_dir") == "":
+            raise ConfigError("output_dir must name a directory, such as '.'")
         return cls(train=TrainConfig.from_dict(train_obj), **obj)
 
     def to_dict(self) -> dict:

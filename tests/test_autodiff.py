@@ -38,9 +38,6 @@ class TestForwardOps:
         out = Tensor(np.eye(3)) @ X
         np.testing.assert_array_equal(out.data, X.data)
 
-    def test_norm_3_4_5(self):
-        assert Tensor([3.0, 4.0]).norm().item() == 5.0
-
     def test_matmul_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             Tensor(rand((2, 3), 0)) @ Tensor(rand((4, 2), 0))
@@ -73,11 +70,6 @@ class TestBackward:
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         x.sum().backward()
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
-
-    def test_squared_norm_gradient(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        square(x.norm()).backward()
-        np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_disconnected_parameter_has_no_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -219,14 +211,9 @@ COMPOSITES = {
                               @ Tensor(rand((4, 2), 99))).sum(),
     "sigmoid_mul": lambda x: (x.sigmoid() * x).sum(),
     "softmax_weighted": lambda x: (x.softmax(axis=1) * Tensor(rand((3, 4), 98))).sum(),
-    "norm_rows": lambda x: x.norm(axis=1).sum(),
     "slice_concat": lambda x: square(concat([take_rows(x, [1, 2]),
-                                             take_rows(x, [0])], axis=0).norm()),
+                                             take_rows(x, [0])], axis=0)).sum(),
     "transpose_matmul": lambda x: (x @ x.T).sum(),
-    # sqrt(x^2 + 2) is the norm of (x, sqrt 2)
-    "div_sqrt": lambda x: (x / concat([x.reshape((3, 4, 1)),
-                                       Tensor(np.full((3, 4, 1), np.sqrt(2.0)))],
-                                      axis=2).norm(axis=2)).sum(),
     "reshape_mean": lambda x: square(x.reshape((4, 3)).sum(axis=0) * 0.25).sum(),
     "stack_rows": lambda x: concat([take_rows(x, 0).reshape((1, 4)),
                                     (take_rows(x, 1) * 2.0).reshape((1, 4))],
@@ -250,8 +237,9 @@ class TestGradCheck:
         assert grad_check(lambda t: t.sum(), Tensor(rand((5,), 0))) < 1e-10
 
     def test_squash_norm_composite(self):
-        from capsrel.capsule import squash
-        f = lambda t: square(squash(t.reshape((2, 3)), axis=-1).norm())
+        from capsrel.capsule import capsule_length, squash
+        f = lambda t: (square(squash(t.reshape((2, 3)), axis=-1)).sum()
+                       + capsule_length(t.reshape((3, 2)), axis=0).sum())
         assert grad_check(f, Tensor(rand((6,), 1)), eps=1e-5) < 1e-4
 
     def test_wrong_backward_rule_is_caught(self):

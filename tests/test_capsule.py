@@ -1,10 +1,15 @@
 """Squash, primary capsules, votes, and dynamic routing vs the loop oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsrel.autodiff import ContractViolation, Tensor, grad_check
-from capsrel.capsule import dynamic_routing, primary_capsules, squash, votes
+from capsrel.capsule import (capsule_length, dynamic_routing, primary_capsules,
+                             squash, votes)
 from capsrel.training import margin_loss
 from helpers import routing_reference, squash_reference, votes_reference
 
@@ -50,6 +55,65 @@ class TestSquash:
         out = squash(Tensor(X), axis=-1).data
         for i in range(5):
             np.testing.assert_allclose(out[i], squash_reference(X[i]), atol=1e-12)
+
+
+def squash_formula(x: np.ndarray, axis: int) -> np.ndarray:
+    """squash as five generic ops computed it: norm, *, +, /, *."""
+    n = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    return x * (n / (0.5 + n * n))
+
+
+@st.composite
+def capsule_arrays(draw):
+    """(x, axis): m capsules of dim d, some exactly zero, on a 0.1 grid so
+    that every other capsule is at least 0.1 long; along axis 0 the
+    capsules are columns."""
+    m, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    x = np.array(draw(st.lists(st.integers(-40, 40), min_size=m * d,
+                               max_size=m * d)), dtype=float).reshape(m, d) / 10
+    x[draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0.0
+    axis = draw(st.sampled_from([0, -1]))
+    return (x.T.copy() if axis == 0 else x), axis
+
+
+class TestSquashNodes:
+    """`squash` and `capsule_length` are one tape node each, on the law."""
+
+    @given(capsule_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_law_and_its_gradient(self, case):
+        x, axis = case
+        out = squash(Tensor(x), axis=axis).data
+        np.testing.assert_array_equal(out, squash_formula(x, axis))
+        np.testing.assert_allclose(
+            out, np.apply_along_axis(squash_reference, axis, x), atol=1e-12)
+        np.testing.assert_allclose(capsule_length(Tensor(x), axis=axis).data,
+                                   np.linalg.norm(out, axis=axis),
+                                   rtol=0, atol=1e-15)
+
+        w = np.random.default_rng(x.size).normal(size=x.shape)
+        zero = np.linalg.norm(x, axis=axis, keepdims=True) == 0.0
+        for node in (squash, capsule_length):
+            leaf = Tensor(x, requires_grad=True)
+            out = node(leaf, axis=axis)
+            assert out._parents == (leaf,)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (out * Tensor(w if node is squash else w.sum(axis=axis))
+                 ).sum().backward()
+            assert np.all(leaf.grad[np.broadcast_to(zero, x.shape)] == 0.0)
+
+        # squash is not twice differentiable at the zero vector, so central
+        # differences there are off by 2 eps; its check skips zero capsules
+        live = ~zero.reshape(-1)
+        x_live = x[:, live] if axis == 0 else x[live]
+        w_live = w[:, live] if axis == 0 else w[live]
+        if x_live.size:
+            assert grad_check(lambda t: (squash(t, axis=axis) * Tensor(w_live)
+                                         ).sum(), Tensor(x_live)) < 1e-6
+        assert grad_check(lambda t: (capsule_length(t, axis=axis)
+                                     * Tensor(w.sum(axis=axis))).sum(),
+                          Tensor(x)) < 1e-6
 
 
 class TestPrimaryCapsules:
@@ -281,7 +345,7 @@ class TestCapsuleGradients:
             return total
 
         def f_u(t):
-            a_hat = t.norm(axis=1)
+            a_hat = capsule_length(t, axis=1)
             u_hat = votes(t, Tensor(Wc), Tensor(b_hat))
             _, a = dynamic_routing(u_hat, a_hat, 3)
             total, _ = margin_loss(a, y)

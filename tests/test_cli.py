@@ -165,6 +165,21 @@ class TestTrain:
         assert f"{field} must be str" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "sweep"])
+    def test_empty_output_dir_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        _, cfg, _ = workspace
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("data read before the config was checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", no_read)
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(cfg, output_dir="")))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "output_dir must name a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
     @pytest.mark.parametrize("field,value", [
         ("B", 0), ("L", 0), ("C", 0), ("d", 0), ("d_p", -1), ("epochs", -1),
         ("seed", -1), ("lr", -0.001), ("lr", float("nan")),
@@ -427,3 +442,30 @@ class TestSweep:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "report.md").exists()
+
+
+class TestNothingToTrainOn:
+    @pytest.mark.parametrize("case", ["empty-file", "all-longer-than-L"])
+    def test_train_and_sweep_exit_1_naming_corpus_and_L(
+            self, workspace, tmp_path, capsys, monkeypatch, case):
+        _, cfg, _ = workspace
+        if case == "empty-file":
+            corpus, L = tmp_path / "empty.jsonl", 120
+            corpus.write_text("")
+        else:
+            corpus, L = cfg["corpus"], 2
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built with nothing to train on")
+        monkeypatch.setattr(cli, "Model", no_model)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(
+            cfg, corpus=str(corpus), L=L, checkpoint=str(tmp_path / "m.ckpt"),
+            output_dir=str(tmp_path / "out"))))
+        for command in ("train", "sweep"):
+            assert main([command, "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert f"no sentence to train on in {corpus}" in err
+            assert f"L={L}" in err
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "out").exists()
