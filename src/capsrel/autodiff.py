@@ -7,14 +7,14 @@ in reverse topological order. Inside :func:`no_grad` nothing is recorded
 and forward passes are plain numpy.
 
 An op stays in this module only while code under ``src/`` calls it. The
-ops kept are: ``+``, ``*``, ``@`` on 1-D/2-D operands or on equal 3-D
-stacks (slice by slice), ``reshape``, ``T``, ``sum``, ``sigmoid``,
-``softmax``, and the free functions :func:`concat`, :func:`take_rows`
-(the only gather), :func:`dropout` and :func:`lstm_sequence`, one fused
-LSTM direction with a hand-written BPTT backward. A layer with its own
-backward, such as the margin loss in ``capsrel.training`` or ``squash``
-and ``capsule_length`` in ``capsrel.capsule``, records its node with
-``Tensor._from_op``.
+ops kept are: ``+``, ``*``, ``@`` on 1-D/2-D operands, ``reshape``,
+``T``, ``sum``, ``sigmoid``, and the free functions :func:`concat`,
+:func:`take_rows` (the only gather), :func:`dropout` and
+:func:`lstm_sequence`, one fused LSTM direction with a hand-written BPTT
+backward. A layer with its own backward records its node with
+``Tensor._from_op``: word attention in ``capsrel.encoder``, ``squash``,
+``capsule_length`` and routing in ``capsrel.capsule``, and the margin
+loss in ``capsrel.training``.
 :func:`grad_check` compares any of them against central differences.
 """
 
@@ -98,20 +98,18 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -157,8 +155,8 @@ class Tensor:
         data = a.data + b.data
 
         def bw(g):
-            _send(a, _unbroadcast(g, a.shape))
-            _send(b, _unbroadcast(g, b.shape))
+            a._accumulate(_unbroadcast(g, a.shape))
+            b._accumulate(_unbroadcast(g, b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
     def __mul__(self, other):
@@ -167,28 +165,26 @@ class Tensor:
         data = a.data * b.data
 
         def bw(g):
-            _send(a, _unbroadcast(g * b.data, a.shape))
-            _send(b, _unbroadcast(g * a.data, b.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
     def __matmul__(self, other):
         other = _as_tensor(other)
         a, b = self, other
-        stacked = a.ndim == b.ndim == 3 and a.shape[0] == b.shape[0]
-        flat = 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2
-        if not (stacked or flat) or a.shape[-1] != b.shape[-min(b.ndim, 2)]:
-            raise ShapeError(f"matmul needs conforming 1-D/2-D operands or equal "
-                             f"3-D stacks, got {a.shape} @ {b.shape}")
+        if not (1 <= a.data.ndim <= 2 and 1 <= b.data.ndim <= 2) \
+                or a.shape[-1] != b.shape[0]:
+            raise ShapeError(f"matmul needs conforming 1-D/2-D operands, "
+                             f"got {a.shape} @ {b.shape}")
         data = a.data @ b.data
 
         def bw(g):
-            # Matrices, or stacks of them: a 1-D operand is one row on the
-            # left or one column on the right.
-            A = a.data.reshape(a.shape[:-2] + (-1, a.shape[-1]))
-            Bm = b.data.reshape(b.shape[:-2] + (a.shape[-1], -1))
-            G = g.reshape(A.shape[:-1] + Bm.shape[-1:])
-            _send(a, _matmul_2d(G, np.swapaxes(Bm, -1, -2)).reshape(a.shape))
-            _send(b, _matmul_2d(np.swapaxes(A, -1, -2), G).reshape(b.shape))
+            # a 1-D operand is one row on the left or one column on the right
+            A = a.data.reshape(-1, a.shape[-1])
+            Bm = b.data.reshape(b.shape[0], -1)
+            G = g.reshape(A.shape[0], Bm.shape[1])
+            a._accumulate((G @ Bm.T).reshape(a.shape))
+            b._accumulate((A.T @ G).reshape(b.shape))
         return Tensor._from_op(data, (a, b), bw)
 
     # -- shape ops ------------------------------------------------------------
@@ -198,7 +194,7 @@ class Tensor:
         data = a.data.reshape(shape)
 
         def bw(g):
-            _send(a, g.reshape(a.shape))
+            a._accumulate(g.reshape(a.shape))
         return Tensor._from_op(data, (a,), bw)
 
     @property
@@ -206,7 +202,7 @@ class Tensor:
         a = self
 
         def bw(g):
-            _send(a, g.T)
+            a._accumulate(g.T)
         return Tensor._from_op(a.data.T, (a,), bw)
 
     # -- reductions -----------------------------------------------------------
@@ -218,7 +214,7 @@ class Tensor:
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _send(a, np.broadcast_to(g, a.shape))
+            a._accumulate(np.broadcast_to(g, a.shape))
         return Tensor._from_op(data, (a,), bw)
 
     # -- nonlinearities -------------------------------------------------------
@@ -228,18 +224,7 @@ class Tensor:
         data = _sigmoid(a.data)
 
         def bw(g):
-            _send(a, g * data * (1.0 - data))
-        return Tensor._from_op(data, (a,), bw)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        data = e / e.sum(axis=axis, keepdims=True)
-
-        def bw(g):
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            _send(a, data * (g - dot))
+            a._accumulate(g * data * (1.0 - data))
         return Tensor._from_op(data, (a,), bw)
 
 
@@ -247,21 +232,10 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _send(node: Tensor, g: np.ndarray) -> None:
-    if node.requires_grad:
-        node._accumulate(g)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _matmul_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y on matrices or equal stacks. An inner size of 1 is an outer
-    product, which a broadcast multiply computes faster than non-BLAS matmul."""
-    return x * y if x.shape[-1] == 1 else x @ y
 
 
 # -- free functions ----------------------------------------------------------
@@ -285,7 +259,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g):
         for t, part in zip(tensors, np.split(g, splits, axis=axis)):
-            _send(t, part)
+            t._accumulate(part)
     return Tensor._from_op(data, tensors, bw)
 
 
@@ -341,11 +315,11 @@ def lstm_sequence(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
             dc_next = dc * f[s]
             dh_next = Wh.data @ dZ[s].reshape(-1)
         dZ = dZ.reshape(L, 4 * B)
-        _send(Wh, np.vstack([np.zeros(B), hs[:-1]]).T @ dZ)
+        Wh._accumulate(np.vstack([np.zeros(B), hs[:-1]]).T @ dZ)
         dZ = dZ[order]                          # back to row order
-        _send(X, dZ @ Wx.data.T)
-        _send(Wx, X.data.T @ dZ)
-        _send(b, dZ.sum(axis=0))
+        X._accumulate(dZ @ Wx.data.T)
+        Wx._accumulate(X.data.T @ dZ)
+        b._accumulate(dZ.sum(axis=0))
     return Tensor._from_op(hs[order], (X, Wx, Wh, b), bw)
 
 

@@ -5,7 +5,8 @@ sentence (zero-padded by one row at each end, so L rows give L+1
 windows), producing (L+1)*C child capsules of dimension d. A shared
 per-parent transform turns children into votes, and routing-by-agreement
 iteratively couples children to the E relation capsules over E x d x H
-(parent-major) votes, so that both routing sums are stacked products.
+(parent-major) votes, as one tape node that reads the votes only through
+its two contractions, the parent sum and the agreement.
 """
 
 from __future__ import annotations
@@ -13,6 +14,21 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import ContractViolation, Tensor, concat
+from .encoder import softmax
+
+
+def _squash(x: np.ndarray, axis: int):
+    """The squash law on an array, k x with k = n/(0.5+n^2) and n = ||x||
+    along `axis`, and the function taking its output gradient to x's."""
+    n = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    nn = n * n
+    k = n / (nn + 0.5)
+
+    def backward(g):
+        u = x / np.where(n == 0.0, 1.0, n)
+        slope = n * (0.5 - nn) / (nn + 0.5) ** 2    # n k'(n)
+        return k * g + u * ((g * u).sum(axis=axis, keepdims=True) * slope)
+    return x * k, backward
 
 
 def squash(x: Tensor, axis: int = -1) -> Tensor:
@@ -20,15 +36,8 @@ def squash(x: Tensor, axis: int = -1) -> Tensor:
 
     One tape node; zero maps to zero (limit convention), with zero gradient.
     """
-    n = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
-    nn = n * n
-    k = n / (nn + 0.5)
-
-    def bw(g):
-        u = x.data / np.where(n == 0.0, 1.0, n)
-        slope = n * (0.5 - nn) / (nn + 0.5) ** 2    # n k'(n), k = n/(0.5+n^2)
-        x._accumulate(k * g + u * ((g * u).sum(axis=axis, keepdims=True) * slope))
-    return Tensor._from_op(x.data * k, (x,), bw)
+    out, backward = _squash(x.data, axis)
+    return Tensor._from_op(out, (x,), lambda g: x._accumulate(backward(g)))
 
 
 def capsule_length(s: Tensor, axis: int = -1) -> Tensor:
@@ -70,24 +79,55 @@ def votes(u: Tensor, Wc: Tensor, b_hat: Tensor) -> Tensor:
     return u_hat + b_hat.reshape((E, d, 1))
 
 
+def _parent_sum(u_hat: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_i c[j, i] u_hat[j, :, i]: E x d, from E x H weights c."""
+    return (u_hat @ c[:, :, None])[:, :, 0]
+
+
+def _agreement(u_hat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v[j] . u_hat[j, :, i]: E x H, from E x d parent-side vectors v."""
+    return (v[:, None] @ u_hat)[:, 0]
+
+
 def dynamic_routing(u_hat: Tensor, a_hat: Tensor,
                     iterations: int) -> tuple[Tensor, Tensor]:
     """Routing-by-agreement over E x d x H votes: E parent capsules, activations.
 
-    Per iteration: b[j] += v_j @ u_hat[j] from the second iteration on,
-    couplings c = a_hat * softmax over parents of the logits b, parents
-    v_j = squash(s_j) with s_j = u_hat[j] @ c[j], activations a_j = ||v_j||
-    = capsule_length(s_j); both products are stacked over the E parents.
-    The loop is unrolled; gradients flow through the couplings.
+    Per iteration: logits b[j] += v_j . u_hat[j] (the agreement) after the
+    first, couplings c = a_hat * softmax of b over parents, parent inputs
+    s_j = u_hat[j] c[j] (the parent sum) and v_j = squash(s_j). One tape
+    node returns the last s; its backward walks the iterations in reverse.
     """
     if iterations < 1:
         raise ContractViolation(f"routing needs >= 1 iterations, got {iterations}")
-    E, d, H = u_hat.shape
-    b = Tensor(np.zeros((E, 1, H)))   # row j: parent j's logits over the children
+    U, a = u_hat.data, a_hat.data
+    b = np.zeros_like(U[:, 0])  # E x H: row j, parent j's logits over children
+    steps = []                  # per iteration: the softmax and squash kernels
     for it in range(iterations):
         if it:
-            b = b + v.reshape((E, 1, d)) @ u_hat
-        c = a_hat * b.softmax(axis=0)                            # E x 1 x H
-        s = (u_hat @ c.reshape((E, H, 1))).reshape((E, d))
-        v = squash(s, axis=-1)
-    return v, capsule_length(s, axis=-1)
+            b = b + _agreement(U, v)
+        p, p_backward = softmax(b, axis=0)
+        s = _parent_sum(U, a * p)
+        v, v_backward = _squash(s, -1)
+        steps.append((p, p_backward, v, v_backward))
+
+    def bw(gs):
+        # the vote gradient sums 2r - 1 outer products, one per parent sum
+        # and one per agreement, and one stacked product forms it
+        terms = []
+        gb, ga = np.zeros_like(b), np.zeros_like(a)
+        for it in reversed(range(iterations)):
+            p, p_backward = steps[it][:2]
+            gc = _agreement(U, gs)
+            terms.append((gs, a * p))
+            ga += (gc * p).sum(axis=0)
+            gb = gb + p_backward(gc * a)
+            if it:          # b = b_prev + agreement(v_prev)
+                _, _, v, v_backward = steps[it - 1]
+                terms.append((v, gb))
+                gs = v_backward(_parent_sum(U, gb))
+        left, right = zip(*terms)
+        u_hat._accumulate(np.stack(left, axis=2) @ np.stack(right, axis=1))
+        a_hat._accumulate(ga)
+    s = Tensor._from_op(s, (u_hat, a_hat), bw)
+    return squash(s, axis=-1), capsule_length(s, axis=-1)

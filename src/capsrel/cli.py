@@ -31,31 +31,28 @@ def _load_run_config(path: str) -> RunConfig:
     return RunConfig.from_dict(obj)
 
 
-def _load_store(cfg: RunConfig) -> EmbeddingStore:
-    """Check every configured input path, then load the embeddings; the
-    entity file is optional, but checked when it is set."""
+def _load_store(cfg: RunConfig, entities: bool = False) -> EmbeddingStore:
+    """Check every configured input path, then load the embeddings. The
+    entity file is optional and checked when it is set, but parsed only for
+    `entities`: TransE pair assignment alone reads it."""
     optional = ["entity_embeddings"] if cfg.entity_embeddings else []
     cfg.require_paths("corpus", "word_embeddings", "relation_embeddings",
                       *optional)
-    return load_embeddings(cfg.word_embeddings, cfg.entity_embeddings or None,
+    return load_embeddings(cfg.word_embeddings,
+                           cfg.entity_embeddings if entities else None,
                            cfg.relation_embeddings)
 
 
 def _load_corpus(cfg: RunConfig, store: EmbeddingStore,
-                 train_cfg: TrainConfig) -> Corpus:
-    """The corpus, parsed at the sentence limit L and M of `train_cfg`."""
+                 train_cfg: TrainConfig, use: str) -> Corpus:
+    """The corpus, parsed at the sentence limit L and M of `train_cfg`, if
+    a sentence is left to `use` it for."""
     vocab = {n: i for i, n in enumerate(store.relation_names)}
-    return load_corpus(cfg.corpus, train_cfg.L, train_cfg.M, vocab)
-
-
-def _load_training_inputs(cfg: RunConfig) -> tuple[EmbeddingStore, Corpus]:
-    """The embeddings, and the corpus at L and M if it has a sentence left."""
-    store = _load_store(cfg)
-    corpus = _load_corpus(cfg, store, cfg.train)
+    corpus = load_corpus(cfg.corpus, train_cfg.L, train_cfg.M, vocab)
     if not corpus.bags:
-        raise ValueError(f"no sentence to train on in {cfg.corpus}: it is "
-                         f"empty or every sentence is longer than L={cfg.train.L}")
-    return store, corpus
+        raise ValueError(f"no sentence to {use} in {cfg.corpus}: it is empty "
+                         f"or every sentence is longer than L={train_cfg.L}")
+    return corpus
 
 
 def _write_output(path: str, text: str) -> None:
@@ -67,7 +64,8 @@ def _write_output(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_trained(cfg: RunConfig, args) -> tuple[EmbeddingStore, Corpus, Model]:
+def _load_trained(cfg: RunConfig, args, use: str, entities: bool = False
+                  ) -> tuple[EmbeddingStore, Corpus, Model]:
     """Resolve --checkpoint/--corpus against `cfg`, then load the embeddings,
     the checkpoint, and the corpus parsed for the checkpoint's model."""
     ckpt = args.checkpoint or cfg.checkpoint
@@ -75,9 +73,9 @@ def _load_trained(cfg: RunConfig, args) -> tuple[EmbeddingStore, Corpus, Model]:
         raise ConfigError(f"checkpoint not found: {ckpt!r}")
     if args.corpus:
         cfg.corpus = args.corpus
-    store = _load_store(cfg)
+    store = _load_store(cfg, entities)
     model = load_checkpoint(ckpt, store)
-    return store, _load_corpus(cfg, store, model.config), model
+    return store, _load_corpus(cfg, store, model.config, use), model
 
 
 def _evaluate(model: Model, corpus: Corpus):
@@ -91,7 +89,8 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
     if not cfg.checkpoint:
         raise ConfigError("config field 'checkpoint' is required")
-    store, corpus = _load_training_inputs(cfg)
+    store = _load_store(cfg)
+    corpus = _load_corpus(cfg, store, cfg.train, "train on")
     os.makedirs(cfg.output_dir, exist_ok=True)
     os.makedirs(os.path.dirname(cfg.checkpoint) or ".", exist_ok=True)
     model = Model(cfg.train, store)
@@ -120,7 +119,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args.config)
-    _, corpus, model = _load_trained(cfg, args)
+    _, corpus, model = _load_trained(cfg, args, "evaluate")
     os.makedirs(cfg.output_dir, exist_ok=True)
     curve, auc, precisions = _evaluate(model, corpus)
     metrics = json.dumps({"auc": auc, **{f"p@{r}": p for r, p in
@@ -138,7 +137,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("--multi requires the 'entity_embeddings' config field")
     threshold = args.threshold if args.threshold is not None else cfg.train.threshold
     dataclasses.replace(cfg.train, threshold=threshold).validate()
-    store, corpus, model = _load_trained(cfg, args)
+    store, corpus, model = _load_trained(cfg, args, "predict on", args.multi)
     lines = []
     for bag in corpus.bags:
         scores = model.bag_scores(bag)
@@ -154,7 +153,7 @@ def cmd_predict(args) -> int:
         lines.append(json.dumps(
             {"key": [list(p) for p in bag.key], "relations": rels}))
     _write_output(args.out or os.path.join(cfg.output_dir, "predictions.jsonl"),
-                  "\n".join(lines) + ("\n" if lines else ""))
+                  "\n".join(lines) + "\n")
     return 0
 
 
@@ -175,7 +174,8 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
-    store, corpus = _load_training_inputs(cfg)
+    store = _load_store(cfg)
+    corpus = _load_corpus(cfg, store, cfg.train, "train on")
     grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]
 
     def run_point(train_cfg):

@@ -7,7 +7,8 @@ per-position sequence for the capsule layer. Every sentence is encoded at
 its own length; nothing is padded. Each LSTM direction is one tape node,
 :func:`~capsrel.autodiff.lstm_sequence`: its forward is a numpy loop over
 the tokens, and its backward is hand-written BPTT (one reverse sweep,
-then one product per weight).
+then one product per weight). Word attention is one tape node too, on the
+numpy softmax kernel that routing shares.
 """
 
 from __future__ import annotations
@@ -47,11 +48,26 @@ def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
                    lstm_sequence(X, *bwd, reverse=True)], axis=1)
 
 
+def softmax(x: np.ndarray, axis: int):
+    """Softmax of an array along `axis`, shifted by its max before exp, and
+    the function taking its output gradient to x's."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
+    return p, lambda g: p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
 def word_attention(H: Tensor, A: Tensor, r: Tensor) -> tuple[Tensor, Tensor]:
     """Scale each hidden row by its bilinear-score softmax weight.
 
-    Scores are h_t A r, normalised over the L positions.
+    Scores are h_t A r, normalised over the L positions. The weighted rows
+    are one tape node; the weights alpha come back as a constant.
     """
-    alpha = ((H @ A) @ r).softmax(axis=0)
-    weighted = alpha.reshape((H.shape[0], 1)) * H
-    return weighted, alpha
+    alpha, alpha_backward = softmax((H.data @ A.data) @ r.data, axis=0)
+
+    def bw(g):
+        g_score = alpha_backward((g * H.data).sum(axis=1))
+        h_score = H.data.T @ g_score
+        H._accumulate(alpha[:, None] * g + np.outer(g_score, A.data @ r.data))
+        A._accumulate(np.outer(h_score, r.data))
+        r._accumulate(A.data.T @ h_score)
+    return Tensor._from_op(alpha[:, None] * H.data, (H, A, r), bw), Tensor(alpha)

@@ -8,6 +8,7 @@ import json
 import numpy as np
 
 from capsrel.autodiff import NonFiniteError, Tensor, concat, take_rows
+from capsrel.capsule import capsule_length, squash
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
                           parse_record)
@@ -47,6 +48,57 @@ def routing_reference(u_hat: np.ndarray, a_hat: np.ndarray,
             for j in range(E):
                 b[i, j] = b[i, j] + float(u_hat[i, j] @ v[j])
     return v, a
+
+
+def relative_gap(x: np.ndarray, ref: np.ndarray) -> float:
+    """max |x - ref| over the larger of the two max-abs values, floored at
+    the smallest normal float: subnormals carry no relative precision."""
+    scale = max(np.abs(ref).max(), np.abs(x).max(), np.finfo(np.float64).tiny)
+    return float(np.abs(x - ref).max() / scale)
+
+
+def softmax_node(x: Tensor, axis: int) -> Tensor:
+    """Softmax along `axis` as a tape node of its own, written apart from
+    the kernel the model's nodes share."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        x._accumulate(p * (g - (g * p).sum(axis=axis, keepdims=True)))
+    return Tensor._from_op(p, (x,), bw)
+
+
+def stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over two equal 3-D stacks, slice by slice, as a tape node."""
+    def bw(g):
+        a._accumulate(g @ np.swapaxes(b.data, 1, 2))
+        b._accumulate(np.swapaxes(a.data, 1, 2) @ g)
+    return Tensor._from_op(a.data @ b.data, (a, b), bw)
+
+
+def word_attention_composed(H: Tensor, A: Tensor,
+                            r: Tensor) -> tuple[Tensor, Tensor]:
+    """The composed graph that `word_attention` fuses: scores, a softmax
+    node over the positions, and the weighting, one tape op each."""
+    alpha = softmax_node((H @ A) @ r, axis=0)
+    return alpha.reshape((H.shape[0], 1)) * H, alpha
+
+
+def dynamic_routing_composed(u_hat: Tensor, a_hat: Tensor,
+                             iterations: int) -> tuple[Tensor, Tensor]:
+    """The composed graph that `dynamic_routing` fuses, unrolled on the tape:
+    per iteration a stacked agreement update (from the second on), a
+    softmax node, the couplings, a stacked parent sum and a squash node."""
+    E, d, H = u_hat.shape
+    b = Tensor(np.zeros((E, 1, H)))
+    for it in range(iterations):
+        if it:
+            b = b + stacked_matmul(v.reshape((E, 1, d)), u_hat)
+        c = a_hat * softmax_node(b, axis=0)
+        s = stacked_matmul(u_hat, c.reshape((E, H, 1))).reshape((E, d))
+        v = squash(s, axis=-1)
+    return v, capsule_length(s, axis=-1)
 
 
 def votes_reference(u: np.ndarray, Wc: np.ndarray,

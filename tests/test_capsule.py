@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsrel import capsule
 from capsrel.autodiff import ContractViolation, Tensor, grad_check
 from capsrel.capsule import (capsule_length, dynamic_routing, primary_capsules,
                              squash, votes)
 from capsrel.training import margin_loss
-from helpers import routing_reference, squash_reference, votes_reference
+from helpers import (dynamic_routing_composed, relative_gap,
+                     routing_reference, squash_reference, votes_reference)
 
 
 class TestSquash:
@@ -278,16 +280,15 @@ class TestDynamicRouting:
         np.testing.assert_allclose(ap.data, a.data[perm], atol=1e-12)
 
     def test_couplings_per_child_sum_to_activation(self, monkeypatch):
-        # the couplings are the E x H x 1 right operand of each coupling sum
-        matmul = Tensor.__matmul__
+        # the couplings are the weights of each forward parent sum
+        parent_sum = capsule._parent_sum
         couplings = []
 
-        def recording(a, b):
-            if a.ndim == 3 and b.shape[-1] == 1:
-                couplings.append(b.data[:, :, 0].copy())
-            return matmul(a, b)
+        def recording(u_hat, c):
+            couplings.append(c.copy())
+            return parent_sum(u_hat, c)
 
-        monkeypatch.setattr(Tensor, "__matmul__", recording)
+        monkeypatch.setattr(capsule, "_parent_sum", recording)
         u_hat, a_hat = self.rand_case(7, 3, 2, seed=11)
         _, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
                                Tensor(a_hat), 3)
@@ -312,19 +313,85 @@ class TestDynamicRouting:
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 4])
     def test_runs_2r_minus_1_stacked_products(self, monkeypatch, iters):
-        # one coupling sum per iteration and one agreement update between
-        # iterations; none after the last, whose logits nothing reads
-        matmul = Tensor.__matmul__
-        stacked = []
-
-        def counting(a, b):
-            stacked.append(a.ndim == 3)
-            return matmul(a, b)
-
-        monkeypatch.setattr(Tensor, "__matmul__", counting)
+        # forward: one parent sum per iteration and one agreement update
+        # between iterations, none after the last, whose logits nothing
+        # reads; backward: the mirror image, an agreement per iteration
+        # and a parent sum between iterations
+        calls = []
+        for name in ("_parent_sum", "_agreement"):
+            def counting(*args, fn=getattr(capsule, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(capsule, name, counting)
         u_hat, a_hat = self.rand_case(6, 3, 2, seed=12)
-        dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), iters)
-        assert sum(stacked) == 2 * iters - 1
+        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0),
+                                      requires_grad=True), Tensor(a_hat), iters)
+        assert calls.count("_parent_sum") == iters
+        assert calls.count("_agreement") == iters - 1
+        calls.clear()
+        (v.sum() + a.sum()).backward()
+        assert calls.count("_agreement") == iters
+        assert calls.count("_parent_sum") == iters - 1
+
+
+@st.composite
+def routing_cases(draw):
+    """(u_hat, a_hat, iterations, scale) over E x d x H votes; a_hat has
+    exact zeros, and votes scaled by 30 saturate the coupling softmax."""
+    E, d, H = (draw(st.integers(1, n)) for n in (4, 3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    scale = draw(st.sampled_from([1.0, 30.0]))
+    a_hat = rng.uniform(0.0, 1.0, size=H)
+    a_hat[draw(st.lists(st.booleans(), min_size=H, max_size=H))] = 0.0
+    return (rng.normal(size=(E, d, H)) * scale, a_hat,
+            draw(st.sampled_from([1, 2, 3, 5])), scale)
+
+
+class TestRoutingNode:
+    """`dynamic_routing` is one tape node against the composed graph."""
+
+    @given(routing_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composed_graph_and_its_gradient(self, case):
+        u_hat, a_hat, iters, scale = case
+        w_v = np.random.default_rng(1).normal(size=u_hat.shape[:2])
+        w_a = np.random.default_rng(2).normal(size=u_hat.shape[0])
+        results = []
+        for routing in (dynamic_routing, dynamic_routing_composed):
+            u = Tensor(u_hat, requires_grad=True)
+            a = Tensor(a_hat, requires_grad=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v, act = routing(u, a, iters)
+                ((v * Tensor(w_v)).sum() + (act * Tensor(w_a)).sum()).backward()
+            results.append((v, act, u, a))
+        (v, act, u, a), (v_ref, act_ref, u_ref, a_ref) = results
+        np.testing.assert_array_equal(v.data, v_ref.data)
+        np.testing.assert_array_equal(act.data, act_ref.data)
+        assert relative_gap(u.grad, u_ref.grad) <= 1e-12
+        assert relative_gap(a.grad, a_ref.grad) <= 1e-12
+
+        # one node, under the squash and capsule_length nodes
+        u, a = Tensor(u_hat, requires_grad=True), Tensor(a_hat)
+        v, act = dynamic_routing(u, a, iters)
+        (node,) = v._parents
+        assert act._parents == (node,) and node._parents == (u, a)
+
+        # squash has a kink at a zero parent input. Saturated couplings can
+        # underflow to exact zeros and leave a parent there, so only
+        # unsaturated votes are checked, and a alone when a_hat is all zero.
+        if scale != 1.0:
+            return
+
+        def f(which):
+            def objective(t):
+                args = (t, Tensor(a_hat)) if which == "u" else (Tensor(u_hat), t)
+                v, act = dynamic_routing(*args, iters)
+                out = (act * Tensor(w_a)).sum()
+                return out + (v * Tensor(w_v)).sum() if a_hat.any() else out
+            return objective
+        assert grad_check(f("u"), Tensor(u_hat)) < 1e-6
+        assert grad_check(f("a"), Tensor(a_hat)) < 1e-6
 
 
 class TestCapsuleGradients:

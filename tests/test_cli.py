@@ -469,3 +469,56 @@ class TestNothingToTrainOn:
             assert f"L={L}" in err
         assert not (tmp_path / "m.ckpt").exists()
         assert not (tmp_path / "out").exists()
+
+
+class TestNothingToScore:
+    @pytest.mark.parametrize("command", [["eval"], ["predict"],
+                                         ["predict", "--multi"]],
+                             ids=["eval", "predict", "predict-multi"])
+    @pytest.mark.parametrize("case", ["empty-file", "all-longer-than-L"])
+    def test_exits_1_naming_corpus_and_L(self, workspace, tmp_path, capsys,
+                                         case, command):
+        _, cfg, _ = workspace
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(
+            cfg, checkpoint=str(tmp_path / "m.ckpt"),
+            output_dir=str(tmp_path / "out"))))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        corpus = tmp_path / "unscorable.jsonl"
+        records = []
+        if case == "all-longer-than-L":     # the checkpoint's L is 120
+            for line in open(cfg["corpus"]).read().splitlines():
+                record = json.loads(line)
+                record["tokens"] += ["w0"] * 120
+                records.append(json.dumps(record) + "\n")
+        corpus.write_text("".join(records))
+        assert main([*command, "--config", str(cfg_path),
+                     "--corpus", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert f"in {corpus}: it is empty or every sentence" in err
+        assert "L=120" in err
+        assert sorted(os.listdir(tmp_path / "out")) == ["train_log.jsonl"]
+
+
+class TestEntityFile:
+    def test_parsed_only_by_predict_multi(self, workspace, tmp_path, capsys):
+        _, cfg, _ = workspace
+        entities = tmp_path / "entities.txt"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(
+            cfg, entity_embeddings=str(entities),
+            checkpoint=str(tmp_path / "m.ckpt"),
+            output_dir=str(tmp_path / "out"))))
+        outputs = ["m.ckpt", "out/train_log.jsonl", "out/metrics.json",
+                   "out/pr_curve.csv", "out/predictions.jsonl"]
+        digests = []
+        for text in (open(cfg["entity_embeddings"]).read(), "E00000 0.5 x\n"):
+            entities.write_text(text)
+            for command in ("train", "eval", "predict"):
+                assert main([command, "--config", str(cfg_path)]) == 0
+            digests.append({name: sha256(tmp_path / name) for name in outputs})
+        assert digests[0] == digests[1]
+        assert main(["predict", "--config", str(cfg_path), "--multi",
+                     "--out", str(tmp_path / "multi.jsonl")]) == 1
+        assert f"{entities}:1:" in capsys.readouterr().err
+        assert not (tmp_path / "multi.jsonl").exists()

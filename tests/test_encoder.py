@@ -13,7 +13,8 @@ from capsrel.data import SentenceInstance, missing_bucket
 from capsrel.encoder import bilstm, embed, word_attention
 from capsrel.training import label_vector, margin_loss
 from helpers import (bilstm_reference, lstm_direction_reference, make_instance,
-                     tiny_model, tiny_store)
+                     relative_gap, tiny_model, tiny_store,
+                     word_attention_composed)
 
 
 def lstm_params(rng, V, B, scale=0.4):
@@ -202,7 +203,7 @@ class TestLstmSequence:
                            match=r"X \(3, 2\), Wx \(3, 8\), Wh \(2, 8\), b \(8,\)"):
             lstm_sequence(Tensor(X.data[:, :2]), Wx, Wh, b)
 
-    @pytest.mark.parametrize("capsule, nodes", [(True, 69), (False, 32)],
+    @pytest.mark.parametrize("capsule, nodes", [(True, 42), (False, 28)],
                              ids=["full", "-Capsule"])
     def test_tape_size_does_not_grow_with_sentence_length(self, capsule, nodes):
         model = tiny_model(L=40, capsule=capsule)
@@ -253,6 +254,47 @@ class TestWordAttention:
         assert abs(alpha.data.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(out.data, alpha.data[:, None] * H.data,
                                    atol=1e-15)
+
+
+class TestWordAttentionNode:
+    """`word_attention` is one tape node against the composed graph."""
+
+    @given(st.integers(1, 6), st.integers(1, 5), st.sampled_from([1.0, 1e3]),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composed_graph_and_its_gradient(self, L, width, scale,
+                                                     seed):
+        # scale 1e3 saturates the softmax: scores hundreds apart
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(size=(L, width)),
+                  rng.normal(size=(width, width)) * scale,
+                  rng.normal(size=width))
+        w = rng.normal(size=(L, width))
+        results = []
+        for attention in (word_attention, word_attention_composed):
+            leaves = [Tensor(x, requires_grad=True) for x in arrays]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out, alpha = attention(*leaves)
+                (out * Tensor(w)).sum().backward()
+            results.append((out, alpha, leaves))
+        (out, alpha, leaves), (out_ref, alpha_ref, leaves_ref) = results
+        np.testing.assert_array_equal(out.data, out_ref.data)
+        np.testing.assert_array_equal(alpha.data, alpha_ref.data)
+        for leaf, ref in zip(leaves, leaves_ref):
+            assert relative_gap(leaf.grad, ref.grad) <= 1e-12
+        leaves = [Tensor(x, requires_grad=True) for x in arrays]
+        assert word_attention(*leaves)[0]._parents == tuple(leaves)
+
+        # central differences cannot follow a softmax saturated this hard
+        if scale != 1.0:
+            return
+        for k in range(3):
+            def f(t):
+                args = [Tensor(x) for x in arrays]
+                args[k] = t
+                return (word_attention(*args)[0] * Tensor(w)).sum()
+            assert grad_check(f, Tensor(arrays[k])) < 1e-6
 
 
 class TestEncoderGradients:
