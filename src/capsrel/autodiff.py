@@ -6,15 +6,12 @@ enabled record a backward closure; :meth:`Tensor.backward` replays them
 in reverse topological order. Inside :func:`no_grad` nothing is recorded
 and forward passes are plain numpy.
 
-An op stays in this module only while code under ``src/`` calls it. The
-ops kept are: ``+``, ``*``, ``@`` on 1-D/2-D operands, ``reshape``,
-``T``, ``sum``, ``sigmoid``, and the free functions :func:`concat`,
-:func:`take_rows` (the only gather), :func:`dropout` and
-:func:`lstm_sequence`, one fused LSTM direction with a hand-written BPTT
-backward. A layer with its own backward records its node with
-``Tensor._from_op``: word attention in ``capsrel.encoder``, ``squash``,
-``capsule_length`` and routing in ``capsrel.capsule``, and the margin
-loss in ``capsrel.training``.
+Each layer of the model is one node with its own backward, recorded in
+its module with ``Tensor._from_op``. This module keeps only the ops no
+layer owns: :func:`lstm_sequence`, one fused LSTM direction with a
+hand-written BPTT backward, :func:`concat`, :func:`dropout`, and ``*`` on
+equal shapes with a full ``sum``, which also build the scalar objectives
+that :func:`grad_check` takes.
 :func:`grad_check` compares any of them against central differences.
 """
 
@@ -51,19 +48,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -149,83 +133,20 @@ class Tensor:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        other = _as_tensor(other)
-        a, b = self, other
-        data = a.data + b.data
-
-        def bw(g):
-            a._accumulate(_unbroadcast(g, a.shape))
-            b._accumulate(_unbroadcast(g, b.shape))
-        return Tensor._from_op(data, (a, b), bw)
-
     def __mul__(self, other):
-        other = _as_tensor(other)
-        a, b = self, other
-        data = a.data * b.data
+        a, b = self, _as_tensor(other)
+        if a.shape != b.shape:
+            raise ShapeError(f"* needs equal shapes, got {a.shape} * {b.shape}")
 
         def bw(g):
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-        return Tensor._from_op(data, (a, b), bw)
+            a._accumulate(g * b.data)
+            b._accumulate(g * a.data)
+        return Tensor._from_op(a.data * b.data, (a, b), bw)
 
-    def __matmul__(self, other):
-        other = _as_tensor(other)
-        a, b = self, other
-        if not (1 <= a.data.ndim <= 2 and 1 <= b.data.ndim <= 2) \
-                or a.shape[-1] != b.shape[0]:
-            raise ShapeError(f"matmul needs conforming 1-D/2-D operands, "
-                             f"got {a.shape} @ {b.shape}")
-        data = a.data @ b.data
-
+    def sum(self) -> "Tensor":
         def bw(g):
-            # a 1-D operand is one row on the left or one column on the right
-            A = a.data.reshape(-1, a.shape[-1])
-            Bm = b.data.reshape(b.shape[0], -1)
-            G = g.reshape(A.shape[0], Bm.shape[1])
-            a._accumulate((G @ Bm.T).reshape(a.shape))
-            b._accumulate((A.T @ G).reshape(b.shape))
-        return Tensor._from_op(data, (a, b), bw)
-
-    # -- shape ops ------------------------------------------------------------
-
-    def reshape(self, shape) -> "Tensor":
-        a = self
-        data = a.data.reshape(shape)
-
-        def bw(g):
-            a._accumulate(g.reshape(a.shape))
-        return Tensor._from_op(data, (a,), bw)
-
-    @property
-    def T(self) -> "Tensor":
-        a = self
-
-        def bw(g):
-            a._accumulate(g.T)
-        return Tensor._from_op(a.data.T, (a,), bw)
-
-    # -- reductions -----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def bw(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape))
-        return Tensor._from_op(data, (a,), bw)
-
-    # -- nonlinearities -------------------------------------------------------
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        data = _sigmoid(a.data)
-
-        def bw(g):
-            a._accumulate(g * data * (1.0 - data))
-        return Tensor._from_op(data, (a,), bw)
+            self._accumulate(np.broadcast_to(g, self.shape))
+        return Tensor._from_op(self.data.sum(), (self,), bw)
 
 
 def _as_tensor(x) -> Tensor:
@@ -323,26 +244,13 @@ def lstm_sequence(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
     return Tensor._from_op(hs[order], (X, Wx, Wh, b), bw)
 
 
-def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """The rows of `table` at integer `ids`: the only gather. Its backward
-    scatter-adds into the table's gradient in place, since a zero array per
-    read would make reading every row of an L-row table O(L^2)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0) or np.any(ids >= table.shape[0]):
-        raise ContractViolation(
-            f"row index out of range for table with {table.shape[0]} rows")
-
-    def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
-    return Tensor._from_op(table.data[ids], (table,), bw)
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
             training: bool) -> Tensor:
     """Inverted dropout: identity in eval mode; in train, each unit is kept
-    with probability 1 - rate and scaled by 1 / (1 - rate)."""
+    with probability 1 - rate and scaled by 1 / (1 - rate), for a rate in
+    [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ContractViolation(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     keep = 1.0 - rate

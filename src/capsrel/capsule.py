@@ -5,15 +5,16 @@ sentence (zero-padded by one row at each end, so L rows give L+1
 windows), producing (L+1)*C child capsules of dimension d. A shared
 per-parent transform turns children into votes, and routing-by-agreement
 iteratively couples children to the E relation capsules over E x d x H
-(parent-major) votes, as one tape node that reads the votes only through
-its two contractions, the parent sum and the agreement.
+(parent-major) votes. Each stage is one tape node with a hand-written
+backward; routing reads the votes only through its two contractions, the
+parent sum and the agreement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ContractViolation, Tensor, concat
+from .autodiff import ContractViolation, ShapeError, Tensor
 from .encoder import softmax
 
 
@@ -55,28 +56,48 @@ def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
     """Extract (L+1)*C child capsules of dim d from the L x 2B sequence.
 
     Each of the C*d filters is a 2x2B inner product against a 2-gram
-    window; per window the C*d responses regroup into C capsules of dim d
-    and are squashed per capsule vector. Returns (u: H x d, a_hat = ||u||: H).
+    window; per window the C*d responses plus b1, one tape node, regroup
+    into C capsules of dim d, squashed per capsule vector. Returns
+    (u: H x d, a_hat = ||u||: H).
     """
-    L, width = x_tilde.shape
-    if Wb.shape != (C * d, 2 * width):
-        raise ContractViolation(
-            f"filter bank shape {Wb.shape} != {(C * d, 2 * width)}")
-    zero = Tensor(np.zeros((1, width)))         # window t: rows t-1 and t
-    windows = concat([concat([zero, x_tilde]), concat([x_tilde, zero])],
-                     axis=1)                                # (L+1) x 4B
-    s = (windows @ Wb.T + b1).reshape(((L + 1) * C, d))     # H x d
+    L, width = x_tilde.shape if len(x_tilde.shape) == 2 else (-1, -1)
+    if Wb.shape != (C * d, 2 * width) or b1.shape != (C * d,):
+        raise ShapeError(
+            f"primary_capsules shapes do not conform for C={C}, d={d}: "
+            f"x_tilde {x_tilde.shape}, Wb {Wb.shape}, b1 {b1.shape}")
+    zero = np.zeros((1, width))                 # window t: rows t-1 and t
+    windows = np.concatenate([np.concatenate([zero, x_tilde.data]),
+                              np.concatenate([x_tilde.data, zero])], axis=1)
+
+    def bw(g):
+        g = g.reshape((L + 1, C * d))
+        g_windows = g @ Wb.data
+        x_tilde._accumulate(g_windows[1:, :width] + g_windows[:L, width:])
+        Wb._accumulate((windows.T @ g).T)
+        b1._accumulate(g.sum(axis=0))
+    s = Tensor._from_op((windows @ Wb.data.T + b1.data).reshape(((L + 1) * C, d)),
+                        (x_tilde, Wb, b1), bw)
     return squash(s, axis=-1), capsule_length(s, axis=-1)
 
 
 def votes(u: Tensor, Wc: Tensor, b_hat: Tensor) -> Tensor:
     """Per-parent votes u_hat[j, :, i] = Wc[j] @ u[i] + b_hat[j]; E x d x H.
 
-    All E transforms are one product, Wc viewed as E*d x d times u^T.
+    One tape node: Wc viewed as E*d x d times u^T.
     """
-    E, d, _ = Wc.shape
-    u_hat = (Wc.reshape((E * d, d)) @ u.T).reshape((E, d, u.shape[0]))
-    return u_hat + b_hat.reshape((E, d, 1))
+    E, d = b_hat.shape if len(b_hat.shape) == 2 else (-1, -1)
+    if u.shape[1:] != (d,) or Wc.shape != (E, d, d):
+        raise ShapeError(f"votes shapes do not conform: u {u.shape}, "
+                         f"Wc {Wc.shape}, b_hat {b_hat.shape}")
+    W = Wc.data.reshape((E * d, d))
+
+    def bw(g):
+        G = g.reshape((E * d, -1))
+        u._accumulate((W.T @ G).T)
+        Wc._accumulate((G @ u.data).reshape((E, d, d)))
+        b_hat._accumulate(g.sum(axis=2))
+    return Tensor._from_op((W @ u.data.T).reshape((E, d, -1))
+                           + b_hat.data.reshape((E, d, 1)), (u, Wc, b_hat), bw)
 
 
 def _parent_sum(u_hat: np.ndarray, c: np.ndarray) -> np.ndarray:

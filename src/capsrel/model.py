@@ -3,7 +3,8 @@
 The full pipeline is embeddings -> Bi-LSTM -> word attention -> primary
 capsules -> votes -> dynamic routing, yielding one activation per
 relation. Ablation switches replace attention with the identity and the
-capsule stack with a sigmoid dense head over the mean-pooled sequence.
+capsule stack with a sigmoid dense head (one tape node) over the
+mean-pooled sequence.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import capsule as caps
 from . import encoder
-from .autodiff import ContractViolation, Tensor, dropout, no_grad
+from .autodiff import ContractViolation, Tensor, _sigmoid, dropout, no_grad
 from .config import ConfigError, TrainConfig
 from .data import EmbeddingStore, SentenceInstance, num_position_buckets
 
@@ -119,15 +120,14 @@ class Model:
         """Per-relation activations a in [0, 1), length E."""
         cfg = self.config
         p = self.params
-        x_tilde, n = self.encode(inst, train=train)
+        x_tilde, _ = self.encode(inst, train=train)
         if cfg.capsule:
             u, a_hat = caps.primary_capsules(x_tilde, p["caps_Wb"],
                                              p["caps_b1"], cfg.C, cfg.d)
             u_hat = caps.votes(u, p["caps_Wc"], p["caps_bhat"])
             _, a = caps.dynamic_routing(u_hat, a_hat, cfg.routing_iters)
             return a
-        pooled = x_tilde.sum(axis=0) * (1.0 / n)
-        return (pooled @ p["head_W"] + p["head_b"]).sigmoid()
+        return _pooled_head(x_tilde, p["head_W"], p["head_b"])
 
     def instance_scores(self, bag) -> np.ndarray:
         """Eval-mode activations of each of the bag's instances, N x E."""
@@ -138,6 +138,21 @@ class Model:
     def bag_scores(self, bag) -> np.ndarray:
         """Eval-mode per-relation score: max over the bag's instances."""
         return self.instance_scores(bag).max(axis=0)
+
+
+def _pooled_head(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """The -Capsule head, sigmoid(mean of x's rows @ W + b), as one tape node."""
+    n, width = x.shape
+    pooled = x.data.sum(axis=0) * (1.0 / n)
+    a = _sigmoid(pooled @ W.data + b.data)
+
+    def bw(g):
+        dz = g * a * (1.0 - a)
+        x._accumulate(np.broadcast_to(
+            (dz.reshape((1, -1)) @ W.data.T).reshape(width) * (1.0 / n), x.shape))
+        W._accumulate(pooled.reshape((1, width)).T @ dz.reshape((1, -1)))
+        b._accumulate(dz)
+    return Tensor._from_op(a, (x, W, b), bw)
 
 
 # Checkpoint container: MAGIC, the header length as a little-endian u64,

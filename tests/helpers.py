@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import warnings
 
 import numpy as np
 
-from capsrel.autodiff import NonFiniteError, Tensor, concat, take_rows
+from capsrel.autodiff import NonFiniteError, Tensor, concat, grad_check
 from capsrel.capsule import capsule_length, squash
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
@@ -57,32 +59,156 @@ def relative_gap(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(x - ref).max() / scale)
 
 
+# -- a kit of generic tape ops -----------------------------------------------
+#
+# Each op is one `Tensor._from_op` node with numpy's broadcasting. The
+# model's layers are single nodes with hand-written backwards; the oracles
+# below rebuild the graphs those layers fuse from these ops, whose
+# gradients come from their own backward rules.
+
+
+def _tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def op(data: np.ndarray, parents, *vjps) -> Tensor:
+    """One tape node whose backward sends vjps[k](g) to parents[k]."""
+    def bw(g):
+        for parent, vjp in zip(parents, vjps):
+            parent._accumulate(vjp(g))
+    return Tensor._from_op(data, parents, bw)
+
+
+def add(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+    return op(a.data + b.data, (a, b), lambda g: unbroadcast(g, a.shape),
+              lambda g: unbroadcast(g, b.shape))
+
+
+def mul(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+    return op(a.data * b.data, (a, b),
+              lambda g: unbroadcast(g * b.data, a.shape),
+              lambda g: unbroadcast(g * a.data, b.shape))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b on 1-D/2-D operands: a 1-D operand is one row on the left or
+    one column on the right."""
+    A = a.data.reshape(-1, a.shape[-1])
+    B = b.data.reshape(b.shape[0], -1)
+
+    def rows(g):
+        return g.reshape(A.shape[0], B.shape[1])
+    return op(a.data @ b.data, (a, b),
+              lambda g: (rows(g) @ B.T).reshape(a.shape),
+              lambda g: (A.T @ rows(g)).reshape(b.shape))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    return op(a.data.reshape(shape), (a,), lambda g: g.reshape(a.shape))
+
+
+def transpose(a: Tensor) -> Tensor:
+    return op(a.data.T, (a,), lambda g: g.T)
+
+
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    return op(a.data.sum(axis=axis), (a,),
+              lambda g: np.broadcast_to(np.expand_dims(g, axis), a.shape))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    e = np.exp(-np.abs(a.data))     # exp only sees -|x|: it never overflows
+    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return op(out, (a,), lambda g: g * out * (1.0 - out))
+
+
+def take_rows(table: Tensor, ids) -> Tensor:
+    """The rows of `table` at integer `ids`. Its backward scatter-adds into
+    the table's gradient, once per read."""
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def bw(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids, g)
+    return Tensor._from_op(table.data[ids], (table,), bw)
+
+
 def softmax_node(x: Tensor, axis: int) -> Tensor:
     """Softmax along `axis` as a tape node of its own, written apart from
     the kernel the model's nodes share."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        x._accumulate(p * (g - (g * p).sum(axis=axis, keepdims=True)))
-    return Tensor._from_op(p, (x,), bw)
+    return op(p, (x,), lambda g: p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
 
 def stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b over two equal 3-D stacks, slice by slice, as a tape node."""
-    def bw(g):
-        a._accumulate(g @ np.swapaxes(b.data, 1, 2))
-        b._accumulate(np.swapaxes(a.data, 1, 2) @ g)
-    return Tensor._from_op(a.data @ b.data, (a, b), bw)
+    return op(a.data @ b.data, (a, b),
+              lambda g: g @ np.swapaxes(b.data, 1, 2),
+              lambda g: np.swapaxes(a.data, 1, 2) @ g)
+
+
+# -- the composed graphs that the model's nodes fuse -------------------------
+
+
+def embed_composed(word_ids, position_ids, word_emb: Tensor,
+                   pos_embs: list[Tensor]) -> Tensor:
+    """The graph `embed` fuses: a gather per table, then one concat."""
+    cols = [take_rows(word_emb, word_ids)]
+    cols += [take_rows(table, position_ids[:, m])
+             for m, table in enumerate(pos_embs)]
+    return concat(cols, axis=1)
+
+
+def primary_capsules_composed(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
+                              C: int, d: int) -> tuple[Tensor, Tensor]:
+    """The graph `primary_capsules` fuses: zero-padded 2-gram windows from
+    concatenations, the filter product, the bias, and the squash nodes."""
+    L, width = x_tilde.shape
+    zero = Tensor(np.zeros((1, width)))
+    windows = concat([concat([zero, x_tilde]), concat([x_tilde, zero])],
+                     axis=1)
+    s = reshape(add(matmul(windows, transpose(Wb)), b1), ((L + 1) * C, d))
+    return squash(s, axis=-1), capsule_length(s, axis=-1)
+
+
+def votes_composed(u: Tensor, Wc: Tensor, b_hat: Tensor) -> Tensor:
+    """The graph `votes` fuses: Wc viewed as E*d x d times u^T, plus b_hat."""
+    E, d, _ = Wc.shape
+    u_hat = reshape(matmul(reshape(Wc, (E * d, d)), transpose(u)),
+                    (E, d, u.shape[0]))
+    return add(u_hat, reshape(b_hat, (E, d, 1)))
+
+
+def pooled_head_composed(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """The graph the -Capsule head fuses: mean pool, dense layer, sigmoid."""
+    pooled = mul(sum_axis(x, 0), 1.0 / x.shape[0])
+    return sigmoid(add(matmul(pooled, W), b))
 
 
 def word_attention_composed(H: Tensor, A: Tensor,
                             r: Tensor) -> tuple[Tensor, Tensor]:
     """The composed graph that `word_attention` fuses: scores, a softmax
     node over the positions, and the weighting, one tape op each."""
-    alpha = softmax_node((H @ A) @ r, axis=0)
-    return alpha.reshape((H.shape[0], 1)) * H, alpha
+    alpha = softmax_node(matmul(matmul(H, A), r), axis=0)
+    return mul(reshape(alpha, (H.shape[0], 1)), H), alpha
 
 
 def dynamic_routing_composed(u_hat: Tensor, a_hat: Tensor,
@@ -94,11 +220,75 @@ def dynamic_routing_composed(u_hat: Tensor, a_hat: Tensor,
     b = Tensor(np.zeros((E, 1, H)))
     for it in range(iterations):
         if it:
-            b = b + stacked_matmul(v.reshape((E, 1, d)), u_hat)
-        c = a_hat * softmax_node(b, axis=0)
-        s = stacked_matmul(u_hat, c.reshape((E, H, 1))).reshape((E, d))
+            b = add(b, stacked_matmul(reshape(v, (E, 1, d)), u_hat))
+        c = mul(a_hat, softmax_node(b, axis=0))
+        s = reshape(stacked_matmul(u_hat, reshape(c, (E, H, 1))), (E, d))
         v = squash(s, axis=-1)
     return v, capsule_length(s, axis=-1)
+
+
+def check_fused_node(fused, composed, arrays, requires, interior: int = 1,
+                     central_differences: bool = True):
+    """Check a fused layer against the composed graph it replaces.
+
+    Both run on leaves of `arrays`, each requiring grad as `requires`
+    says, and backpropagate one fixed random weighting of their outputs,
+    with every warning raised as an error. Outputs must be bit-identical,
+    every required gradient within 1e-12 relative and each other leaf
+    without one. The fused call must record `interior` nodes between its
+    outputs and its leaves, and pass `grad_check` on every required input
+    unless `central_differences` is false: they cannot follow a saturated
+    nonlinearity.
+    """
+    def run(fn, leaves):
+        outs = fn(*leaves)
+        return outs if isinstance(outs, tuple) else (outs,)
+
+    def objective(outs):
+        return functools.reduce(add, [(out * Tensor(w)).sum()
+                                      for out, w in zip(outs, weights)])
+
+    runs = []
+    for fn in (fused, composed):
+        leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = run(fn, leaves)
+            if fn is fused:
+                rng = np.random.default_rng(len(arrays))
+                weights = [rng.normal(size=out.shape) for out in outs]
+                assert tape_nodes(outs, leaves) == interior
+            objective(outs).backward()
+        runs.append((outs, leaves))
+    (outs, leaves), (ref_outs, ref_leaves) = runs
+    for out, ref in zip(outs, ref_outs):
+        np.testing.assert_array_equal(out.data, ref.data)
+    for k, (leaf, ref) in enumerate(zip(leaves, ref_leaves)):
+        if requires[k]:
+            assert relative_gap(leaf.grad, ref.grad) <= 1e-12, k
+        else:
+            assert leaf.grad is None and ref.grad is None, k
+
+    for k in np.flatnonzero(requires) if central_differences else ():
+        def f(t, k=k):
+            args = [Tensor(a) for a in arrays]
+            args[k] = t
+            return objective(run(fused, args))
+        assert grad_check(f, Tensor(arrays[k])) < 1e-6, k
+
+
+def tape_nodes(outs, leaves=()) -> int:
+    """Distinct nodes reachable from `outs` on the tape, `leaves` left out."""
+    todo = list(outs) if isinstance(outs, (tuple, list)) else [outs]
+    seen = {id(t) for t in todo} | {id(t) for t in leaves}
+    count = len(todo)
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+                count += 1
+    return count
 
 
 def votes_reference(u: np.ndarray, Wc: np.ndarray,
@@ -141,26 +331,26 @@ def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
                              reverse: bool) -> Tensor:
     """One LSTM direction recorded step by step on the tape; L x B.
 
-    The composed graph that `lstm_sequence` fuses, built from the generic
-    tape ops: tanh is 2 sigmoid(2x) - 1, rows and gates are read with
+    The composed graph that `lstm_sequence` fuses, built from the kit's
+    ops: tanh is 2 sigmoid(2x) - 1, rows and gates are read with
     `take_rows`, and the rows are joined with `concat`. Its gradients come
     from their backward rules.
     """
     def tanh(x):
-        return (x * 2.0).sigmoid() * 2.0 + (-1.0)
+        return add(mul(sigmoid(mul(x, 2.0)), 2.0), -1.0)
 
     L, B = X.shape[0], Wh.shape[0]
-    XW = X @ Wx + b
+    XW = add(matmul(X, Wx), b)
     h = Tensor(np.zeros(B))
     c = Tensor(np.zeros(B))
     rows = [None] * L
     for t in (range(L - 1, -1, -1) if reverse else range(L)):
-        z = (take_rows(XW, t) + h @ Wh).reshape((4, B))
-        i, f = take_rows(z, 0).sigmoid(), take_rows(z, 1).sigmoid()
-        g, o = tanh(take_rows(z, 2)), take_rows(z, 3).sigmoid()
-        c = f * c + i * g
-        h = o * tanh(c)
-        rows[t] = h.reshape((1, B))
+        z = reshape(add(take_rows(XW, t), matmul(h, Wh)), (4, B))
+        i, f = sigmoid(take_rows(z, 0)), sigmoid(take_rows(z, 1))
+        g, o = tanh(take_rows(z, 2)), sigmoid(take_rows(z, 3))
+        c = add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
+        rows[t] = reshape(h, (1, B))
     return concat(rows, axis=0)
 
 
@@ -381,7 +571,7 @@ def train_epoch_reference(model: Model, bags, optimizer, config: TrainConfig,
             if not np.isfinite(total.data):
                 raise NonFiniteError(
                     f"non-finite loss for bag {bag.key!r} in epoch {epoch}")
-            bag_losses.append(total.reshape((1,)))
+            bag_losses.append(reshape(total, (1,)))
         batch_loss = concat(bag_losses, axis=0).sum() * (1.0 / len(bag_losses))
         optimizer.zero_grad()
         batch_loss.backward()

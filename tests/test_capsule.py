@@ -1,5 +1,6 @@
 """Squash, primary capsules, votes, and dynamic routing vs the loop oracle."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsrel import capsule
-from capsrel.autodiff import ContractViolation, Tensor, grad_check
+from capsrel.autodiff import ContractViolation, ShapeError, Tensor, grad_check
 from capsrel.capsule import (capsule_length, dynamic_routing, primary_capsules,
                              squash, votes)
 from capsrel.training import margin_loss
-from helpers import (dynamic_routing_composed, relative_gap,
-                     routing_reference, squash_reference, votes_reference)
+from helpers import (add, check_fused_node, dynamic_routing_composed,
+                     primary_capsules_composed, relative_gap, routing_reference,
+                     squash_reference, votes_composed, votes_reference)
 
 
 class TestSquash:
@@ -167,7 +169,7 @@ class TestPrimaryCapsules:
         assert np.all(a_hat.data < 1.0)
 
     def test_filter_bank_shape_checked(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ShapeError, match=r"Wb \(4, 5\)"):
             primary_capsules(Tensor(np.zeros((3, 4))),
                              Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)), 2, 2)
 
@@ -222,6 +224,52 @@ class TestVotes:
         assert out.shape == (E, d, H)
         np.testing.assert_array_equal(out.transpose(2, 0, 1),
                                       votes_reference(u, Wc, b_hat))
+
+
+def normal_arrays(seed, *shapes):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+class TestCapsuleNodes:
+    """`primary_capsules` and `votes` are one tape node each, against the
+    composed graphs they fuse; b1 and b_hat may not require grad."""
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_primary_capsules_match_composed_graph(self, L, width, C, d,
+                                                   bias_grad, seed):
+        arrays = normal_arrays(seed, (L, width), (C * d, 2 * width), (C * d,))
+        # the squash and capsule_length nodes sit on the one fused node
+        check_fused_node(
+            lambda *t: primary_capsules(*t, C, d),
+            lambda *t: primary_capsules_composed(*t, C, d),
+            arrays, [True, True, bias_grad], interior=3)
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3),
+           st.booleans(), st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_votes_match_composed_graph(self, H, E, d, bias_grad, seed):
+        arrays = normal_arrays(seed, (H, d), (E, d, d), (E, d))
+        check_fused_node(votes, votes_composed, arrays, [True, True, bias_grad])
+
+    @pytest.mark.parametrize("layer, shapes", [
+        ("votes", {"u": (5, 3), "Wc": (2, 2, 2), "b_hat": (2, 2)}),
+        ("votes", {"u": (5, 2), "Wc": (2, 2, 2), "b_hat": (1, 2)}),
+        ("votes", {"u": (5, 2), "Wc": (2, 2, 3), "b_hat": (2, 2)}),
+        ("primary_capsules", {"x_tilde": (3, 2), "Wb": (4, 4), "b1": (5,)}),
+        ("primary_capsules", {"x_tilde": (3, 2), "Wb": (4, 4), "b1": (1,)}),
+        ("primary_capsules", {"x_tilde": (3,), "Wb": (4, 4), "b1": (4,)}),
+    ], ids=["u-wider-than-d", "b_hat-one-parent", "Wc-not-square",
+            "b1-too-long", "b1-of-one", "x_tilde-1d"])
+    def test_nonconforming_operand_names_every_shape(self, layer, shapes):
+        args = [Tensor(np.zeros(shape)) for shape in shapes.values()]
+        fn = votes if layer == "votes" else (
+            lambda *t: primary_capsules(*t, C=2, d=2))
+        message = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            fn(*args)
 
 
 class TestDynamicRouting:
@@ -329,7 +377,7 @@ class TestDynamicRouting:
         assert calls.count("_parent_sum") == iters
         assert calls.count("_agreement") == iters - 1
         calls.clear()
-        (v.sum() + a.sum()).backward()
+        add(v.sum(), a.sum()).backward()
         assert calls.count("_agreement") == iters
         assert calls.count("_parent_sum") == iters - 1
 
@@ -363,7 +411,7 @@ class TestRoutingNode:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 v, act = routing(u, a, iters)
-                ((v * Tensor(w_v)).sum() + (act * Tensor(w_a)).sum()).backward()
+                add((v * Tensor(w_v)).sum(), (act * Tensor(w_a)).sum()).backward()
             results.append((v, act, u, a))
         (v, act, u, a), (v_ref, act_ref, u_ref, a_ref) = results
         np.testing.assert_array_equal(v.data, v_ref.data)
@@ -388,7 +436,7 @@ class TestRoutingNode:
                 args = (t, Tensor(a_hat)) if which == "u" else (Tensor(u_hat), t)
                 v, act = dynamic_routing(*args, iters)
                 out = (act * Tensor(w_a)).sum()
-                return out + (v * Tensor(w_v)).sum() if a_hat.any() else out
+                return add(out, (v * Tensor(w_v)).sum()) if a_hat.any() else out
             return objective
         assert grad_check(f("u"), Tensor(u_hat)) < 1e-6
         assert grad_check(f("a"), Tensor(a_hat)) < 1e-6
@@ -438,7 +486,7 @@ class TestCapsuleGradients:
 
         def f(t):
             u, a_hat = primary_capsules(Tensor(x), t, Tensor(b1), C, d)
-            return (u * Tensor(w)).sum() + (a_hat * a_hat).sum()
+            return add((u * Tensor(w)).sum(), (a_hat * a_hat).sum())
 
         Wb = rng.normal(0, 0.6, size=(C * d, 2 * width))
         assert grad_check(f, Tensor(Wb), eps=1e-5) < 1e-4

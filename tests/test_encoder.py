@@ -12,8 +12,9 @@ from capsrel.autodiff import (ContractViolation, ShapeError, Tensor, grad_check,
 from capsrel.data import SentenceInstance, missing_bucket
 from capsrel.encoder import bilstm, embed, word_attention
 from capsrel.training import label_vector, margin_loss
-from helpers import (bilstm_reference, lstm_direction_reference, make_instance,
-                     relative_gap, tiny_model, tiny_store,
+from helpers import (bilstm_reference, check_fused_node, embed_composed,
+                     lstm_direction_reference, make_instance, relative_gap,
+                     tape_nodes, tiny_model, tiny_store,
                      word_attention_composed)
 
 
@@ -63,6 +64,62 @@ class TestEmbed:
                                        {"id": "E2", "span": [2, 3]}])
         ids = model.word_ids(inst)
         assert ids[0] == model.store.unk_id
+
+
+@st.composite
+def embed_cases(draw):
+    """(word_ids, position_ids, tables, requires): an n-token sentence over
+    a word table and M position tables of 1 to 4 rows and width 1 to 3.
+    The last word repeats the first, so its row is read twice; tables that
+    do not require grad are drawn, but never all of them."""
+    n, M = draw(st.integers(1, 5)), draw(st.sampled_from([2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    shapes = [(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+              for _ in range(M + 1)]
+    word_ids = rng.integers(0, shapes[0][0], size=n)
+    word_ids[-1] = word_ids[0]
+    position_ids = np.stack([rng.integers(0, rows, size=n)
+                             for rows, _ in shapes[1:]], axis=1)
+    requires = draw(st.lists(st.booleans(), min_size=M + 1, max_size=M + 1))
+    requires[0] = requires[0] or not any(requires)
+    return (word_ids, position_ids, [rng.normal(size=s) for s in shapes],
+            requires)
+
+
+class TestEmbedNode:
+    """`embed` is one tape node against the gather-and-concat graph."""
+
+    @given(embed_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composed_graph_and_its_gradient(self, case):
+        word_ids, position_ids, tables, requires = case
+        check_fused_node(
+            lambda word, *pos: embed(word_ids, position_ids, word, list(pos)),
+            lambda word, *pos: embed_composed(word_ids, position_ids, word,
+                                              list(pos)),
+            tables, requires)
+
+    @pytest.mark.parametrize("row", [-1, 4])
+    @pytest.mark.parametrize("slot", [None, 0, 1], ids=["word", "pos0", "pos1"])
+    def test_out_of_range_row_names_its_table(self, slot, row):
+        word_ids, position_ids = np.array([0, 1]), np.zeros((2, 2), np.int64)
+        if slot is None:
+            word_ids[1], name = row, "the word table"
+        else:
+            position_ids[1, slot], name = row, f"position slot {slot}"
+        with pytest.raises(ContractViolation,
+                           match=f"out of range for {name}, which has 4 rows"):
+            embed(word_ids, position_ids, Tensor(np.zeros((4, 3))),
+                  [Tensor(np.zeros((4, 2))) for _ in range(2)])
+
+    def test_nonconforming_ids_name_every_shape(self):
+        # a third position column with only two position tables
+        with pytest.raises(ShapeError, match=(
+                r"word_ids \(2,\), position_ids \(2, 3\), word_emb \(4, 3\), "
+                r"pos_embs \[\(4, 2\), \(4, 2\)\]")):
+            embed(np.array([0, 1]), np.zeros((2, 3), np.int64),
+                  Tensor(np.zeros((4, 3))),
+                  [Tensor(np.zeros((4, 2))) for _ in range(2)])
 
 
 class TestBiLstm:
@@ -118,17 +175,6 @@ def lstm_grads(fn, arrays, weights, reverse):
     out = fn(*leaves, reverse=reverse)
     (out * Tensor(weights)).sum().backward()
     return out.data, [t.grad for t in leaves]
-
-
-def tape_nodes(root: Tensor) -> int:
-    seen = {id(root)}
-    todo = [root]
-    while todo:
-        for p in todo.pop()._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                todo.append(p)
-    return len(seen)
 
 
 class TestLstmSequence:
@@ -203,7 +249,7 @@ class TestLstmSequence:
                            match=r"X \(3, 2\), Wx \(3, 8\), Wh \(2, 8\), b \(8,\)"):
             lstm_sequence(Tensor(X.data[:, :2]), Wx, Wh, b)
 
-    @pytest.mark.parametrize("capsule, nodes", [(True, 42), (False, 28)],
+    @pytest.mark.parametrize("capsule, nodes", [(True, 27), (False, 20)],
                              ids=["full", "-Capsule"])
     def test_tape_size_does_not_grow_with_sentence_length(self, capsule, nodes):
         model = tiny_model(L=40, capsule=capsule)

@@ -11,7 +11,7 @@ from capsrel.autodiff import (ContractViolation, NonFiniteError, Tensor,
                               grad_check, no_grad)
 from capsrel.config import RunConfig, TrainConfig
 from capsrel.data import Bag
-from capsrel.model import Model, load_checkpoint, save_checkpoint
+from capsrel.model import Model, _pooled_head, load_checkpoint, save_checkpoint
 from capsrel.optim import Adam
 from capsrel.training import (
     bag_top1_accuracy,
@@ -21,9 +21,10 @@ from capsrel.training import (
     train,
     train_epoch,
 )
-from helpers import (make_instance, mixed_bags, param_count,
-                     planted_trigger_bags, planted_trigger_store, tiny_model,
-                     tiny_store, train_epoch_reference)
+from helpers import (check_fused_node, make_instance, mixed_bags, param_count,
+                     planted_trigger_bags, planted_trigger_store,
+                     pooled_head_composed, tiny_model, tiny_store,
+                     train_epoch_reference)
 from test_checkpoint import entries, join, join_entries, split
 
 
@@ -392,6 +393,23 @@ class TestBuildModel:
         cfg = RunConfig.from_dict(obj)
         assert (cfg.train.B, cfg.train.C) == (4, 2)
         assert obj == {"train": {"B": 4}, "C": 2}
+
+
+class TestPooledHeadNode:
+    """The -Capsule head is one tape node against mean pool, dense layer
+    and sigmoid composed; b may not require grad, and a weight scale of
+    1e3 saturates the sigmoid."""
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([1.0, 1e3]), st.booleans(), st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composed_graph(self, n, width, E, scale, bias_grad, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(n, width)),
+                  rng.normal(size=(width, E)) * scale, rng.normal(size=E)]
+        check_fused_node(_pooled_head, pooled_head_composed, arrays,
+                         [True, True, bias_grad],
+                         central_differences=scale == 1.0)
 
 
 class TestCheckpointBoundary:
