@@ -6,13 +6,11 @@ enabled record a backward closure; :meth:`Tensor.backward` replays them
 in reverse topological order. Inside :func:`no_grad` nothing is recorded
 and forward passes are plain numpy.
 
-Each layer of the model is one node with its own backward, recorded in
-its module with ``Tensor._from_op``. This module keeps only the ops no
-layer owns: :func:`lstm_sequence`, one fused LSTM direction with a
-hand-written BPTT backward, :func:`concat`, :func:`dropout`, and ``*`` on
-equal shapes with a full ``sum``, which also build the scalar objectives
-that :func:`grad_check` takes.
-:func:`grad_check` compares any of them against central differences.
+This module is the tape alone. Each layer of the model is one node with
+its own backward, recorded in its module with ``Tensor._from_op``. Only
+``*`` on equal shapes and a full ``sum`` are ops here: :func:`dropout`
+applies its mask with ``*``, and the two build the scalar objectives that
+:func:`grad_check` compares against central differences.
 """
 
 from __future__ import annotations
@@ -134,7 +132,7 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __mul__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
         if a.shape != b.shape:
             raise ShapeError(f"* needs equal shapes, got {a.shape} * {b.shape}")
 
@@ -149,99 +147,7 @@ class Tensor:
         return Tensor._from_op(self.data.sum(), (self,), bw)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp only sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 # -- free functions ----------------------------------------------------------
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along `axis`; backward splits the gradient back apart."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractViolation("concat of an empty sequence")
-    base = tensors[0].shape
-    for t in tensors[1:]:
-        other = t.shape
-        if len(other) != len(base) or any(
-                o != b for i, (o, b) in enumerate(zip(other, base))
-                if i != (axis % len(base))):
-            raise ShapeError(f"concat shapes do not conform: {base} vs {other}")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(part)
-    return Tensor._from_op(data, tensors, bw)
-
-
-def lstm_sequence(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
-                  reverse: bool = False) -> Tensor:
-    """One LSTM direction over the L rows of X, in order or reversed; L x B.
-
-    The 4B gate columns are ordered input, forget, cell, output, and the
-    state starts at zero. The whole recurrence is one tape node: the
-    forward keeps the activated gates and the cells, and the backward is
-    one reverse BPTT sweep that fills dZ, the L x 4B gradient of the gate
-    pre-activations, then forms dX, dWx and dWh with one product each and
-    db with one sum.
-    """
-    L, B = X.shape[0], Wh.shape[0]
-    if Wx.shape != (X.shape[1], 4 * B) or Wh.shape != (B, 4 * B) \
-            or b.shape != (4 * B,):
-        raise ShapeError(f"lstm_sequence shapes do not conform: X {X.shape}, "
-                         f"Wx {Wx.shape}, Wh {Wh.shape}, b {b.shape}")
-    order = slice(None, None, -1) if reverse else slice(None)
-    # every array below holds one row per step, in step order
-    XW = (X.data @ Wx.data + b.data)[order]     # the input projection, hoisted
-    gates = np.empty((L, 4, B))
-    hs, cs = np.empty((L, B)), np.empty((L, B))
-    h = c = np.zeros(B)
-    for s in range(L):
-        z = XW[s] + h @ Wh.data
-        gates[s] = _sigmoid(z).reshape(4, B)
-        gates[s, 2] = np.tanh(z[2 * B:3 * B])
-        i, f, g, o = gates[s]
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        hs[s], cs[s] = h, c
-
-    def bw(dH):
-        dH = dH[order]
-        i, f, g, o = gates.transpose(1, 0, 2)
-        tanh_c = np.tanh(cs)
-        slope = gates * (1.0 - gates)           # sigmoid'(z) = a (1 - a)
-        slope[:, 2] = 1.0 - g * g               # tanh'(z) = 1 - a^2
-        # dZ[s] = [dc g, dc c_prev, dc i, dh tanh(c)] * slope[s]
-        c_prev = np.vstack([np.zeros(B), cs[:-1]])
-        by_dc = np.stack([g, c_prev, i], axis=1) * slope[:, :3]
-        by_dh = tanh_c * slope[:, 3]
-        dc_by_dh = o * (1.0 - tanh_c * tanh_c)
-        dZ = np.empty((L, 4, B))
-        dh_next = dc_next = np.zeros(B)
-        for s in range(L - 1, -1, -1):
-            dh = dH[s] + dh_next
-            dc = dh * dc_by_dh[s] + dc_next
-            np.multiply(dc, by_dc[s], out=dZ[s, :3])
-            np.multiply(dh, by_dh[s], out=dZ[s, 3])
-            dc_next = dc * f[s]
-            dh_next = Wh.data @ dZ[s].reshape(-1)
-        dZ = dZ.reshape(L, 4 * B)
-        Wh._accumulate(np.vstack([np.zeros(B), hs[:-1]]).T @ dZ)
-        dZ = dZ[order]                          # back to row order
-        X._accumulate(dZ @ Wx.data.T)
-        Wx._accumulate(X.data.T @ dZ)
-        b._accumulate(dZ.sum(axis=0))
-    return Tensor._from_op(hs[order], (X, Wx, Wh, b), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,

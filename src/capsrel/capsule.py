@@ -119,6 +119,9 @@ def dynamic_routing(u_hat: Tensor, a_hat: Tensor,
     s_j = u_hat[j] c[j] (the parent sum) and v_j = squash(s_j). One tape
     node returns the last s; its backward walks the iterations in reverse.
     """
+    if len(u_hat.shape) != 3 or a_hat.shape != u_hat.shape[2:]:
+        raise ShapeError(f"dynamic_routing shapes do not conform: "
+                         f"u_hat {u_hat.shape}, a_hat {a_hat.shape}")
     if iterations < 1:
         raise ContractViolation(f"routing needs >= 1 iterations, got {iterations}")
     U, a = u_hat.data, a_hat.data

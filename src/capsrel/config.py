@@ -106,7 +106,11 @@ class RunConfig:
             raise ConfigError(
                 f"train must be an object, got {type(train_obj).__name__}")
         train_obj = dict(train_obj)
-        # Accept train hyperparameters at top level too.
+        # Accept train hyperparameters at top level too, but not twice.
+        twice = sorted(train_fields & set(obj) & set(train_obj))
+        if twice:
+            raise ConfigError(f"train config fields given both in train and "
+                              f"at the top level: {twice}")
         for k in list(obj):
             if k in train_fields:
                 train_obj[k] = obj.pop(k)

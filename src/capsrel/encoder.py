@@ -5,18 +5,17 @@ of width V = d_w + d_p * M, the Bi-LSTM emits n x 2B hidden states, and
 attention rescales each row by its softmax weight, keeping the
 per-position sequence for the capsule layer. Every sentence is encoded at
 its own length; nothing is padded. Each layer is one tape node with a
-hand-written backward. Each LSTM direction is
-:func:`~capsrel.autodiff.lstm_sequence`: a numpy loop over the tokens, and
-BPTT (one reverse sweep, then one product per weight). Word attention runs
-on the numpy softmax kernel that routing shares.
+hand-written backward. The Bi-LSTM runs the numpy kernel `_lstm` once per
+direction: a loop over the tokens, and BPTT (one reverse sweep, then one
+product per weight). Word attention runs on the numpy softmax kernel that
+routing shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ContractViolation, ShapeError, Tensor, concat,
-                       lstm_sequence)
+from .autodiff import ContractViolation, ShapeError, Tensor
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -63,15 +62,95 @@ def embed(word_ids: np.ndarray, position_ids: np.ndarray,
         tables, bw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
+          reverse: bool):
+    """One LSTM direction over the L rows of X, in order or reversed: the
+    L x B states, and the function taking their gradient dH to (dX, dWx,
+    dWh, db).
+
+    The 4B gate columns are ordered input, forget, cell, output, and the
+    state starts at zero. The forward keeps the activated gates and the
+    cells; the backward is one reverse BPTT sweep that fills dZ, the
+    L x 4B gradient of the gate pre-activations, then forms dX, dWx and
+    dWh with one product each and db with one sum.
+    """
+    L, B = X.shape[0], Wh.shape[0]
+    order = slice(None, None, -1) if reverse else slice(None)
+    # every array below holds one row per step, in step order
+    XW = (X @ Wx + b)[order]                    # the input projection, hoisted
+    gates = np.empty((L, 4, B))
+    hs, cs = np.empty((L, B)), np.empty((L, B))
+    h = c = np.zeros(B)
+    for s in range(L):
+        z = XW[s] + h @ Wh
+        gates[s] = _sigmoid(z).reshape(4, B)
+        gates[s, 2] = np.tanh(z[2 * B:3 * B])
+        i, f, g, o = gates[s]
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[s], cs[s] = h, c
+
+    def backward(dH):
+        dH = dH[order]
+        i, f, g, o = gates.transpose(1, 0, 2)
+        tanh_c = np.tanh(cs)
+        slope = gates * (1.0 - gates)           # sigmoid'(z) = a (1 - a)
+        slope[:, 2] = 1.0 - g * g               # tanh'(z) = 1 - a^2
+        # dZ[s] = [dc g, dc c_prev, dc i, dh tanh(c)] * slope[s]
+        c_prev = np.vstack([np.zeros(B), cs[:-1]])
+        by_dc = np.stack([g, c_prev, i], axis=1) * slope[:, :3]
+        by_dh = tanh_c * slope[:, 3]
+        dc_by_dh = o * (1.0 - tanh_c * tanh_c)
+        dZ = np.empty((L, 4, B))
+        dh_next = dc_next = np.zeros(B)
+        for s in range(L - 1, -1, -1):
+            dh = dH[s] + dh_next
+            dc = dh * dc_by_dh[s] + dc_next
+            np.multiply(dc, by_dc[s], out=dZ[s, :3])
+            np.multiply(dh, by_dh[s], out=dZ[s, 3])
+            dc_next = dc * f[s]
+            dh_next = Wh @ dZ[s].reshape(-1)
+        dZ = dZ.reshape(L, 4 * B)
+        dWh = np.vstack([np.zeros(B), hs[:-1]]).T @ dZ
+        dZ = dZ[order]                          # back to row order
+        return dZ @ Wx.T, X.T @ dZ, dWh, dZ.sum(axis=0)
+    return hs[order], backward
+
+
 def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
            bwd: tuple[Tensor, Tensor, Tensor]) -> Tensor:
     """L x 2B hidden sequence: forward states beside backward states.
 
-    Each direction is one `lstm_sequence` tape node, whose backward is a
-    hand-written BPTT sweep.
+    One tape node over X and the six weights, (Wx, Wh, b) per direction,
+    both of unit size B; each direction runs `_lstm`. The backward gives
+    each direction its B columns of the gradient and adds both dX terms
+    into X once.
     """
-    return concat([lstm_sequence(X, *fwd, reverse=False),
-                   lstm_sequence(X, *bwd, reverse=True)], axis=1)
+    weights = (*fwd, *bwd)
+    V = X.shape[1] if len(X.shape) == 2 else -1
+    B = fwd[1].shape[0] if len(fwd[1].shape) == 2 else -1
+    if [W.shape for W in weights] != 2 * [(V, 4 * B), (B, 4 * B), (4 * B,)]:
+        raise ShapeError(
+            "bilstm shapes do not conform: X {}, forward Wx {}, Wh {}, b {}, "
+            "backward Wx {}, Wh {}, b {}".format(X.shape,
+                                                 *(W.shape for W in weights)))
+    h_fwd, fwd_backward = _lstm(X.data, *(W.data for W in fwd), reverse=False)
+    h_bwd, bwd_backward = _lstm(X.data, *(W.data for W in bwd), reverse=True)
+
+    def bw(g):
+        dX_fwd, *d_fwd = fwd_backward(g[:, :B])
+        dX_bwd, *d_bwd = bwd_backward(g[:, B:])
+        X._accumulate(dX_fwd + dX_bwd)
+        for W, dW in zip(weights, (*d_fwd, *d_bwd)):
+            W._accumulate(dW)
+    return Tensor._from_op(np.concatenate([h_fwd, h_bwd], axis=1),
+                           (X, *weights), bw)
 
 
 def softmax(x: np.ndarray, axis: int):
@@ -88,6 +167,10 @@ def word_attention(H: Tensor, A: Tensor, r: Tensor) -> tuple[Tensor, Tensor]:
     Scores are h_t A r, normalised over the L positions. The weighted rows
     are one tape node; the weights alpha come back as a constant.
     """
+    if len(H.shape) != 2 or len(A.shape) != 2 or A.shape[0] != H.shape[1] \
+            or r.shape != A.shape[1:]:
+        raise ShapeError(f"word_attention shapes do not conform: H {H.shape}, "
+                         f"A {A.shape}, r {r.shape}")
     alpha, alpha_backward = softmax((H.data @ A.data) @ r.data, axis=0)
 
     def bw(g):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import capsule as caps
 from . import encoder
-from .autodiff import ContractViolation, Tensor, _sigmoid, dropout, no_grad
+from .autodiff import ContractViolation, Tensor, dropout, no_grad
 from .config import ConfigError, TrainConfig
 from .data import EmbeddingStore, SentenceInstance, num_position_buckets
 
@@ -144,7 +144,7 @@ def _pooled_head(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """The -Capsule head, sigmoid(mean of x's rows @ W + b), as one tape node."""
     n, width = x.shape
     pooled = x.data.sum(axis=0) * (1.0 / n)
-    a = _sigmoid(pooled @ W.data + b.data)
+    a = encoder._sigmoid(pooled @ W.data + b.data)
 
     def bw(g):
         dz = g * a * (1.0 - a)

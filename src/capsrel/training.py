@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import NonFiniteError, ShapeError, Tensor
 from .config import TrainConfig
 from .data import Bag, batch_iter
 from .model import Model
@@ -32,6 +32,9 @@ def margin_loss(a: Tensor, y: np.ndarray) -> tuple[Tensor, Tensor]:
     L_k = Y_k max(0, 0.9 - a_k)^2 + 0.5 (1 - Y_k) max(0, a_k - 0.1)^2, so
     dL/da_k = 2 (0.5 (1 - Y_k) max(0, a_k - 0.1) - Y_k max(0, 0.9 - a_k)).
     """
+    if np.shape(y) != a.shape:
+        raise ShapeError(f"margin_loss needs y shaped like a, got a {a.shape}, "
+                         f"y {np.shape(y)}")
     short = np.maximum(M_POS - a.data, 0.0)
     over = np.maximum(a.data - M_NEG, 0.0)
     off = LAMBDA_NEG * (1.0 - y)

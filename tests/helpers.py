@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from capsrel.autodiff import NonFiniteError, Tensor, concat, grad_check
+from capsrel.autodiff import NonFiniteError, ShapeError, Tensor, grad_check
 from capsrel.capsule import capsule_length, squash
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
@@ -116,6 +116,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return op(a.data @ b.data, (a, b),
               lambda g: (rows(g) @ B.T).reshape(a.shape),
               lambda g: (A.T @ rows(g)).reshape(b.shape))
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    """Concatenate along `axis`; backward splits the gradient back apart."""
+    tensors = [_tensor(t) for t in tensors]
+    base = tensors[0].shape
+    for t in tensors[1:]:
+        if len(t.shape) != len(base) or any(
+                o != b for i, (o, b) in enumerate(zip(t.shape, base))
+                if i != axis % len(base)):
+            raise ShapeError(f"concat shapes do not conform: {base} vs {t.shape}")
+    edges = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def bw(g):
+        for t, part in zip(tensors, np.split(g, edges, axis=axis)):
+            t._accumulate(part)
+    return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis),
+                           tensors, bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -228,17 +246,18 @@ def dynamic_routing_composed(u_hat: Tensor, a_hat: Tensor,
 
 
 def check_fused_node(fused, composed, arrays, requires, interior: int = 1,
-                     central_differences: bool = True):
+                     central_differences: bool = True, tol: float = 0.0):
     """Check a fused layer against the composed graph it replaces.
 
     Both run on leaves of `arrays`, each requiring grad as `requires`
     says, and backpropagate one fixed random weighting of their outputs,
-    with every warning raised as an error. Outputs must be bit-identical,
-    every required gradient within 1e-12 relative and each other leaf
-    without one. The fused call must record `interior` nodes between its
-    outputs and its leaves, and pass `grad_check` on every required input
-    unless `central_differences` is false: they cannot follow a saturated
-    nonlinearity.
+    with every warning raised as an error. Outputs must agree within
+    `tol`, absolute and relative (bit-identical by default), every
+    required gradient within the larger of `tol` and 1e-12 relative, and
+    each other leaf must get no gradient. The fused call must record
+    `interior` nodes between its outputs and its leaves, and pass
+    `grad_check` on every required input unless `central_differences` is
+    false: they cannot follow a saturated nonlinearity.
     """
     def run(fn, leaves):
         outs = fn(*leaves)
@@ -262,10 +281,10 @@ def check_fused_node(fused, composed, arrays, requires, interior: int = 1,
         runs.append((outs, leaves))
     (outs, leaves), (ref_outs, ref_leaves) = runs
     for out, ref in zip(outs, ref_outs):
-        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_allclose(out.data, ref.data, rtol=tol, atol=tol)
     for k, (leaf, ref) in enumerate(zip(leaves, ref_leaves)):
         if requires[k]:
-            assert relative_gap(leaf.grad, ref.grad) <= 1e-12, k
+            assert relative_gap(leaf.grad, ref.grad) <= max(tol, 1e-12), k
         else:
             assert leaf.grad is None and ref.grad is None, k
 
@@ -331,8 +350,8 @@ def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
                              reverse: bool) -> Tensor:
     """One LSTM direction recorded step by step on the tape; L x B.
 
-    The composed graph that `lstm_sequence` fuses, built from the kit's
-    ops: tanh is 2 sigmoid(2x) - 1, rows and gates are read with
+    The composed graph of one direction of the `bilstm` node, built from
+    the kit's ops: tanh is 2 sigmoid(2x) - 1, rows and gates are read with
     `take_rows`, and the rows are joined with `concat`. Its gradients come
     from their backward rules.
     """
@@ -352,6 +371,13 @@ def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
         h = mul(o, tanh(c))
         rows[t] = reshape(h, (1, B))
     return concat(rows, axis=0)
+
+
+def bilstm_composed(X: Tensor, fwd, bwd) -> Tensor:
+    """The graph `bilstm` fuses: the two per-step direction graphs, side by
+    side."""
+    return concat([lstm_direction_reference(X, *fwd, reverse=False),
+                   lstm_direction_reference(X, *bwd, reverse=True)], axis=1)
 
 
 def position_feature_reference(token_idx: int, entity_anchor: int | None,

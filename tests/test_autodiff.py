@@ -12,13 +12,12 @@ from capsrel.autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    concat,
     dropout,
     grad_check,
     no_grad,
 )
-from helpers import (add, matmul, mul, reshape, sigmoid, sum_axis, take_rows,
-                     transpose)
+from helpers import (add, concat, matmul, mul, reshape, sigmoid, sum_axis,
+                     take_rows, transpose)
 
 
 def rand(shape, seed):
@@ -101,8 +100,8 @@ class TestBackward:
 
 
 class TestGeneralOps:
-    """`concat`, and the kit ops of tests/helpers.py that the composed
-    oracles are built on, against numpy over drawn shapes."""
+    """The kit ops of tests/helpers.py that the composed oracles are built
+    on, against numpy over drawn shapes."""
 
     @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
            st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),

@@ -355,6 +355,15 @@ class TestDynamicRouting:
         np.testing.assert_allclose(v.data, ref_v, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(a.data, ref_a, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("u_hat, a_hat", [
+        ((2, 3, 4), (1,)), ((2, 3, 4), (2, 4)), ((2, 3, 4), (5,)),
+        ((3, 4), (4,))],
+        ids=["a_hat-of-one", "a_hat-per-parent", "a_hat-too-long", "votes-2d"])
+    def test_nonconforming_operands_name_both_shapes(self, u_hat, a_hat):
+        with pytest.raises(ShapeError,
+                           match=re.escape(f"u_hat {u_hat}, a_hat {a_hat}")):
+            dynamic_routing(Tensor(np.zeros(u_hat)), Tensor(np.zeros(a_hat)), 3)
+
     def test_rejects_zero_iterations(self):
         with pytest.raises(ContractViolation):
             dynamic_routing(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)), 0)

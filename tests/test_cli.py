@@ -152,6 +152,18 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert f"{named} must be an object" in capsys.readouterr().err
 
+    def test_field_given_twice_exits_2_naming_it(self, workspace, tmp_path,
+                                                capsys):
+        # B and seed inside "train" and at the top level: neither may win
+        _, cfg, _ = workspace
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, "train": {"B": 10, "seed": 1},
+                                        "output_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert ("given both in train and at the top level: ['B', 'seed']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("checkpoint", ["m.ckpt"]), ("output_dir", 5), ("corpus", None)])
     def test_mistyped_path_field_exits_2_before_training(

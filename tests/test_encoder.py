@@ -1,5 +1,6 @@
 """Embedding lookup, Bi-LSTM recurrence, word-level attention."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsrel.autodiff import (ContractViolation, ShapeError, Tensor, grad_check,
-                              lstm_sequence, no_grad)
+                              no_grad)
 from capsrel.data import SentenceInstance, missing_bucket
 from capsrel.encoder import bilstm, embed, word_attention
 from capsrel.training import label_vector, margin_loss
-from helpers import (bilstm_reference, check_fused_node, embed_composed,
-                     lstm_direction_reference, make_instance, relative_gap,
-                     tape_nodes, tiny_model, tiny_store,
-                     word_attention_composed)
+from helpers import (bilstm_composed, bilstm_reference, check_fused_node,
+                     embed_composed, make_instance, relative_gap, tape_nodes,
+                     tiny_model, tiny_store, word_attention_composed)
 
 
 def lstm_params(rng, V, B, scale=0.4):
@@ -164,92 +164,90 @@ class TestBiLstm:
 
 
 def lstm_arrays(rng, L, V, B, scale=0.5):
-    """X, Wx, Wh and b of one direction."""
+    """X, then Wx, Wh and b of the forward and of the backward direction."""
     return [rng.normal(0, scale, shape)
-            for shape in ((L, V), (V, 4 * B), (B, 4 * B), (4 * B,))]
+            for shape in ((L, V), *2 * ((V, 4 * B), (B, 4 * B), (4 * B,)))]
 
 
-def lstm_grads(fn, arrays, weights, reverse):
-    """Output of `fn` and the gradients of sum(out * weights) by X, Wx, Wh, b."""
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = fn(*leaves, reverse=reverse)
-    (out * Tensor(weights)).sum().backward()
-    return out.data, [t.grad for t in leaves]
+def fused(X, *weights):
+    return bilstm(X, weights[:3], weights[3:])
+
+
+def composed(X, *weights):
+    return bilstm_composed(X, weights[:3], weights[3:])
 
 
 class TestLstmSequence:
-    """The fused direction against the per-step oracles of tests/helpers.py."""
+    """The `bilstm` node, which runs the `_lstm` kernel per direction,
+    against the per-step oracles of tests/helpers.py."""
 
-    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 6),
-           st.integers(0, 2 ** 16))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_per_step_oracles(self, L, B, V, seed):
-        rng = np.random.default_rng(seed)
-        X, *fwd = lstm_arrays(rng, L, V, B)
-        _, *bwd = lstm_arrays(rng, L, V, B)
-        H = bilstm(Tensor(X), [Tensor(p) for p in fwd],
-                   [Tensor(p) for p in bwd]).data
-        np.testing.assert_allclose(H, bilstm_reference(X, fwd, bwd),
-                                   rtol=1e-10, atol=1e-10)
-        weights = rng.normal(size=(L, B))
-        for reverse, params in ((False, fwd), (True, bwd)):
-            out, grads = lstm_grads(lstm_sequence, [X, *params], weights, reverse)
-            ref_out, ref_grads = lstm_grads(lstm_direction_reference,
-                                            [X, *params], weights, reverse)
-            np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
-            for name, g, ref in zip(("X", "Wx", "Wh", "b"), grads, ref_grads):
-                np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10,
-                                           err_msg=name)
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 5),
+           st.integers(1, 6), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_step_oracles(self, L, B, V, frozen, seed):
+        # weight `frozen` does not require grad and must get no gradient
+        arrays = lstm_arrays(np.random.default_rng(seed), L, V, B)
+        H = fused(*(Tensor(a) for a in arrays)).data
+        np.testing.assert_allclose(
+            H, bilstm_reference(arrays[0], arrays[1:4], arrays[4:]),
+            rtol=1e-10, atol=1e-10)
+        check_fused_node(fused, composed, arrays,
+                         [k != frozen for k in range(7)], tol=1e-10)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("L", [1, 4])
     def test_grad_check_every_input(self, L, reverse):
+        # X, and the weights of the forward or (reverse) backward direction
         rng = np.random.default_rng(L)
         arrays = lstm_arrays(rng, L, V=3, B=2)
-        weights = Tensor(rng.normal(size=(L, 2)))
-        for k in range(4):
+        weights = Tensor(rng.normal(size=(L, 4)))
+        for k in (0, 4, 5, 6) if reverse else (0, 1, 2, 3):
             def f(t):
                 args = [Tensor(a) for a in arrays]
                 args[k] = t
-                return (lstm_sequence(*args, reverse=reverse) * weights).sum()
+                return (fused(*args) * weights).sum()
             assert grad_check(f, Tensor(arrays[k].copy())) < 1e-6, k
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_saturated_gates_raise_no_warning(self, reverse):
+        # the forward or (reverse) backward direction's biases at +-800
         rng = np.random.default_rng(5)
-        L, V, B = 6, 3, 4
-        X, Wx, Wh, _ = lstm_arrays(rng, L, V, B)
-        b = 800.0 * rng.choice([-1.0, 1.0], size=4 * B)
-        weights = rng.normal(size=(L, B))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out, grads = lstm_grads(lstm_sequence, [X, Wx, Wh, b], weights,
-                                    reverse)
-            ref_out, ref_grads = lstm_grads(lstm_direction_reference,
-                                            [X, Wx, Wh, b], weights, reverse)
-        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
-        for g, ref in zip(grads, ref_grads):
-            assert np.all(np.isfinite(g))
-            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10)
+        arrays = lstm_arrays(rng, 6, V=3, B=4)
+        arrays[6 if reverse else 3] = 800.0 * rng.choice([-1.0, 1.0], size=16)
+        check_fused_node(fused, composed, arrays, [True] * 7,
+                         central_differences=False, tol=1e-10)
 
     def test_no_grad_records_nothing(self):
         rng = np.random.default_rng(6)
         leaves = [Tensor(a, requires_grad=True)
                   for a in lstm_arrays(rng, 5, V=3, B=2)]
         with no_grad():
-            out = lstm_sequence(*leaves)
+            out = fused(*leaves)
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
-        np.testing.assert_array_equal(out.data, lstm_sequence(*leaves).data)
+        np.testing.assert_array_equal(out.data, fused(*leaves).data)
 
     def test_nonconforming_weights_name_every_shape(self):
-        X, Wx, Wh, b = (Tensor(a) for a in
-                        lstm_arrays(np.random.default_rng(7), 3, V=3, B=2))
-        with pytest.raises(ShapeError,
-                           match=r"X \(3, 2\), Wx \(3, 8\), Wh \(2, 8\), b \(8,\)"):
-            lstm_sequence(Tensor(X.data[:, :2]), Wx, Wh, b)
+        X, *weights = (Tensor(a) for a in
+                       lstm_arrays(np.random.default_rng(7), 3, V=3, B=2))
+        with pytest.raises(ShapeError, match=re.escape(
+                "X (3, 2), forward Wx (3, 8), Wh (2, 8), b (8,), "
+                "backward Wx (3, 8), Wh (2, 8), b (8,)")):
+            fused(Tensor(X.data[:, :2]), *weights)
 
-    @pytest.mark.parametrize("capsule, nodes", [(True, 27), (False, 20)],
+    @pytest.mark.parametrize("shapes", [
+        [(3, 3), (3, 8), (2, 8), (8,), (3, 8), (2, 8), (9,)],
+        [(3, 3), (3, 8), (2, 8), (8,), (3, 12), (3, 12), (12,)],
+        [(3,), (3, 8), (2, 8), (8,), (3, 8), (2, 8), (8,)],
+    ], ids=["backward-b-too-long", "unequal-unit-sizes", "X-1d"])
+    def test_nonconforming_direction_names_every_shape(self, shapes):
+        X, *weights = (Tensor(np.zeros(shape)) for shape in shapes)
+        with pytest.raises(ShapeError, match=re.escape(
+                "X {}, forward Wx {}, Wh {}, b {}, "
+                "backward Wx {}, Wh {}, b {}".format(*shapes))):
+            fused(X, *weights)
+
+    @pytest.mark.parametrize("capsule, nodes", [(True, 25), (False, 18)],
                              ids=["full", "-Capsule"])
     def test_tape_size_does_not_grow_with_sentence_length(self, capsule, nodes):
         model = tiny_model(L=40, capsule=capsule)
@@ -341,6 +339,19 @@ class TestWordAttentionNode:
                 args[k] = t
                 return (word_attention(*args)[0] * Tensor(w)).sum()
             assert grad_check(f, Tensor(arrays[k])) < 1e-6
+
+
+    @pytest.mark.parametrize("shapes", [
+        {"H": (4, 6), "A": (6, 6), "r": (6, 1)},
+        {"H": (4, 6), "A": (6, 6), "r": (1,)},
+        {"H": (4, 6), "A": (5, 6), "r": (6,)},
+        {"H": (6,), "A": (6, 6), "r": (6,)},
+    ], ids=["r-column", "r-of-one", "A-rows-unequal-H-width", "H-1d"])
+    def test_nonconforming_operand_names_every_shape(self, shapes):
+        message = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            word_attention(*(Tensor(np.zeros(shape))
+                             for shape in shapes.values()))
 
 
 class TestEncoderGradients:

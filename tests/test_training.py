@@ -1,5 +1,6 @@
 """Margin loss, instance selection, the training loop, ablations."""
 
+import re
 import weakref
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsrel.autodiff import (ContractViolation, NonFiniteError, Tensor,
-                              grad_check, no_grad)
+from capsrel.autodiff import (ContractViolation, NonFiniteError, ShapeError,
+                              Tensor, grad_check, no_grad)
 from capsrel.config import RunConfig, TrainConfig
 from capsrel.data import Bag
 from capsrel.model import Model, _pooled_head, load_checkpoint, save_checkpoint
@@ -98,6 +99,13 @@ class TestMarginLoss:
         total, per = margin_loss(a, label_vector({1}, 3))
         assert total._parents == (a,)
         assert not per.requires_grad
+
+    @pytest.mark.parametrize("y_shape", [(1,), (3, 1)],
+                             ids=["y-of-one", "y-column"])
+    def test_y_shaped_unlike_a_names_both_shapes(self, y_shape):
+        with pytest.raises(ShapeError,
+                           match=re.escape(f"a (3,), y {y_shape}")):
+            margin_loss(Tensor([0.3, 0.95, 0.05]), np.ones(y_shape))
 
     def test_constant_activations_record_no_node(self):
         total, per = margin_loss(Tensor([0.3, 0.95]), np.array([1.0, 0.0]))
