@@ -253,11 +253,13 @@ def check_fused_node(fused, composed, arrays, requires, interior: int = 1,
     says, and backpropagate one fixed random weighting of their outputs,
     with every warning raised as an error. Outputs must agree within
     `tol`, absolute and relative (bit-identical by default), every
-    required gradient within the larger of `tol` and 1e-12 relative, and
-    each other leaf must get no gradient. The fused call must record
-    `interior` nodes between its outputs and its leaves, and pass
-    `grad_check` on every required input unless `central_differences` is
-    false: they cannot follow a saturated nonlinearity.
+    required gradient within the larger of `tol` and 1e-12 relative to
+    its largest entry (and, where `tol` is given, elementwise within
+    `tol` as the outputs are), and each other leaf must get no gradient.
+    The fused call must record `interior` nodes between its outputs and
+    its leaves, and pass `grad_check` on every required input unless
+    `central_differences` is false: they cannot follow a saturated
+    nonlinearity.
     """
     def run(fn, leaves):
         outs = fn(*leaves)
@@ -285,6 +287,9 @@ def check_fused_node(fused, composed, arrays, requires, interior: int = 1,
     for k, (leaf, ref) in enumerate(zip(leaves, ref_leaves)):
         if requires[k]:
             assert relative_gap(leaf.grad, ref.grad) <= max(tol, 1e-12), k
+            if tol:
+                np.testing.assert_allclose(leaf.grad, ref.grad, rtol=tol,
+                                           atol=tol, err_msg=str(k))
         else:
             assert leaf.grad is None and ref.grad is None, k
 

@@ -181,9 +181,9 @@ class TestLstmSequence:
     """The `bilstm` node, which runs the `_lstm` kernel per direction,
     against the per-step oracles of tests/helpers.py."""
 
-    @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 5),
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 6),
            st.integers(1, 6), st.integers(0, 2 ** 16))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_matches_per_step_oracles(self, L, B, V, frozen, seed):
         # weight `frozen` does not require grad and must get no gradient
         arrays = lstm_arrays(np.random.default_rng(seed), L, V, B)
@@ -339,7 +339,6 @@ class TestWordAttentionNode:
                 args[k] = t
                 return (word_attention(*args)[0] * Tensor(w)).sum()
             assert grad_check(f, Tensor(arrays[k])) < 1e-6
-
 
     @pytest.mark.parametrize("shapes", [
         {"H": (4, 6), "A": (6, 6), "r": (6, 1)},
