@@ -183,8 +183,10 @@ def cmd_sweep(args) -> int:
         train(model, corpus.bags, train_cfg)
         return _evaluate(model, corpus)[1:]
 
-    report = evaluation.sweep_markdown(
-        evaluation.experiment_sweep(cfg.train, grid, run_point))
+    # each point is scored on the corpus it trained on: the AUC measures fit
+    report = (f"Scored on the training corpus {cfg.corpus}.\n\n"
+              + evaluation.sweep_markdown(
+                  evaluation.experiment_sweep(cfg.train, grid, run_point)))
     _write_output(args.out or os.path.join(cfg.output_dir, "sweep.md"), report)
     print(report)
     return 0

@@ -2,9 +2,10 @@
 
 The full pipeline is embeddings -> Bi-LSTM -> word attention -> primary
 capsules -> votes -> dynamic routing, yielding one activation per
-relation. Ablation switches replace attention with the identity and the
-capsule stack with a sigmoid dense head (one tape node) over the
-mean-pooled sequence.
+relation. The votes stay factored as (u, Wc, b_hat), and routing
+contracts the factors, so no E x d x H vote tensor is built. Ablation
+switches replace attention with the identity and the capsule stack with
+a sigmoid dense head (one tape node) over the mean-pooled sequence.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class Model:
         if cfg.capsule:
             u, a_hat = caps.primary_capsules(x_tilde, p["caps_Wb"],
                                              p["caps_b1"], cfg.C, cfg.d)
-            u_hat = caps.votes(u, p["caps_Wc"], p["caps_bhat"])
-            _, a = caps.dynamic_routing(u_hat, a_hat, cfg.routing_iters)
+            factors = caps.votes(u, p["caps_Wc"], p["caps_bhat"])
+            _, a = caps.dynamic_routing(factors, a_hat, cfg.routing_iters)
             return a
         return _pooled_head(x_tilde, p["head_W"], p["head_b"])
 

@@ -315,16 +315,6 @@ def tape_nodes(outs, leaves=()) -> int:
     return count
 
 
-def votes_reference(u: np.ndarray, Wc: np.ndarray,
-                    b_hat: np.ndarray) -> np.ndarray:
-    """Per-parent loop: u_hat[:, j] = u @ Wc[j].T + b_hat[j]; H x E x d."""
-    H, E = u.shape[0], Wc.shape[0]
-    u_hat = np.zeros((H, E, Wc.shape[1]))
-    for j in range(E):
-        u_hat[:, j] = u @ Wc[j].T + b_hat[j]
-    return u_hat
-
-
 def bilstm_reference(X: np.ndarray, fwd, bwd) -> np.ndarray:
     """Per-step LSTM in both directions on plain arrays; L x 2B.
 
@@ -494,12 +484,12 @@ def planted_trigger_bags(n_bags: int = 48, relations: int = 4,
     return bags
 
 
-def planted_trigger_store() -> EmbeddingStore:
+def planted_trigger_store(d_w: int = 8) -> EmbeddingStore:
     """53 relations, as published, over the vocabulary of
-    `planted_trigger_bags`."""
+    `planted_trigger_bags`, with `d_w`-dim word vectors."""
     vocab = (tuple(f"w{i}" for i in range(20))
              + tuple(f"t{r}" for r in range(1, 53)) + ("E1", "E2"))
-    return tiny_store(d_w=8, n_relations=53, vocab=vocab)
+    return tiny_store(d_w=d_w, n_relations=53, vocab=vocab)
 
 
 def pr_curve_reference(decisions) -> list[tuple[float, float]]:

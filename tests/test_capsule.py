@@ -1,6 +1,7 @@
 """Squash, primary capsules, votes, and dynamic routing vs the loop oracle."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from capsrel.capsule import (capsule_length, dynamic_routing, primary_capsules,
 from capsrel.training import margin_loss
 from helpers import (add, check_fused_node, dynamic_routing_composed,
                      primary_capsules_composed, relative_gap, routing_reference,
-                     squash_reference, votes_composed, votes_reference)
+                     squash_reference, votes_composed)
 
 
 class TestSquash:
@@ -174,42 +175,71 @@ class TestPrimaryCapsules:
                              Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)), 2, 2)
 
 
+def assert_reads_as(factors, u_hat: np.ndarray, tol: float = 0.0) -> None:
+    """Routing's two contractions on factored votes give what they give on
+    the E x d x H votes u_hat: the parent sum under couplings that are
+    multiples of 1/8, and the agreement with each unit vector e_k, which
+    reads u_hat[:, k] back. Exact (tol 0) unless `tol` is given."""
+    arrays = tuple(t.data for t in factors)
+    E, d, H = u_hat.shape
+    c = np.random.default_rng(H).integers(0, 9, size=(E, H)) / 8.0
+    np.testing.assert_allclose(capsule._parent_sum(arrays, c),
+                               (u_hat @ c[:, :, None])[:, :, 0],
+                               rtol=tol, atol=tol)
+    for k in range(d):
+        unit = np.zeros((E, d))
+        unit[:, k] = 1.0
+        np.testing.assert_allclose(capsule._agreement(arrays, unit),
+                                   u_hat[:, k], rtol=tol, atol=tol)
+
+
 class TestVotes:
+    """`votes` keeps the votes factored; the composed oracle forms them."""
+
     def test_identity_transform_copies_children(self):
         H, E, d = 4, 3, 2
         u = Tensor(np.random.default_rng(5).normal(size=(H, d)))
         Wc = Tensor(np.stack([np.eye(d)] * E))
-        out = votes(u, Wc, Tensor(np.zeros((E, d))))
+        b_hat = Tensor(np.zeros((E, d)))
+        u_hat = votes_composed(u, Wc, b_hat).data
         for j in range(E):
-            np.testing.assert_allclose(out.data.transpose(2, 0, 1)[:, j], u.data,
+            np.testing.assert_allclose(u_hat.transpose(2, 0, 1)[:, j], u.data,
                                        atol=1e-15)
+        factors = votes(u, Wc, b_hat)
+        assert all(f is t for f, t in zip(factors, (u, Wc, b_hat)))
+        assert_reads_as(factors, u_hat, tol=1e-14)
 
     def test_zero_children_zero_bias_give_zero_votes(self):
-        out = votes(Tensor(np.zeros((3, 2))),
-                    Tensor(np.random.default_rng(6).normal(size=(2, 2, 2))),
-                    Tensor(np.zeros((2, 2))))
-        np.testing.assert_array_equal(out.data, 0.0)
+        args = (Tensor(np.zeros((3, 2))),
+                Tensor(np.random.default_rng(6).normal(size=(2, 2, 2))),
+                Tensor(np.zeros((2, 2))))
+        np.testing.assert_array_equal(votes_composed(*args).data, 0.0)
+        assert_reads_as(votes(*args), np.zeros((2, 2, 3)))
 
     def test_hand_2x2_matrix_vector(self):
-        u = Tensor(np.array([[1.0, 2.0]]))
-        W = np.array([[[3.0, -1.0], [0.5, 2.0]]])
-        b = np.array([[0.1, -0.2]])
-        out = votes(u, Tensor(W), Tensor(b))
-        np.testing.assert_allclose(out.data.transpose(2, 0, 1)[0, 0],
-                                   [3 * 1 - 1 * 2 + 0.1, 0.5 * 1 + 2 * 2 - 0.2],
+        args = (Tensor(np.array([[1.0, 2.0]])),
+                Tensor(np.array([[[3.0, -1.0], [0.5, 2.0]]])),
+                Tensor(np.array([[0.1, -0.2]])))
+        u_hat = np.array([3 * 1 - 1 * 2 + 0.1, 0.5 * 1 + 2 * 2 - 0.2]
+                         ).reshape((1, 2, 1))
+        np.testing.assert_allclose(votes_composed(*args).data, u_hat,
                                    atol=1e-12)
-
+        assert_reads_as(votes(*args), u_hat, tol=1e-12)
 
     @pytest.mark.parametrize("H,E,d", [(1, 1, 1), (5, 3, 2), (33, 53, 8)])
     def test_matches_per_parent_loop_oracle(self, H, E, d):
+        # the composed graph's E x d x H votes, parent by parent
         rng = np.random.default_rng(H * E * d)
         u = rng.normal(size=(H, d))
         u[-1] = 0.0  # a child from a zero-padded window
         Wc = rng.normal(size=(E, d, d))
         b_hat = rng.normal(size=(E, d))
-        out = votes(Tensor(u), Tensor(Wc), Tensor(b_hat)).data.transpose(2, 0, 1)
-        np.testing.assert_allclose(out, votes_reference(u, Wc, b_hat),
-                                   rtol=1e-12, atol=1e-12)
+        args = Tensor(u), Tensor(Wc), Tensor(b_hat)
+        u_hat = votes_composed(*args).data
+        for j in range(E):
+            np.testing.assert_allclose(u_hat[j], Wc[j] @ u.T + b_hat[j, :, None],
+                                       rtol=1e-12, atol=1e-12)
+        assert_reads_as(votes(*args), u_hat, tol=1e-12)
 
     def test_paper_shape_equals_transposed_oracle_bit_for_bit(self):
         # Multiples of 1/32 up to 128 are exact in float64, so every
@@ -220,10 +250,12 @@ class TestVotes:
         u[-32:] = 0.0  # children from a zero-padded window
         Wc = rng.integers(-8, 9, size=(E, d, d)) / 8.0
         b_hat = rng.integers(-8, 9, size=(E, d)) / 32.0
-        out = votes(Tensor(u), Tensor(Wc), Tensor(b_hat)).data
-        assert out.shape == (E, d, H)
-        np.testing.assert_array_equal(out.transpose(2, 0, 1),
-                                      votes_reference(u, Wc, b_hat))
+        args = Tensor(u), Tensor(Wc), Tensor(b_hat)
+        u_hat = votes_composed(*args).data
+        assert u_hat.shape == (E, d, H)
+        np.testing.assert_array_equal(
+            u_hat, np.einsum("jkm,im->jki", Wc, u) + b_hat[:, :, None])
+        assert_reads_as(votes(*args), u_hat)
 
 
 def normal_arrays(seed, *shapes):
@@ -232,8 +264,9 @@ def normal_arrays(seed, *shapes):
 
 
 class TestCapsuleNodes:
-    """`primary_capsules` and `votes` are one tape node each, against the
-    composed graphs they fuse; b1 and b_hat may not require grad."""
+    """`primary_capsules` is one tape node, and routing on the factors
+    `votes` returns matches routing on the votes the composed graph forms;
+    b1 and b_hat may not require grad."""
 
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 16))
@@ -248,11 +281,40 @@ class TestCapsuleNodes:
             arrays, [True, True, bias_grad], interior=3)
 
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3),
-           st.booleans(), st.integers(0, 2 ** 16))
+           st.sampled_from([1, 2, 3, 5]),
+           st.lists(st.booleans(), min_size=5, max_size=5), st.booleans(),
+           st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_votes_match_composed_graph(self, H, E, d, bias_grad, seed):
-        arrays = normal_arrays(seed, (H, d), (E, d, d), (E, d))
-        check_fused_node(votes, votes_composed, arrays, [True, True, bias_grad])
+    def test_votes_match_composed_graph(self, H, E, d, iters, zeros,
+                                        bias_grad, seed):
+        # routing on the factored votes against routing on the E x d x H
+        # votes of the composed graph, with exact zeros in a_hat. The
+        # votes are unsaturated: at parent inputs of norm ~300 the a_hat
+        # gradient cancels terms ~1e6 times its size, and the two sum
+        # orders then differ by ~1e-10 of it. TestRoutingNode checks
+        # saturated couplings, where both graphs run the same arithmetic.
+        # the scales of TestCapsuleGradients and c01: at unit scales, five
+        # iterations can make routing steep enough that grad_check's
+        # truncation error, which grows as eps^2, passes its 1e-6 bound
+        u, Wc, b_hat, a_hat = normal_arrays(seed, (H, d), (E, d, d), (E, d),
+                                            (H,))
+        u, Wc, b_hat, a_hat = 0.6 * u, 0.6 * Wc, 0.2 * b_hat, np.abs(a_hat)
+        a_hat[np.array(zeros[:H])] = 0.0
+
+        def fused(u, Wc, b_hat, a_hat):
+            return dynamic_routing(votes(u, Wc, b_hat), a_hat, iters)
+
+        # squash has a kink at a zero parent input, where central
+        # differences fail; an all-zero a_hat leaves every parent there,
+        # and couplings that vanish leave one near it. An activation of
+        # 1e-6 is a parent input of norm 7e-4, far beyond grad_check's eps.
+        _, act = fused(*(Tensor(x) for x in (u, Wc, b_hat, a_hat)))
+        check_fused_node(
+            fused,
+            lambda u, Wc, b_hat, a_hat: dynamic_routing_composed(
+                votes_composed(u, Wc, b_hat), a_hat, iters),
+            [u, Wc, b_hat, a_hat], [True, True, bias_grad, True],
+            interior=3, central_differences=act.data.min() > 1e-6, tol=1e-10)
 
     @pytest.mark.parametrize("layer, shapes", [
         ("votes", {"u": (5, 3), "Wc": (2, 2, 2), "b_hat": (2, 2)}),
@@ -364,9 +426,43 @@ class TestDynamicRouting:
                            match=re.escape(f"u_hat {u_hat}, a_hat {a_hat}")):
             dynamic_routing(Tensor(np.zeros(u_hat)), Tensor(np.zeros(a_hat)), 3)
 
+    @pytest.mark.parametrize("u, Wc, b_hat, a_hat", [
+        ((4, 2), (3, 2, 2), (3, 2), (5,)), ((4, 2), (3, 2, 3), (3, 2), (4,)),
+        ((4, 2), (3, 2, 2), (1, 2), (4,)), ((4,), (3, 2, 2), (3, 2), (4,))],
+        ids=["a_hat-too-long", "Wc-wider-than-u", "b_hat-one-parent", "u-1d"])
+    def test_nonconforming_factors_name_every_shape(self, u, Wc, b_hat, a_hat):
+        factors = tuple(Tensor(np.zeros(shape)) for shape in (u, Wc, b_hat))
+        with pytest.raises(ShapeError, match=re.escape(
+                f"u {u}, Wc {Wc}, b_hat {b_hat}, a_hat {a_hat}")):
+            dynamic_routing(factors, Tensor(np.zeros(a_hat)), 3)
+
+    def test_factored_votes_never_form_the_vote_tensor(self):
+        # wide capsules make one E x d x H array larger than everything
+        # routing keeps: its E x H couplings and the H x d child gradient
+        H, E, d = 4000, 8, 32
+        rng = np.random.default_rng(14)
+        factors = [Tensor(rng.normal(0, 0.3, size=shape), requires_grad=True)
+                   for shape in ((H, d), (E, d, d), (E, d))]
+        a_hat = Tensor(rng.uniform(0, 1, size=H), requires_grad=True)
+        tracemalloc.start()
+        try:
+            v, a = dynamic_routing(votes(*factors), a_hat, 3)
+            add(v.sum(), a.sum()).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < E * d * H * 8, peak
+
     def test_rejects_zero_iterations(self):
         with pytest.raises(ContractViolation):
             dynamic_routing(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)), 0)
+
+    @pytest.mark.parametrize("iters", [True, 2.5, np.float64(3.0), "3"],
+                             ids=["bool", "float", "numpy-float", "str"])
+    def test_rejects_non_integer_iterations(self, iters):
+        with pytest.raises(ContractViolation, match=re.escape(repr(iters))):
+            dynamic_routing(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)),
+                            iters)
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 4])
     def test_runs_2r_minus_1_stacked_products(self, monkeypatch, iters):
@@ -428,11 +524,17 @@ class TestRoutingNode:
         assert relative_gap(u.grad, u_ref.grad) <= 1e-12
         assert relative_gap(a.grad, a_ref.grad) <= 1e-12
 
-        # one node, under the squash and capsule_length nodes
+        # one node, under the squash and capsule_length nodes, on the
+        # factors x = I_H, W = u_hat and b = 0
         u, a = Tensor(u_hat, requires_grad=True), Tensor(a_hat)
         v, act = dynamic_routing(u, a, iters)
         (node,) = v._parents
-        assert act._parents == (node,) and node._parents == (u, a)
+        assert act._parents == (node,)
+        eye, W, zero, a_node = node._parents
+        assert W is u and a_node is a
+        np.testing.assert_array_equal(eye.data, np.eye(len(a_hat)))
+        np.testing.assert_array_equal(zero.data, 0.0)
+        assert not (eye.requires_grad or zero.requires_grad)
 
         # squash has a kink at a zero parent input. Saturated couplings can
         # underflow to exact zeros and leave a parent there, so only

@@ -438,6 +438,7 @@ class TestSweep:
         text = out.read_text()
         assert "routing_iters=1" in text and "routing_iters=3" in text
         assert "AUC" in text
+        assert text.startswith(f"Scored on the training corpus {cfg['corpus']}.")
 
     @pytest.mark.parametrize("flag,value", [
         ("--iters", "1,,3"), ("--iters", "x"), ("--dims", "0")])

@@ -247,7 +247,7 @@ class TestLstmSequence:
                 "backward Wx {}, Wh {}, b {}".format(*shapes))):
             fused(X, *weights)
 
-    @pytest.mark.parametrize("capsule, nodes", [(True, 25), (False, 18)],
+    @pytest.mark.parametrize("capsule, nodes", [(True, 24), (False, 18)],
                              ids=["full", "-Capsule"])
     def test_tape_size_does_not_grow_with_sentence_length(self, capsule, nodes):
         model = tiny_model(L=40, capsule=capsule)

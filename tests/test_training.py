@@ -271,6 +271,43 @@ class TestTrainableStart:
         assert history[-1].mean_loss < 0.7, [s.mean_loss for s in history]
 
 
+class TestPublishedShapeGradient:
+    """The whole model's analytic gradient at the published shape (B=300,
+    C=32, d=8, E=53, d_w=50, d_p=5) on a 10-token sentence, against
+    central differences along one random unit direction per parameter."""
+
+    def test_directional_derivatives_match_central_differences(self):
+        model = Model(TrainConfig(dropout=0.0), planted_trigger_store(d_w=50))
+        bag = planted_trigger_bags(n_bags=2, relations=2, lengths=(10,))[1]
+        y = label_vector(bag.labels, model.E)
+
+        def loss():
+            return margin_loss(model.activations(bag.instances[0]), y)[0]
+
+        loss().backward()
+        rng = np.random.default_rng(0)
+        errors = {}
+        for name, p in model.params.items():
+            direction = rng.normal(size=p.shape)
+            direction /= np.linalg.norm(direction)
+            analytic = float((p.grad * direction).sum())
+            data, best = p.data, np.inf
+            for eps in (1e-4, 1e-5, 1e-6):
+                with no_grad():
+                    p.data = data + eps * direction
+                    hi = loss().item()
+                    p.data = data - eps * direction
+                    lo = loss().item()
+                p.data = data
+                numeric = (hi - lo) / (2 * eps)
+                best = min(best, abs(numeric - analytic)
+                           / max(abs(numeric), abs(analytic)))
+            errors[name] = best
+        assert len(errors) == 15
+        # c01's bound; at this seed every group agrees within 2e-7
+        assert max(errors.values()) < 1e-4, errors
+
+
 class TestPerBagBackward:
     @pytest.mark.parametrize("capsule", [True, False], ids=["full", "-Capsule"])
     @pytest.mark.parametrize("M", [2, 4])
