@@ -89,36 +89,37 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
     if not cfg.checkpoint:
         raise ConfigError("config field 'checkpoint' is required")
+    cfg.require_writable("checkpoint")
+    cfg.require_writable("output_dir", directory=True)
     store = _load_store(cfg)
     corpus = _load_corpus(cfg, store, cfg.train, "train on")
     os.makedirs(cfg.output_dir, exist_ok=True)
     os.makedirs(os.path.dirname(cfg.checkpoint) or ".", exist_ok=True)
     model = Model(cfg.train, store)
     log_path = os.path.join(cfg.output_dir, "train_log.jsonl")
-    records = []
+    records = [json.dumps({"run_config": cfg.to_dict()}, sort_keys=True)]
+    _write_output(log_path, records[0] + "\n")
 
     def on_epoch(stats):
-        save_checkpoint(cfg.checkpoint, model,
-                        extra={"epoch": stats.epoch, "run_config": cfg.to_dict()})
+        save_checkpoint(cfg.checkpoint, model, extra={"epoch": stats.epoch})
         records.append(json.dumps({
             "epoch": stats.epoch,
             "mean_loss": stats.mean_loss,
             "selection_histogram": {str(k): v for k, v in
                                     sorted(stats.selection_histogram.items())},
-            "config": cfg.to_dict(),
         }, sort_keys=True))
         _write_output(log_path, "\n".join(records) + "\n")
         return False
 
     train(model, corpus.bags, cfg.train, callback=on_epoch)
     if cfg.train.epochs == 0:
-        save_checkpoint(cfg.checkpoint, model,
-                        extra={"epoch": -1, "run_config": cfg.to_dict()})
+        save_checkpoint(cfg.checkpoint, model, extra={"epoch": -1})
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args.config)
+    cfg.require_writable("output_dir", directory=True)
     _, corpus, model = _load_trained(cfg, args, "evaluate")
     os.makedirs(cfg.output_dir, exist_ok=True)
     curve, auc, precisions = _evaluate(model, corpus)
@@ -135,8 +136,13 @@ def cmd_predict(args) -> int:
     cfg = _load_run_config(args.config)
     if args.multi and not cfg.entity_embeddings:
         raise ConfigError("--multi requires the 'entity_embeddings' config field")
+    if args.threshold is not None and not args.multi:
+        raise ConfigError("--threshold applies only with --multi: plain "
+                          "predict ranks every relation")
     threshold = args.threshold if args.threshold is not None else cfg.train.threshold
     dataclasses.replace(cfg.train, threshold=threshold).validate()
+    if not args.out:
+        cfg.require_writable("output_dir", directory=True)
     store, corpus, model = _load_trained(cfg, args, "predict on", args.multi)
     lines = []
     for bag in corpus.bags:
@@ -174,6 +180,8 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
+    if not args.out:
+        cfg.require_writable("output_dir", directory=True)
     store = _load_store(cfg)
     corpus = _load_corpus(cfg, store, cfg.train, "train on")
     grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 
 
@@ -130,10 +131,24 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def require_paths(self, *names: str) -> None:
-        import os
         for name in names:
             path = getattr(self, name)
             if not path:
                 raise ConfigError(f"config field {name!r} is required")
             if not os.path.exists(path):
                 raise ConfigError(f"config field {name!r}: no such file: {path}")
+
+    def require_writable(self, name: str, directory: bool = False) -> None:
+        """Raise unless the path of field `name` can be written as a file,
+        or made as a `directory`: it must not exist as the other kind, and
+        the nearest of its parents that exists must be a directory."""
+        path = getattr(self, name)
+        if os.path.exists(path) and os.path.isdir(path) != directory:
+            raise ConfigError(f"config field {name!r}: {path} is "
+                              f"{'not ' if directory else ''}a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise ConfigError(f"config field {name!r}: {parent} in {path} "
+                              "is not a directory")

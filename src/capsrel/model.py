@@ -159,8 +159,9 @@ def _pooled_head(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 # Checkpoint container: MAGIC, the header length as a little-endian u64,
 # the UTF-8 JSON header, zero padding to a multiple of 8 bytes, then each
 # parameter's C-order little-endian float64 bytes in the order of the
-# `params` table. The header holds exactly the keys of HEADER_KEYS;
-# `params` is the table `checkpoint_layout` gives.
+# `params` table. The header holds exactly the keys of HEADER_KEYS. Of
+# these, `checkpoint_layout` gives `version`, `relation_names` and
+# `params`: save writes them, and load compares the file's with them.
 MAGIC = b"CAPSREL1"
 HEADER_KEYS = frozenset({"version", "config", "relation_names",
                          "dropout_rng_state", "extra", "params"})
@@ -169,16 +170,18 @@ _DTYPE = np.dtype("<f8")
 
 
 def checkpoint_layout(config: TrainConfig, store: EmbeddingStore
-                      ) -> tuple[list[dict], int]:
-    """The `params` table of a checkpoint of this model, and the size of
-    its data section: a {name, shape, offset} entry per `param_table`
-    parameter, sorted by name, each buffer right after the one before."""
+                      ) -> tuple[dict, int]:
+    """The header fields that `config` and `store` fix, and the size of the
+    data section. They are `version`, `relation_names` and the `params`
+    table: a {name, shape, offset} entry per `param_table` parameter,
+    sorted by name, each buffer right after the one before."""
     table, offset = [], 0
     for name, shape, _ in sorted(param_table(config, store),
                                  key=lambda entry: entry[0]):
         table.append({"name": name, "shape": list(shape), "offset": offset})
         offset += math.prod(shape) * _DTYPE.itemsize
-    return table, offset
+    return {"version": CHECKPOINT_VERSION,
+            "relation_names": store.relation_names, "params": table}, offset
 
 
 def _padding(header_len: int) -> int:
@@ -187,21 +190,19 @@ def _padding(header_len: int) -> int:
 
 def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
     """Write a binary checkpoint atomically; equal models give equal bytes."""
-    table, _ = checkpoint_layout(model.config, model.store)
+    fixed, _ = checkpoint_layout(model.config, model.store)
     header = json.dumps({
-        "version": CHECKPOINT_VERSION,
+        **fixed,
         "config": dataclasses.asdict(model.config),
-        "relation_names": model.store.relation_names,
         "dropout_rng_state": model.dropout_rng.bit_generator.state,
         "extra": extra,
-        "params": table,
     }, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, len(header)))
         fh.write(header)
         fh.write(bytes(_padding(len(header))))
-        for entry in table:
+        for entry in fixed["params"]:
             fh.write(np.ascontiguousarray(model.params[entry["name"]].data,
                                           dtype=_DTYPE))
     os.replace(tmp, path)
@@ -210,10 +211,11 @@ def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
 def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
     """Read a checkpoint written by `save_checkpoint` into a new model.
 
-    The header's `config` must name every `TrainConfig` field, and its
-    `version`, `relation_names` and `params` must equal, type for type,
-    what `save_checkpoint` writes for that config and `store`
-    before anything is allocated; each buffer is then read straight into
+    The header's `config` must name every `TrainConfig` field. Its
+    `version`, `relation_names` and `params` must equal, type for type and
+    whatever the key order of an object, the fields `checkpoint_layout`
+    gives save for that config and `store`; the first difference is named.
+    Only then is anything allocated, and each buffer is read straight into
     the array the model keeps. Every way the file can be malformed raises
     `ContractViolation` naming `path` and the offending field.
     """
@@ -254,16 +256,19 @@ def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
                        if name not in header["config"]]
             if missing:
                 raise ContractViolation(f"config lacks fields {missing}")
-            table, data_bytes = checkpoint_layout(config, store)
-            _check_header(header, table, store)
+            fixed, data_bytes = checkpoint_layout(config, store)
         except (ConfigError, ContractViolation) as exc:
             raise ContractViolation(f"{path}: {exc}") from exc
+        for key, expected in fixed.items():
+            if not _same(header[key], expected):
+                raise _malformed(path, *_first_difference(key, header[key],
+                                                          expected))
         if size - data_start != data_bytes:
             raise _malformed(path, "params", (
                 f"cover {data_bytes} bytes of a {size - data_start}-byte "
                 "data section"))
         arrays = {entry["name"]: np.empty(entry["shape"], dtype=_DTYPE)
-                  for entry in table}
+                  for entry in fixed["params"]}
         for data in arrays.values():
             fh.readinto(data)
     model = Model(config, store, arrays)
@@ -280,48 +285,24 @@ def _malformed(path: str, field: str, problem: str) -> ContractViolation:
 
 
 def _same(a, b) -> bool:
-    """Equal JSON values of equal types: 1.0, true and 1 all differ."""
-    return json.dumps(a) == json.dumps(b)
+    """Equal JSON values of equal types, whatever the key order of an
+    object: 1.0, true and 1 all differ."""
+    return _text(a) == _text(b)
 
 
-def _check_header(header: dict, table: list[dict],
-                  store: EmbeddingStore) -> None:
-    """Raise at the first field where the header's version, relation order
-    or `params` differ from what `save_checkpoint` writes."""
-    if not _same(header["version"], CHECKPOINT_VERSION):
-        raise ContractViolation(
-            f"unsupported checkpoint version {header['version']!r}; "
-            f"expected {CHECKPOINT_VERSION}")
-    if not _same(header["relation_names"], store.relation_names):
-        raise ContractViolation(
-            f"checkpoint relation_names {header['relation_names']} "
-            f"differ from the embedding store's {store.relation_names}")
-    entries = header["params"]
-    if not isinstance(entries, list):
-        raise ContractViolation("params is not a list")
-    names = [want["name"] for want in table]
-    found = [entry.get("name") for entry in entries if isinstance(entry, dict)]
-    missing = [name for name in names if name not in found]
-    if missing:
-        raise ContractViolation(
-            f"checkpoint lacks parameters: {', '.join(missing)}")
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict)
-                and entry.keys() == {"name", "shape", "offset"}):
-            raise ContractViolation(
-                f"params[{i}] is not an object of name, shape and offset")
-        name = entry["name"]
-        if name not in names:
-            raise ContractViolation(f"unknown parameter {name!r} in checkpoint")
-        if i >= len(table) or not _same(name, table[i]["name"]):
-            raise ContractViolation(
-                f"params[{i}].name {name!r} is out of place: the table lists "
-                "each parameter once, sorted by name")
-        if not _same(entry["shape"], table[i]["shape"]):
-            raise ContractViolation(
-                f"checkpoint shape {entry['shape']} does not match parameter "
-                f"{name!r} shape {table[i]['shape']}")
-        if not _same(entry["offset"], table[i]["offset"]):
-            raise ContractViolation(
-                f"params[{i}].offset is {entry['offset']!r}; the previous "
-                f"parameter ends at {table[i]['offset']}")
+def _text(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _first_difference(key: str, found, expected) -> tuple[str, str]:
+    """(field, problem) where `found` differs from `expected`: for a
+    `params` list, the first differing index or the end of the shorter."""
+    if key != "params" or not isinstance(found, list):
+        return key, f"is {_text(found)}, not {_text(expected)}"
+    for i, (got, want) in enumerate(zip(found, expected)):
+        if not _same(got, want):
+            return f"{key}[{i}]", f"is {_text(got)}, not {_text(want)}"
+    n = min(len(found), len(expected))
+    if len(found) > n:
+        return f"{key}[{n}]", f"is {_text(found[n])}, past the expected end"
+    return key, f"ends at [{n}], where {_text(expected[n])} is expected"

@@ -232,16 +232,28 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert in_train > 0 and len(calls) == in_train
 
-    def test_tiny_run_writes_checkpoint_and_log(self, workspace):
+    def test_tiny_run_writes_checkpoint_and_log(self, workspace, tmp_path):
         root, cfg, cfg_path = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert os.path.exists(cfg["checkpoint"])
         log_lines = open(os.path.join(cfg["output_dir"],
                                       "train_log.jsonl")).read().splitlines()
-        assert len(log_lines) == 1
-        rec = json.loads(log_lines[0])
-        assert {"epoch", "mean_loss", "selection_histogram", "config"} \
-            <= set(rec)
+        assert len(log_lines) == 2
+        head, rec = map(json.loads, log_lines)
+        assert set(head) == {"run_config"}
+        assert set(rec) == {"epoch", "mean_loss", "selection_histogram"}
+        assert rec["epoch"] == 0
+        ckpt = open(cfg["checkpoint"], "rb").read()
+        n = int.from_bytes(ckpt[8:16], "little")
+        assert json.loads(ckpt[16:16 + n])["extra"] == {"epoch": 0}
+        # the recorded run config alone reproduces the checkpoint and log
+        rerun = tmp_path / "rerun.json"
+        rerun.write_text(json.dumps(head["run_config"]))
+        os.remove(cfg["checkpoint"])
+        assert main(["train", "--config", str(rerun)]) == 0
+        assert open(cfg["checkpoint"], "rb").read() == ckpt
+        assert open(os.path.join(cfg["output_dir"], "train_log.jsonl")
+                    ).read().splitlines() == log_lines
 
     def test_creates_the_checkpoint_directory_before_training(self, workspace,
                                                              tmp_path):
@@ -313,21 +325,6 @@ class TestEval:
                      "--corpus", str(na_corpus)]) == 1
         assert "zero gold positives" in capsys.readouterr().err
 
-    def test_output_dir_that_is_a_file_exits_1_before_scoring(
-            self, workspace, tmp_path, monkeypatch, capsys):
-        _, cfg, cfg_path = workspace
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        taken = tmp_path / "taken"
-        taken.write_text("")
-        p = tmp_path / "run.json"
-        p.write_text(json.dumps(dict(cfg, output_dir=str(taken))))
-
-        def no_scoring(*args, **kwargs):
-            raise AssertionError("bags scored before output_dir was made")
-        monkeypatch.setattr(Model, "bag_scores", no_scoring)
-        assert main(["eval", "--config", str(p)]) == 1
-        assert "FileExistsError" in capsys.readouterr().err
-
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         root, cfg, _ = workspace
         bad = dict(cfg, checkpoint=str(tmp_path / "missing.ckpt"))
@@ -348,6 +345,57 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(old) in err
         assert "JSON checkpoints are no longer read" in err
+
+
+class TestOutputPaths:
+    """An output path of the wrong kind is a config error, named before any
+    data is read, as a missing input path is."""
+
+    @pytest.fixture()
+    def no_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read before the output paths were "
+                                 "checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", refuse)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "sweep"])
+    def test_output_dir_that_is_a_file_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, no_read, command):
+        _, cfg, _ = workspace
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(taken),
+                                     checkpoint=str(tmp_path / "m.ckpt"))))
+        assert main([command, "--config", str(p)]) == 2
+        assert (f"config error: config field 'output_dir': {taken} is not a "
+                "directory") in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
+
+    def test_output_dir_under_a_file_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, no_read):
+        _, cfg, _ = workspace
+        (tmp_path / "taken").write_text("")
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(
+            cfg, output_dir=str(tmp_path / "taken" / "out"),
+            checkpoint=str(tmp_path / "m.ckpt"))))
+        assert main(["train", "--config", str(p)]) == 2
+        assert "config field 'output_dir'" in capsys.readouterr().err
+
+    def test_checkpoint_that_is_a_directory_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, no_read):
+        _, cfg, _ = workspace
+        ckdir = tmp_path / "ckdir"
+        ckdir.mkdir()
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(dict(cfg, checkpoint=str(ckdir),
+                                     output_dir=str(tmp_path / "out"))))
+        assert main(["train", "--config", str(p)]) == 2
+        assert (f"config error: config field 'checkpoint': {ckdir} is a "
+                "directory") in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["ckdir", "run.json"]
+        assert os.listdir(ckdir) == []
 
 
 class TestModelFieldsFromCheckpoint:
@@ -419,6 +467,20 @@ class TestPredict:
         assert main(["predict", "--config", str(cfg_path), "--multi",
                      "--threshold", threshold]) == 2
         assert "threshold must be in (0, 1)" in capsys.readouterr().err
+
+    def test_threshold_without_multi_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        _, _, cfg_path = workspace
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("data read before the flags were checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", no_read)
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--config", str(cfg_path), "--threshold",
+                     "0.99", "--out", str(out)]) == 2
+        assert "config error: --threshold applies only with --multi" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multi_without_entity_embeddings_exits_2(self, workspace, tmp_path):
         root, cfg, _ = workspace

@@ -465,8 +465,8 @@ class TestCheckpointBoundary:
         path.write_bytes(join_entries(header, [
             e for e in entries(header, body)
             if e[0] not in ("caps_Wc", "lstm_bwd_b")]))
-        with pytest.raises(ContractViolation,
-                           match="caps_Wc, lstm_bwd_b"):
+        with pytest.raises(ContractViolation, match=(
+                r'params\[\d+\] is .*, not \{"name": "caps_Wc"')):
             load_checkpoint(str(path), tiny_store())
 
     @pytest.mark.parametrize("version", [None, 0, 2, "1"])
@@ -487,8 +487,8 @@ class TestCheckpointBoundary:
         save_checkpoint(path, tiny_model())
         store = tiny_store()
         store.relation_names = ["R2", "R1", "NA"]
-        with pytest.raises(ContractViolation,
-                           match=r"\['NA', 'R1', 'R2'\].*\['R2', 'R1', 'NA'\]"):
+        with pytest.raises(ContractViolation, match=(
+                r'\["NA", "R1", "R2"\].*\["R2", "R1", "NA"\]')):
             load_checkpoint(path, store)
 
 
