@@ -9,7 +9,8 @@ import warnings
 
 import numpy as np
 
-from capsrel.autodiff import NonFiniteError, ShapeError, Tensor, grad_check
+from capsrel.autodiff import (NonFiniteError, ShapeError, Tensor, dropout,
+                              grad_check)
 from capsrel.capsule import capsule_length, squash
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
@@ -315,32 +316,6 @@ def tape_nodes(outs, leaves=()) -> int:
     return count
 
 
-def bilstm_reference(X: np.ndarray, fwd, bwd) -> np.ndarray:
-    """Per-step LSTM in both directions on plain arrays; L x 2B.
-
-    `fwd` and `bwd` are (Wx, Wh, b) arrays. Each step projects its own
-    input row.
-    """
-    def sigmoid(z):
-        return 1.0 / (1.0 + np.exp(-z))
-
-    L = X.shape[0]
-    halves = []
-    for (Wx, Wh, b), steps in ((fwd, range(L)), (bwd, range(L - 1, -1, -1))):
-        B = Wh.shape[0]
-        h, c = np.zeros(B), np.zeros(B)
-        out = np.zeros((L, B))
-        for t in steps:
-            z = X[t] @ Wx + h @ Wh + b
-            i, f = sigmoid(z[:B]), sigmoid(z[B:2 * B])
-            g, o = np.tanh(z[2 * B:3 * B]), sigmoid(z[3 * B:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            out[t] = h
-        halves.append(out)
-    return np.concatenate(halves, axis=1)
-
-
 def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
                              reverse: bool) -> Tensor:
     """One LSTM direction recorded step by step on the tape; L x B.
@@ -375,6 +350,29 @@ def bilstm_composed(X: Tensor, fwd, bwd) -> Tensor:
                    lstm_direction_reference(X, *bwd, reverse=True)], axis=1)
 
 
+def activations_composed(model: Model, inst: SentenceInstance,
+                         train: bool = False) -> Tensor:
+    """The whole model's forward for one sentence, wired from the composed
+    oracles: the graph `Model.activations` must match. It reads only
+    `model.params`, `model.config`, the word ids and `model.dropout_rng`,
+    which its dropout draws from as the model's does."""
+    cfg, p = model.config, model.params
+    X = embed_composed(model.word_ids(inst), inst.position_ids, p["word_emb"],
+                       [p[f"pos_emb_{m}"] for m in range(cfg.M)])
+    H = bilstm_composed(
+        X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
+        (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]))
+    H = dropout(H, cfg.dropout, model.dropout_rng, training=train)
+    if cfg.word_att:
+        H, _ = word_attention_composed(H, p["att_A"], p["att_r"])
+    if not cfg.capsule:
+        return pooled_head_composed(H, p["head_W"], p["head_b"])
+    u, a_hat = primary_capsules_composed(H, p["caps_Wb"], p["caps_b1"],
+                                         cfg.C, cfg.d)
+    u_hat = votes_composed(u, p["caps_Wc"], p["caps_bhat"])
+    return dynamic_routing_composed(u_hat, a_hat, cfg.routing_iters)[1]
+
+
 def position_feature_reference(token_idx: int, entity_anchor: int | None,
                                L: int) -> int:
     """Scalar bucket rule: distance clamped to [-L, L] and shifted by L; a
@@ -382,13 +380,6 @@ def position_feature_reference(token_idx: int, entity_anchor: int | None,
     if entity_anchor is None:
         return 2 * L + 2
     return max(-L, min(L, token_idx - entity_anchor)) + L
-
-
-def squash_reference(x: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(x))
-    if n == 0.0:
-        return np.zeros_like(x)
-    return (n * n / (0.5 + n * n)) * (x / n)
 
 
 def tiny_store(d_w: int = 4, k: int = 3, n_relations: int = 3,
