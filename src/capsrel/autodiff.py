@@ -48,6 +48,13 @@ def no_grad():
         _grad_enabled = prev
 
 
+def recording(parents: Sequence["Tensor"]) -> bool:
+    """Whether a node over `parents` goes on the tape: gradients are
+    enabled and a parent requires one. A node that does not need keep
+    nothing for its backward."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 class Tensor:
     """A dense float64 array node in the computation graph.
 
@@ -69,7 +76,7 @@ class Tensor:
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None]) -> "Tensor":
         out = cls(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if recording(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -1,6 +1,6 @@
 """Primary capsules over 2-gram windows, votes, and dynamic routing.
 
-The capsule layer slides a stride-1 2-gram window over the encoded
+The capsule layer slides a stride-1 2-gram window over each encoded
 sentence (zero-padded by one row at each end, so L rows give L+1
 windows), producing H = (L+1)*C child capsules u_i of dimension d. Each
 of the E relation capsules has one transform, shared by every child: the
@@ -8,8 +8,13 @@ vote of child i for parent j is u_hat[j, :, i] = Wc[j] @ u_i + b_hat[j].
 Routing-by-agreement iteratively couples children to parents. It reads
 the votes only through two contractions, the parent sum and the
 agreement, and forms both from the factors (u, Wc, b_hat), so the
-E x d x H vote tensor is never built. Primary capsules and routing are
-one tape node each, with a hand-written backward.
+E x d x H vote tensor is never built. Each layer takes the rows of N
+sentences packed one after another, with `lengths`, the rows of each
+(None: one sentence): the windows of a sentence never cross into the
+next, and routing couples each sentence's children to its own E parents,
+one sentence at a time, so its E x H arrays stay the size of one
+sentence's. Primary capsules and routing are one tape node each, with a
+hand-written backward.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .autodiff import ContractViolation, ShapeError, Tensor
-from .encoder import softmax
+from .autodiff import ContractViolation, ShapeError, Tensor, recording
+from .encoder import sentence_bounds, sentence_lengths, softmax
 
 
 def _squash(x: np.ndarray, axis: int):
@@ -56,8 +61,9 @@ def capsule_length(s: Tensor, axis: int = -1) -> Tensor:
 
 
 def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
-                     C: int, d: int) -> tuple[Tensor, Tensor]:
-    """Extract (L+1)*C child capsules of dim d from the L x 2B sequence.
+                     C: int, d: int, lengths=None) -> tuple[Tensor, Tensor]:
+    """Extract (L+1)*C child capsules of dim d from each sentence's L x 2B
+    rows, for the sentences of `lengths` in order.
 
     Each of the C*d filters is a 2x2B inner product against a 2-gram
     window; per window the C*d responses plus b1, one tape node, regroup
@@ -69,18 +75,23 @@ def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
         raise ShapeError(
             f"primary_capsules shapes do not conform for C={C}, d={d}: "
             f"x_tilde {x_tilde.shape}, Wb {Wb.shape}, b1 {b1.shape}")
-    zero = np.zeros((1, width))                 # window t: rows t-1 and t
-    windows = np.concatenate([np.concatenate([zero, x_tilde.data]),
-                              np.concatenate([x_tilde.data, zero])], axis=1)
+    lengths = sentence_lengths(lengths, L, "primary_capsules")
+    # window w holds rows w-1 and w of its sentence; row t of sentence n
+    # is the right half of window t + n and the left half of the next
+    at = np.arange(L) + np.repeat(np.arange(len(lengths)), lengths)
+    windows = np.zeros((L + len(lengths), 2 * width))
+    windows[at + 1, :width] = x_tilde.data
+    windows[at, width:] = x_tilde.data
 
     def bw(g):
-        g = g.reshape((L + 1, C * d))
+        g = g.reshape((len(windows), C * d))
         g_windows = g @ Wb.data
-        x_tilde._accumulate(g_windows[1:, :width] + g_windows[:L, width:])
+        x_tilde._accumulate(g_windows[at + 1, :width] + g_windows[at, width:])
         Wb._accumulate((windows.T @ g).T)
         b1._accumulate(g.sum(axis=0))
-    s = Tensor._from_op((windows @ Wb.data.T + b1.data).reshape(((L + 1) * C, d)),
-                        (x_tilde, Wb, b1), bw)
+    s = Tensor._from_op(
+        (windows @ Wb.data.T + b1.data).reshape((len(windows) * C, d)),
+        (x_tilde, Wb, b1), bw)
     return squash(s, axis=-1), capsule_length(s, axis=-1)
 
 
@@ -113,19 +124,65 @@ def _agreement(factors, v: np.ndarray) -> np.ndarray:
     return (v[:, None] @ W)[:, 0] @ x.T + (v * b).sum(axis=1, keepdims=True)
 
 
+def _route(factors, a: np.ndarray, iterations: int):
+    """Routing over one sentence's children: the last parent inputs s
+    (E x d), and the function taking their gradient to the gradients of
+    the factors (x, W, b) and of a."""
+    x, W, b_hat = factors
+    b = np.zeros((len(W), len(a)))  # row j: parent j's logits over the children
+    steps = []                      # per iteration: the softmax and squash kernels
+    for it in range(iterations):
+        if it:
+            b = b + _agreement(factors, v)
+        p, p_backward = softmax(b, axis=0)
+        s = _parent_sum(factors, a * p)
+        v, v_backward = _squash(s, -1)
+        steps.append((p, p_backward, v, v_backward))
+
+    def backward(gs):
+        # the vote gradient is a sum of 2r - 1 outer products, one per
+        # parent sum and one per agreement; each goes straight to the
+        # factors' gradients, so the E x d x H sum is never formed
+        grads = [np.zeros_like(x), np.zeros_like(W), np.zeros_like(b_hat)]
+
+        def vote_term(left, right):     # left[j] right[j]^T, per parent j
+            grads[0] += right.T @ (left[:, None] @ W)[:, 0]
+            grads[1] += left[:, :, None] * (right @ x)[:, None]
+            grads[2] += left * right.sum(axis=1)[:, None]
+
+        gb, ga = np.zeros_like(b), np.zeros_like(a)
+        for it in reversed(range(iterations)):
+            p, p_backward = steps[it][:2]
+            gc = _agreement(factors, gs)
+            vote_term(gs, a * p)
+            ga += (gc * p).sum(axis=0)
+            gb = gb + p_backward(gc * a)
+            if it:          # b = b_prev + agreement(v_prev)
+                _, _, v, v_backward = steps[it - 1]
+                vote_term(v, gb)
+                gs = v_backward(_parent_sum(factors, gb))
+        return (*grads, ga)
+    return s, backward
+
+
 def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
-                    a_hat: Tensor, iterations: int) -> tuple[Tensor, Tensor]:
-    """Routing-by-agreement: E parent capsules and their activations.
+                    a_hat: Tensor, iterations: int,
+                    lengths=None) -> tuple[Tensor, Tensor]:
+    """Routing-by-agreement: E parent capsules per sentence and their
+    activations.
 
     `u_hat` is the votes u_hat[j, :, i] = W[j] @ x[i] + b[j], either as
     the factors (x: H x m, W: E x d x m, b: E x d) that `votes` returns
     or as a bare E x d x H tensor, which is the case x = I_H, W = u_hat,
-    b = 0. Per iteration: logits b[j] += v_j . u_hat[j] (the agreement)
+    b = 0. The H children are those of the sentences of `lengths`, in
+    order, and each sentence routes its own children to its own E
+    parents. Per iteration: logits b[j] += v_j . u_hat[j] (the agreement)
     after the first, couplings c = a_hat * softmax of b over parents,
     parent inputs s_j = u_hat[j] c[j] (the parent sum) and
     v_j = squash(s_j). Both contractions run on the factors, so every
     array routing forms is E x H or smaller. One tape node returns the
-    last s; its backward walks the iterations in reverse.
+    last s, N x E x d (E x d when `lengths` is None); its backward walks
+    each sentence's iterations in reverse.
     """
     if isinstance(u_hat, Tensor):
         if len(u_hat.shape) != 3 or a_hat.shape != u_hat.shape[2:]:
@@ -144,38 +201,26 @@ def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
             or iterations < 1):
         raise ContractViolation(f"routing needs an integer number of "
                                 f"iterations >= 1, got {iterations!r}")
-    factors = x.data, W.data, b_hat.data
-    a = a_hat.data
-    b = np.zeros((E, len(a)))   # row j: parent j's logits over the children
-    steps = []                  # per iteration: the softmax and squash kernels
-    for it in range(iterations):
-        if it:
-            b = b + _agreement(factors, v)
-        p, p_backward = softmax(b, axis=0)
-        s = _parent_sum(factors, a * p)
-        v, v_backward = _squash(s, -1)
-        steps.append((p, p_backward, v, v_backward))
+    bounds = sentence_bounds(sentence_lengths(lengths, x.shape[0],
+                                              "dynamic_routing"))
+    parents = (x, W, b_hat, a_hat)
+    keep = recording(parents)       # a node off the tape needs no backward
+    s = np.empty((len(bounds), E, d))
+    backwards = []
+    for n, (lo, hi) in enumerate(bounds):
+        s[n], backward = _route((x.data[lo:hi], W.data, b_hat.data),
+                                a_hat.data[lo:hi], iterations)
+        if keep:
+            backwards.append(backward)
 
     def bw(gs):
-        # the vote gradient is a sum of 2r - 1 outer products, one per
-        # parent sum and one per agreement; each goes straight to the
-        # factors' gradients, so the E x d x H sum is never formed
-        def vote_term(left, right):     # left[j] right[j]^T, per parent j
-            x._accumulate(right.T @ (left[:, None] @ W.data)[:, 0])
-            W._accumulate(left[:, :, None] * (right @ x.data)[:, None])
-            b_hat._accumulate(left * right.sum(axis=1)[:, None])
-
-        gb, ga = np.zeros_like(b), np.zeros_like(a)
-        for it in reversed(range(iterations)):
-            p, p_backward = steps[it][:2]
-            gc = _agreement(factors, gs)
-            vote_term(gs, a * p)
-            ga += (gc * p).sum(axis=0)
-            gb = gb + p_backward(gc * a)
-            if it:          # b = b_prev + agreement(v_prev)
-                _, _, v, v_backward = steps[it - 1]
-                vote_term(v, gb)
-                gs = v_backward(_parent_sum(factors, gb))
+        gx, ga = np.empty_like(x.data), np.empty_like(a_hat.data)
+        for (lo, hi), backward, g in zip(bounds, backwards,
+                                         gs.reshape(s.shape)):
+            gx[lo:hi], dW, db, ga[lo:hi] = backward(g)
+            W._accumulate(dW)
+            b_hat._accumulate(db)
+        x._accumulate(gx)
         a_hat._accumulate(ga)
-    s = Tensor._from_op(s, (x, W, b_hat, a_hat), bw)
-    return squash(s, axis=-1), capsule_length(s, axis=-1)
+    out = Tensor._from_op(s[0] if lengths is None else s, parents, bw)
+    return squash(out, axis=-1), capsule_length(out, axis=-1)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import evaluation, prediction, synth
-from .config import ConfigError, RunConfig, TrainConfig
+from .config import ConfigError, RunConfig, TrainConfig, require_writable
 from .data import Corpus, EmbeddingStore, load_corpus, load_embeddings
 from .model import Model, load_checkpoint, save_checkpoint
 from .training import train
@@ -76,6 +76,15 @@ def _load_trained(cfg: RunConfig, args, use: str, entities: bool = False
     store = _load_store(cfg, entities)
     model = load_checkpoint(ckpt, store)
     return store, _load_corpus(cfg, store, model.config, use), model
+
+
+def _require_out(cfg: RunConfig, out: str | None) -> None:
+    """Check the file `--out` names, or else the field `output_dir`, before
+    any data is read."""
+    if out:
+        require_writable(out, "--out")
+    else:
+        cfg.require_writable("output_dir", directory=True)
 
 
 def _evaluate(model: Model, corpus: Corpus):
@@ -141,8 +150,7 @@ def cmd_predict(args) -> int:
                           "predict ranks every relation")
     threshold = args.threshold if args.threshold is not None else cfg.train.threshold
     dataclasses.replace(cfg.train, threshold=threshold).validate()
-    if not args.out:
-        cfg.require_writable("output_dir", directory=True)
+    _require_out(cfg, args.out)
     store, corpus, model = _load_trained(cfg, args, "predict on", args.multi)
     lines = []
     for bag in corpus.bags:
@@ -180,8 +188,7 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
-    if not args.out:
-        cfg.require_writable("output_dir", directory=True)
+    _require_out(cfg, args.out)
     store = _load_store(cfg)
     corpus = _load_corpus(cfg, store, cfg.train, "train on")
     grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]

@@ -139,16 +139,20 @@ class RunConfig:
                 raise ConfigError(f"config field {name!r}: no such file: {path}")
 
     def require_writable(self, name: str, directory: bool = False) -> None:
-        """Raise unless the path of field `name` can be written as a file,
-        or made as a `directory`: it must not exist as the other kind, and
-        the nearest of its parents that exists must be a directory."""
-        path = getattr(self, name)
-        if os.path.exists(path) and os.path.isdir(path) != directory:
-            raise ConfigError(f"config field {name!r}: {path} is "
-                              f"{'not ' if directory else ''}a directory")
-        parent = os.path.dirname(os.path.abspath(path))
-        while not os.path.exists(parent):
-            parent = os.path.dirname(parent)
-        if not os.path.isdir(parent):
-            raise ConfigError(f"config field {name!r}: {parent} in {path} "
-                              "is not a directory")
+        """`require_writable` on the path of field `name`."""
+        require_writable(getattr(self, name), f"config field {name!r}",
+                         directory)
+
+
+def require_writable(path: str, what: str, directory: bool = False) -> None:
+    """Raise `ConfigError` naming `what` unless `path` can be written as a
+    file, or made as a `directory`: it must not exist as the other kind,
+    and the nearest of its parents that exists must be a directory."""
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        raise ConfigError(f"{what}: {path} is "
+                          f"{'not ' if directory else ''}a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{what}: {parent} in {path} is not a directory")

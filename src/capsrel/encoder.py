@@ -3,19 +3,22 @@
 Shapes follow the model config: a sentence of n tokens gives n input rows
 of width V = d_w + d_p * M, the Bi-LSTM emits n x 2B hidden states, and
 attention rescales each row by its softmax weight, keeping the
-per-position sequence for the capsule layer. Every sentence is encoded at
-its own length; nothing is padded. Each layer is one tape node with a
-hand-written backward. The Bi-LSTM runs the numpy kernel `_lstm` once per
-direction: a loop over the tokens, and BPTT (one reverse sweep, then one
-product per weight). Word attention runs on the numpy softmax kernel that
-routing shares.
+per-position sequence for the capsule layer. Each layer takes the rows of
+N sentences packed one after another, with `lengths`, the rows of each
+(None: one sentence of all rows); nothing is padded or masked. Each layer
+is one tape node with a hand-written backward. The Bi-LSTM runs the numpy
+kernel `_lstm` once per direction: one loop over the steps that advances
+every sentence still running together, longest first, so a step is one
+product with `Wh` for all of them, and BPTT (one reverse sweep, then one
+product per weight). Word attention normalises each sentence's scores on
+its own, on the numpy softmax kernel that routing shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ContractViolation, ShapeError, Tensor
+from .autodiff import ContractViolation, ShapeError, Tensor, recording
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -68,64 +71,112 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
-          reverse: bool):
-    """One LSTM direction over the L rows of X, in order or reversed: the
-    L x B states, and the function taking their gradient dH to (dX, dWx,
-    dWh, db).
+def sentence_lengths(lengths, rows: int, node: str) -> np.ndarray:
+    """The rows of each sentence in `rows` packed rows: `lengths`, or one
+    sentence when it is None. Raises `ShapeError` naming `node` unless
+    they are integers of at least 1 that add up to `rows`."""
+    if lengths is None:
+        return np.array([rows])
+    out = np.asarray(lengths)
+    if (out.ndim != 1 or not len(out) or out.dtype.kind not in "iu"
+            or out.min() < 1 or out.sum() != rows):
+        raise ShapeError(f"{node} lengths {np.asarray(lengths).tolist()} do "
+                         f"not split {rows} rows into sentences of at least "
+                         "one row")
+    return out
 
-    The 4B gate columns are ordered input, forget, cell, output, and the
-    state starts at zero. The forward keeps the activated gates and the
-    cells; the backward is one reverse BPTT sweep that fills dZ, the
-    L x 4B gradient of the gate pre-activations, then forms dX, dWx and
-    dWh with one product each and db with one sum.
+
+def sentence_bounds(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """(first row, end row) of each sentence in the packed rows."""
+    ends = np.cumsum(lengths).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _schedule(lengths: np.ndarray, reverse: bool):
+    """The order one LSTM direction visits the packed rows of N sentences.
+
+    Step s advances every sentence longer than s; sorted longest first,
+    those are a prefix of the sentences. A forward direction reads token
+    s of each, a reversed one the s-th token from its own end. Returns
+    the packed row read at each position of the step-major order, the
+    (first position, sentences) of each step, and the position that holds
+    each position's previous state (len(rows) at step 0: a zero row).
     """
-    L, B = X.shape[0], Wh.shape[0]
-    order = slice(None, None, -1) if reverse else slice(None)
-    # every array below holds one row per step, in step order
-    XW = (X @ Wx + b)[order]                    # the input projection, hoisted
-    gates = np.empty((L, 4, B))
-    hs, cs = np.empty((L, B)), np.empty((L, B))
-    h = c = np.zeros(B)
-    for s in range(L):
-        z = XW[s] + h @ Wh
-        gates[s] = _sigmoid(z).reshape(4, B)
-        gates[s, 2] = np.tanh(z[2 * B:3 * B])
-        i, f, g, o = gates[s]
-        c = f * c + i * g
+    order = np.argsort(-lengths, kind="stable")
+    by_length = lengths[order]
+    first_row = (np.cumsum(lengths) - lengths)[order]
+    step, k = np.nonzero(np.arange(by_length[0])[:, None] < by_length)
+    counts = np.bincount(step)
+    starts = np.cumsum(counts) - counts
+    token = by_length[k] - 1 - step if reverse else step
+    prev = np.where(step > 0, starts[step - 1] + k, len(step))
+    return first_row[k] + token, list(zip(starts.tolist(), counts.tolist())), prev
+
+
+def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
+          lengths: np.ndarray, reverse: bool):
+    """One LSTM direction over the packed rows of X, each sentence of
+    `lengths` in order or reversed: the states, one row per row of X, and
+    the function taking their gradient dH to (dX, dWx, dWh, db).
+
+    The 4B gate columns are ordered input, forget, cell, output, and each
+    sentence's state starts at zero. The input projection runs once over
+    every row. Each step then multiplies the states of all sentences still
+    running by `Wh` at once. The forward keeps the activated gates and the
+    cells; the backward is one reverse BPTT sweep over the same steps that
+    fills dZ, the gradient of the gate pre-activations, then forms dX, dWx
+    and dWh with one product each and db with one sum.
+    """
+    rows, steps, prev = _schedule(lengths, reverse)
+    T, B = len(rows), Wh.shape[0]
+    # every array below holds one row per step and sentence, in step order
+    XW = X[rows] @ Wx                           # the input projection, hoisted
+    XW += b
+    gates = np.empty((T, 4, B))
+    hs, cs = np.zeros((T + 1, B)), np.zeros((T + 1, B))     # row T: the start
+    h = c = np.zeros((len(lengths), B))
+    for at, n in steps:
+        z = XW[at:at + n] + h[:n] @ Wh
+        gate = gates[at:at + n]
+        gate[:] = _sigmoid(z).reshape(n, 4, B)
+        gate[:, 2] = np.tanh(z[:, 2 * B:3 * B])
+        i, f, g, o = gate.transpose(1, 0, 2)
+        c = f * c[:n] + i * g
         h = o * np.tanh(c)
-        hs[s], cs[s] = h, c
+        hs[at:at + n], cs[at:at + n] = h, c
+    back = np.argsort(rows)                     # step order -> row order
 
     def backward(dH):
-        dH = dH[order]
+        dH = dH[rows]
         i, f, g, o = gates.transpose(1, 0, 2)
-        tanh_c = np.tanh(cs)
+        tanh_c = np.tanh(cs[:T])
         slope = gates * (1.0 - gates)           # sigmoid'(z) = a (1 - a)
         slope[:, 2] = 1.0 - g * g               # tanh'(z) = 1 - a^2
         # dZ[s] = [dc g, dc c_prev, dc i, dh tanh(c)] * slope[s]
-        c_prev = np.vstack([np.zeros(B), cs[:-1]])
-        by_dc = np.stack([g, c_prev, i], axis=1) * slope[:, :3]
+        by_dc = np.stack([g, cs[prev], i], axis=1) * slope[:, :3]
         by_dh = tanh_c * slope[:, 3]
         dc_by_dh = o * (1.0 - tanh_c * tanh_c)
-        dZ = np.empty((L, 4, B))
-        dh_next = dc_next = np.zeros(B)
-        for s in range(L - 1, -1, -1):
-            dh = dH[s] + dh_next
-            dc = dh * dc_by_dh[s] + dc_next
-            np.multiply(dc, by_dc[s], out=dZ[s, :3])
-            np.multiply(dh, by_dh[s], out=dZ[s, 3])
-            dc_next = dc * f[s]
-            dh_next = Wh @ dZ[s].reshape(-1)
-        dZ = dZ.reshape(L, 4 * B)
-        dWh = np.vstack([np.zeros(B), hs[:-1]]).T @ dZ
-        dZ = dZ[order]                          # back to row order
+        dZ = np.empty((T, 4, B))
+        # a sentence's rows stay zero until its last step is reached
+        dh_next, dc_next = np.zeros((len(lengths), B)), np.zeros((len(lengths), B))
+        for at, n in reversed(steps):
+            dh = dH[at:at + n] + dh_next[:n]
+            dc = dh * dc_by_dh[at:at + n] + dc_next[:n]
+            np.multiply(dc[:, None], by_dc[at:at + n], out=dZ[at:at + n, :3])
+            np.multiply(dh, by_dh[at:at + n], out=dZ[at:at + n, 3])
+            dc_next[:n] = dc * f[at:at + n]
+            dh_next[:n] = dZ[at:at + n].reshape(n, 4 * B) @ Wh.T
+        dZ = dZ.reshape(T, 4 * B)
+        dWh = hs[prev].T @ dZ
+        dZ = dZ[back]
         return dZ @ Wx.T, X.T @ dZ, dWh, dZ.sum(axis=0)
-    return hs[order], backward
+    return hs[back], backward
 
 
 def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
-           bwd: tuple[Tensor, Tensor, Tensor]) -> Tensor:
-    """L x 2B hidden sequence: forward states beside backward states.
+           bwd: tuple[Tensor, Tensor, Tensor], lengths=None) -> Tensor:
+    """Hidden sequence, one 2B row per row of X: forward states beside
+    backward states, each sentence of `lengths` run on its own.
 
     One tape node over X and the six weights, (Wx, Wh, b) per direction,
     both of unit size B; each direction runs `_lstm`. The backward gives
@@ -140,8 +191,13 @@ def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
             "bilstm shapes do not conform: X {}, forward Wx {}, Wh {}, b {}, "
             "backward Wx {}, Wh {}, b {}".format(X.shape,
                                                  *(W.shape for W in weights)))
-    h_fwd, fwd_backward = _lstm(X.data, *(W.data for W in fwd), reverse=False)
-    h_bwd, bwd_backward = _lstm(X.data, *(W.data for W in bwd), reverse=True)
+    lengths = sentence_lengths(lengths, X.shape[0], "bilstm")
+    h_fwd, fwd_backward = _lstm(X.data, *(W.data for W in fwd), lengths,
+                                reverse=False)
+    if not recording((X, *weights)):
+        fwd_backward = None     # free its saved gates before the next direction
+    h_bwd, bwd_backward = _lstm(X.data, *(W.data for W in bwd), lengths,
+                                reverse=True)
 
     def bw(g):
         dX_fwd, *d_fwd = fwd_backward(g[:, :B])
@@ -161,20 +217,29 @@ def softmax(x: np.ndarray, axis: int):
     return p, lambda g: p * (g - (g * p).sum(axis=axis, keepdims=True))
 
 
-def word_attention(H: Tensor, A: Tensor, r: Tensor) -> tuple[Tensor, Tensor]:
+def word_attention(H: Tensor, A: Tensor, r: Tensor,
+                   lengths=None) -> tuple[Tensor, Tensor]:
     """Scale each hidden row by its bilinear-score softmax weight.
 
-    Scores are h_t A r, normalised over the L positions. The weighted rows
-    are one tape node; the weights alpha come back as a constant.
+    Scores are h_t A r, normalised over the positions of each sentence of
+    `lengths`. The weighted rows are one tape node; the weights alpha come
+    back as a constant.
     """
     if len(H.shape) != 2 or len(A.shape) != 2 or A.shape[0] != H.shape[1] \
             or r.shape != A.shape[1:]:
         raise ShapeError(f"word_attention shapes do not conform: H {H.shape}, "
                          f"A {A.shape}, r {r.shape}")
-    alpha, alpha_backward = softmax((H.data @ A.data) @ r.data, axis=0)
+    bounds = sentence_bounds(sentence_lengths(lengths, H.shape[0],
+                                              "word_attention"))
+    scores = (H.data @ A.data) @ r.data
+    parts = [softmax(scores[lo:hi], axis=0) for lo, hi in bounds]
+    alpha = np.concatenate([p for p, _ in parts])
 
     def bw(g):
-        g_score = alpha_backward((g * H.data).sum(axis=1))
+        g_alpha = (g * H.data).sum(axis=1)
+        g_score = np.concatenate([alpha_backward(g_alpha[lo:hi]) for
+                                  (_, alpha_backward), (lo, hi)
+                                  in zip(parts, bounds)])
         h_score = H.data.T @ g_score
         H._accumulate(alpha[:, None] * g + np.outer(g_score, A.data @ r.data))
         A._accumulate(np.outer(h_score, r.data))

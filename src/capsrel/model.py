@@ -1,4 +1,4 @@
-"""Model assembly: parameters, per-instance forward pass, checkpoints.
+"""Model assembly: parameters, the forward pass, checkpoints.
 
 The full pipeline is embeddings -> Bi-LSTM -> word attention -> primary
 capsules -> votes -> dynamic routing, yielding one activation per
@@ -6,6 +6,9 @@ relation. The votes stay factored as (u, Wc, b_hat), and routing
 contracts the factors, so no E x d x H vote tensor is built. Ablation
 switches replace attention with the identity and the capsule stack with
 a sigmoid dense head (one tape node) over the mean-pooled sequence.
+Every layer takes N sentences packed with their lengths: a bag's
+instances are scored in one no-grad pass, and one sentence is the N=1
+call of the same nodes.
 """
 
 from __future__ import annotations
@@ -100,60 +103,82 @@ class Model:
                ) -> tuple[Tensor, int]:
         """Attention-weighted hidden sequence x_tilde (n x 2B) of the n-token
         sentence, and n."""
-        cfg = self.config
-        p = self.params
-        ids = self.word_ids(inst)
-        if len(ids) == 0:
-            raise ContractViolation("cannot encode an empty sentence")
-        X = encoder.embed(ids, inst.position_ids, p["word_emb"],
-                          [p[f"pos_emb_{m}"] for m in range(cfg.M)])
-        H = encoder.bilstm(
-            X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
-            (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]))
-        H = dropout(H, cfg.dropout, self.dropout_rng, training=train)
-        if cfg.word_att:
-            x_tilde, _ = encoder.word_attention(H, p["att_A"], p["att_r"])
-        else:
-            x_tilde = H
-        return x_tilde, len(ids)
+        ids, position_ids, (n,) = self._pack([inst])
+        return self._encode(ids, position_ids, None, train), n
 
     def activations(self, inst: SentenceInstance, train: bool = False) -> Tensor:
         """Per-relation activations a in [0, 1), length E."""
-        cfg = self.config
-        p = self.params
-        x_tilde, _ = self.encode(inst, train=train)
-        if cfg.capsule:
-            u, a_hat = caps.primary_capsules(x_tilde, p["caps_Wb"],
-                                             p["caps_b1"], cfg.C, cfg.d)
-            factors = caps.votes(u, p["caps_Wc"], p["caps_bhat"])
-            _, a = caps.dynamic_routing(factors, a_hat, cfg.routing_iters)
-            return a
-        return _pooled_head(x_tilde, p["head_W"], p["head_b"])
+        return self._head(self.encode(inst, train=train)[0], None)
 
     def instance_scores(self, bag) -> np.ndarray:
-        """Eval-mode activations of each of the bag's instances, N x E."""
+        """Eval-mode activations of each of the bag's N instances, N x E,
+        from one no-grad pass over their packed rows."""
+        ids, position_ids, lengths = self._pack(bag.instances)
         with no_grad():
-            return np.stack([self.activations(inst, train=False).data
-                             for inst in bag.instances])
+            x_tilde = self._encode(ids, position_ids, lengths, train=False)
+            return self._head(x_tilde, lengths).data
 
     def bag_scores(self, bag) -> np.ndarray:
         """Eval-mode per-relation score: max over the bag's instances."""
         return self.instance_scores(bag).max(axis=0)
 
+    def _pack(self, insts) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The word ids and position ids of `insts`, one sentence after
+        another, and the length of each."""
+        ids = [self.word_ids(inst) for inst in insts]
+        if any(len(i) == 0 for i in ids):
+            raise ContractViolation("cannot encode an empty sentence")
+        return (np.concatenate(ids),
+                np.concatenate([inst.position_ids for inst in insts]),
+                [len(i) for i in ids])
 
-def _pooled_head(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """The -Capsule head, sigmoid(mean of x's rows @ W + b), as one tape node."""
-    n, width = x.shape
-    pooled = x.data.sum(axis=0) * (1.0 / n)
+    def _encode(self, ids: np.ndarray, position_ids: np.ndarray, lengths,
+                train: bool) -> Tensor:
+        """x_tilde of the sentences of `lengths` (None: one), row by row."""
+        cfg = self.config
+        p = self.params
+        X = encoder.embed(ids, position_ids, p["word_emb"],
+                          [p[f"pos_emb_{m}"] for m in range(cfg.M)])
+        H = encoder.bilstm(
+            X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
+            (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]), lengths)
+        H = dropout(H, cfg.dropout, self.dropout_rng, training=train)
+        if cfg.word_att:
+            H, _ = encoder.word_attention(H, p["att_A"], p["att_r"], lengths)
+        return H
+
+    def _head(self, x_tilde: Tensor, lengths) -> Tensor:
+        """The activations of each sentence of `lengths` in x_tilde: N x E,
+        or E when `lengths` is None."""
+        cfg = self.config
+        p = self.params
+        if not cfg.capsule:
+            return _pooled_head(x_tilde, p["head_W"], p["head_b"], lengths)
+        u, a_hat = caps.primary_capsules(x_tilde, p["caps_Wb"], p["caps_b1"],
+                                         cfg.C, cfg.d, lengths)
+        factors = caps.votes(u, p["caps_Wc"], p["caps_bhat"])
+        children = None if lengths is None else [(n + 1) * cfg.C
+                                                 for n in lengths]
+        return caps.dynamic_routing(factors, a_hat, cfg.routing_iters,
+                                    children)[1]
+
+
+def _pooled_head(x: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
+    """The -Capsule head, sigmoid(mean of each sentence's rows @ W + b), as
+    one tape node: N x E for the sentences of `lengths`, E for None."""
+    single = lengths is None
+    lengths = encoder.sentence_lengths(lengths, x.shape[0], "_pooled_head")
+    scale = (1.0 / lengths)[:, None]
+    pooled = np.stack([x.data[lo:hi].sum(axis=0) for lo, hi
+                       in encoder.sentence_bounds(lengths)]) * scale
     a = encoder._sigmoid(pooled @ W.data + b.data)
 
     def bw(g):
-        dz = g * a * (1.0 - a)
-        x._accumulate(np.broadcast_to(
-            (dz.reshape((1, -1)) @ W.data.T).reshape(width) * (1.0 / n), x.shape))
-        W._accumulate(pooled.reshape((1, width)).T @ dz.reshape((1, -1)))
-        b._accumulate(dz)
-    return Tensor._from_op(a, (x, W, b), bw)
+        dz = g.reshape(a.shape) * a * (1.0 - a)
+        x._accumulate(np.repeat((dz @ W.data.T) * scale, lengths, axis=0))
+        W._accumulate(pooled.T @ dz)
+        b._accumulate(dz.sum(axis=0))
+    return Tensor._from_op(a[0] if single else a, (x, W, b), bw)
 
 
 # Checkpoint container: MAGIC, the header length as a little-endian u64,

@@ -383,6 +383,25 @@ class TestOutputPaths:
         assert main(["train", "--config", str(p)]) == 2
         assert "config field 'output_dir'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    @pytest.mark.parametrize("under", [False, True], ids=["is", "under"])
+    def test_out_that_is_a_directory_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, no_read, command, under):
+        # a directory as --out, or a directory's place taken by a file
+        _, _, cfg_path = workspace
+        taken = tmp_path / "taken"
+        if under:
+            taken.write_text("")
+        else:
+            taken.mkdir()
+        out = taken / "out.txt" if under else taken
+        assert main([command, "--config", str(cfg_path), "--out",
+                     str(out)]) == 2
+        assert (f"config error: --out: {taken} " + (
+            f"in {out} is not a directory" if under else "is a directory")
+        ) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["taken"]
+
     def test_checkpoint_that_is_a_directory_exits_2_before_reading_data(
             self, workspace, tmp_path, capsys, no_read):
         _, cfg, _ = workspace
