@@ -4,7 +4,9 @@ Every differentiable quantity in the model (parameters, activations,
 losses) is a :class:`Tensor`. Operations executed while gradients are
 enabled record a backward closure; :meth:`Tensor.backward` replays them
 in reverse topological order. Inside :func:`no_grad` nothing is recorded
-and forward passes are plain numpy.
+and forward passes are plain numpy; :func:`recording` tells a node
+whether it will be recorded, so one that will not keeps nothing for a
+backward.
 
 This module is the tape alone. Each layer of the model is one node with
 its own backward, recorded in its module with ``Tensor._from_op``. Only
@@ -50,8 +52,7 @@ def no_grad():
 
 def recording(parents: Sequence["Tensor"]) -> bool:
     """Whether a node over `parents` goes on the tape: gradients are
-    enabled and a parent requires one. A node that does not need keep
-    nothing for its backward."""
+    enabled and a parent requires one."""
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 

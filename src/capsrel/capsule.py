@@ -124,20 +124,22 @@ def _agreement(factors, v: np.ndarray) -> np.ndarray:
     return (v[:, None] @ W)[:, 0] @ x.T + (v * b).sum(axis=1, keepdims=True)
 
 
-def _route(factors, a: np.ndarray, iterations: int):
+def _route(factors, a: np.ndarray, iterations: int, keep: bool):
     """Routing over one sentence's children: the last parent inputs s
-    (E x d), and the function taking their gradient to the gradients of
-    the factors (x, W, b) and of a."""
+    (E x d), and, if `keep`, the function taking their gradient to the
+    gradients of the factors (x, W, b) and of a (else None, and no
+    iteration's arrays outlive the next)."""
     x, W, b_hat = factors
-    b = np.zeros((len(W), len(a)))  # row j: parent j's logits over the children
-    steps = []                      # per iteration: the softmax and squash kernels
+    b = np.zeros((len(W), len(a)))  # row j: parent j's logits over children
+    steps = []                      # per iteration: softmax and squash kernels
     for it in range(iterations):
         if it:
             b = b + _agreement(factors, v)
         p, p_backward = softmax(b, axis=0)
         s = _parent_sum(factors, a * p)
         v, v_backward = _squash(s, -1)
-        steps.append((p, p_backward, v, v_backward))
+        if keep:
+            steps.append((p, p_backward, v, v_backward))
 
     def backward(gs):
         # the vote gradient is a sum of 2r - 1 outer products, one per
@@ -162,7 +164,7 @@ def _route(factors, a: np.ndarray, iterations: int):
                 vote_term(v, gb)
                 gs = v_backward(_parent_sum(factors, gb))
         return (*grads, ga)
-    return s, backward
+    return s, backward if keep else None
 
 
 def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
@@ -209,9 +211,8 @@ def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
     backwards = []
     for n, (lo, hi) in enumerate(bounds):
         s[n], backward = _route((x.data[lo:hi], W.data, b_hat.data),
-                                a_hat.data[lo:hi], iterations)
-        if keep:
-            backwards.append(backward)
+                                a_hat.data[lo:hi], iterations, keep)
+        backwards.append(backward)
 
     def bw(gs):
         gx, ga = np.empty_like(x.data), np.empty_like(a_hat.data)

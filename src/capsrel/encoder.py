@@ -80,7 +80,7 @@ def sentence_lengths(lengths, rows: int, node: str) -> np.ndarray:
     out = np.asarray(lengths)
     if (out.ndim != 1 or not len(out) or out.dtype.kind not in "iu"
             or out.min() < 1 or out.sum() != rows):
-        raise ShapeError(f"{node} lengths {np.asarray(lengths).tolist()} do "
+        raise ShapeError(f"{node} lengths {out.tolist()} do "
                          f"not split {rows} rows into sentences of at least "
                          "one row")
     return out
@@ -128,22 +128,24 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
     and dWh with one product each and db with one sum.
     """
     rows, steps, prev = _schedule(lengths, reverse)
-    T, B = len(rows), Wh.shape[0]
-    # every array below holds one row per step and sentence, in step order
-    XW = X[rows] @ Wx                           # the input projection, hoisted
-    XW += b
-    gates = np.empty((T, 4, B))
+    N, T, B = len(lengths), len(rows), Wh.shape[0]
+    # every array below holds one row per step and sentence, in step order;
+    # each step turns its rows of the hoisted input projection into gates
+    gates = X[rows] @ Wx
+    gates += b
     hs, cs = np.zeros((T + 1, B)), np.zeros((T + 1, B))     # row T: the start
-    h = c = np.zeros((len(lengths), B))
+    h = c = np.zeros((N, B))
     for at, n in steps:
-        z = XW[at:at + n] + h[:n] @ Wh
-        gate = gates[at:at + n]
-        gate[:] = _sigmoid(z).reshape(n, 4, B)
-        gate[:, 2] = np.tanh(z[:, 2 * B:3 * B])
-        i, f, g, o = gate.transpose(1, 0, 2)
+        z = gates[at:at + n]
+        z += h[:n] @ Wh
+        cell = np.tanh(z[:, 2 * B:3 * B])
+        z[:] = _sigmoid(z)
+        z[:, 2 * B:3 * B] = cell
+        i, f, g, o = z.reshape(n, 4, B).transpose(1, 0, 2)
         c = f * c[:n] + i * g
         h = o * np.tanh(c)
         hs[at:at + n], cs[at:at + n] = h, c
+    gates = gates.reshape(T, 4, B)
     back = np.argsort(rows)                     # step order -> row order
 
     def backward(dH):
@@ -158,7 +160,7 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
         dc_by_dh = o * (1.0 - tanh_c * tanh_c)
         dZ = np.empty((T, 4, B))
         # a sentence's rows stay zero until its last step is reached
-        dh_next, dc_next = np.zeros((len(lengths), B)), np.zeros((len(lengths), B))
+        dh_next, dc_next = np.zeros((N, B)), np.zeros((N, B))
         for at, n in reversed(steps):
             dh = dH[at:at + n] + dh_next[:n]
             dc = dh * dc_by_dh[at:at + n] + dc_next[:n]
