@@ -126,11 +126,16 @@ def _agreement(factors, v: np.ndarray) -> np.ndarray:
 
 def _route(factors, a: np.ndarray, iterations: int, keep: bool):
     """Routing over one sentence's children: the last parent inputs s
-    (E x d), and, if `keep`, the function taking their gradient to the
-    gradients of the factors (x, W, b) and of a (else None, and no
-    iteration's arrays outlive the next)."""
-    x, W, b_hat = factors
-    b = np.zeros((len(W), len(a)))  # row j: parent j's logits over children
+    (E x d), and, if `keep`, the backward (else None, and no iteration's
+    arrays outlive the next).
+
+    The backward takes the gradient of s and `vote_term`, and returns the
+    gradient of a. The vote gradient is a sum of 2r - 1 outer products,
+    one per parent sum and one per agreement; the backward hands each to
+    `vote_term(left, right)`, for left[j] right[j]^T per parent j, as it
+    forms it, so the E x d x H sum is never formed.
+    """
+    b = np.zeros((len(factors[1]), len(a)))  # row j: parent j's logits
     steps = []                      # per iteration: softmax and squash kernels
     for it in range(iterations):
         if it:
@@ -141,17 +146,7 @@ def _route(factors, a: np.ndarray, iterations: int, keep: bool):
         if keep:
             steps.append((p, p_backward, v, v_backward))
 
-    def backward(gs):
-        # the vote gradient is a sum of 2r - 1 outer products, one per
-        # parent sum and one per agreement; each goes straight to the
-        # factors' gradients, so the E x d x H sum is never formed
-        grads = [np.zeros_like(x), np.zeros_like(W), np.zeros_like(b_hat)]
-
-        def vote_term(left, right):     # left[j] right[j]^T, per parent j
-            grads[0] += right.T @ (left[:, None] @ W)[:, 0]
-            grads[1] += left[:, :, None] * (right @ x)[:, None]
-            grads[2] += left * right.sum(axis=1)[:, None]
-
+    def backward(gs, vote_term):
         gb, ga = np.zeros_like(b), np.zeros_like(a)
         for it in reversed(range(iterations)):
             p, p_backward = steps[it][:2]
@@ -163,7 +158,7 @@ def _route(factors, a: np.ndarray, iterations: int, keep: bool):
                 _, _, v, v_backward = steps[it - 1]
                 vote_term(v, gb)
                 gs = v_backward(_parent_sum(factors, gb))
-        return (*grads, ga)
+        return ga
     return s, backward if keep else None
 
 
@@ -215,12 +210,16 @@ def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
         backwards.append(backward)
 
     def bw(gs):
-        gx, ga = np.empty_like(x.data), np.empty_like(a_hat.data)
+        gx, ga = np.zeros_like(x.data), np.empty_like(a_hat.data)
         for (lo, hi), backward, g in zip(bounds, backwards,
                                          gs.reshape(s.shape)):
-            gx[lo:hi], dW, db, ga[lo:hi] = backward(g)
-            W._accumulate(dW)
-            b_hat._accumulate(db)
+            def vote_term(left, right, lo=lo, hi=hi):
+                # each term goes straight to the factors' gradients
+                gx[lo:hi] += right.T @ (left[:, None] @ W.data)[:, 0]
+                W._accumulate(left[:, :, None]
+                              * (right @ x.data[lo:hi])[:, None])
+                b_hat._accumulate(left * right.sum(axis=1)[:, None])
+            ga[lo:hi] = backward(g, vote_term)
         x._accumulate(gx)
         a_hat._accumulate(ga)
     out = Tensor._from_op(s[0] if lengths is None else s, parents, bw)
