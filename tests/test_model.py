@@ -60,27 +60,42 @@ def assert_matches_oracle(model, inst, train):
                                        err_msg=name)
 
 
+def bag_of(lengths, M=2, L=None, seed=0):
+    """A bag with one sentence of each length, drawn from WORDS."""
+    rng = np.random.default_rng(seed)
+    pairs = [("E1", "E2"), ("E3", "E4")][:M // 2]
+    insts = [make_instance([str(w) for w in rng.choice(WORDS, n)], pairs=pairs,
+                           relations=["NA"] * len(pairs), L=L or max(lengths),
+                           M=M)
+             for n in lengths]
+    return Bag(key=insts[0].key, instances=insts, labels={0})
+
+
 @st.composite
-def model_cases(draw):
-    """A model of any ablation, M, size and routing depth, a sentence of 1
-    to L tokens for it, and whether to run it in train mode."""
+def models(draw):
+    """A model of any ablation, M, size, sentence limit L and routing
+    depth, with dropout."""
     variant = draw(st.sampled_from(["full", "-Att", "-Capsule"]))
-    M = draw(st.sampled_from([2, 4]))
-    L = draw(st.integers(1, 8))
-    n = draw(st.integers(1, L))
     seed = draw(st.integers(0, 2 ** 16))
-    model = tiny_model(
+    return tiny_model(
         seed=seed, B=draw(st.integers(1, 4)), C=draw(st.integers(1, 3)),
-        d=draw(st.integers(1, 3)), L=L, M=M, d_p=draw(st.integers(1, 3)),
+        d=draw(st.integers(1, 3)), L=draw(st.integers(1, 8)),
+        M=draw(st.sampled_from([2, 4])), d_p=draw(st.integers(1, 3)),
         routing_iters=draw(st.integers(1, 4)),
         dropout=draw(st.sampled_from([0.25, 0.5])),
         word_att=variant != "-Att", capsule=variant != "-Capsule",
         store=tiny_store(n_relations=draw(st.integers(1, 5)), seed=seed))
-    pairs = [("E1", "E2"), ("E3", "E4")][:M // 2]
-    tokens = draw(st.lists(st.sampled_from(WORDS), min_size=n, max_size=n))
-    inst = make_instance(tokens, pairs=pairs, relations=["NA"] * len(pairs),
-                         L=L, M=M)
-    return model, inst, draw(st.booleans())
+
+
+@st.composite
+def model_cases(draw):
+    """A model, a sentence of 1 to L tokens for it, and whether to run it
+    in train mode."""
+    model = draw(models())
+    cfg = model.config
+    bag = bag_of([draw(st.integers(1, cfg.L))], M=cfg.M, L=cfg.L,
+                 seed=cfg.seed)
+    return model, bag.instances[0], draw(st.booleans())
 
 
 class TestWholeModelOracle:
@@ -94,33 +109,14 @@ class TestWholeModelOracle:
 # -- the batched bag pass ------------------------------------------------------
 
 
-def bag_of(lengths, M=2, L=None, seed=0):
-    """A bag with one sentence of each length, drawn from WORDS."""
-    rng = np.random.default_rng(seed)
-    pairs = [("E1", "E2"), ("E3", "E4")][:M // 2]
-    insts = [make_instance([str(w) for w in rng.choice(WORDS, n)], pairs=pairs,
-                           relations=["NA"] * len(pairs), L=L or max(lengths),
-                           M=M)
-             for n in lengths]
-    return Bag(key=insts[0].key, instances=insts, labels={0})
-
-
 @st.composite
 def bag_cases(draw):
-    """An eval model of any ablation, M and size, and a bag of 1 to 5
-    sentences of 1 to L tokens, lengths mixed and repeated."""
-    variant = draw(st.sampled_from(["full", "-Att", "-Capsule"]))
-    M = draw(st.sampled_from([2, 4]))
-    L = draw(st.integers(1, 8))
-    seed = draw(st.integers(0, 2 ** 16))
-    model = tiny_model(
-        seed=seed, B=draw(st.integers(1, 4)), C=draw(st.integers(1, 3)),
-        d=draw(st.integers(1, 3)), L=L, M=M,
-        routing_iters=draw(st.integers(1, 4)), dropout=0.5,
-        word_att=variant != "-Att", capsule=variant != "-Capsule",
-        store=tiny_store(n_relations=draw(st.integers(1, 5)), seed=seed))
-    lengths = draw(st.lists(st.integers(1, L), min_size=1, max_size=5))
-    return model, bag_of(lengths, M=M, L=L, seed=seed)
+    """A model and a bag of 1 to 5 sentences of 1 to L tokens for it,
+    lengths mixed and repeated."""
+    model = draw(models())
+    cfg = model.config
+    lengths = draw(st.lists(st.integers(1, cfg.L), min_size=1, max_size=5))
+    return model, bag_of(lengths, M=cfg.M, L=cfg.L, seed=cfg.seed)
 
 
 class TestBagPass:
