@@ -1,6 +1,11 @@
 """Command-line interface: train, eval, predict, synth, sweep.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+
+Before it reads any data, each command passes every path it reads or
+writes through `config.require_path`, named by the config field or the
+flag that gave it, so a missing input, a directory given as a file or a
+file given as a directory exits 2 naming its source.
 """
 
 from __future__ import annotations
@@ -14,44 +19,69 @@ import os
 import sys
 
 from . import evaluation, prediction, synth
-from .config import ConfigError, RunConfig, TrainConfig, require_writable
+from .config import ConfigError, RunConfig, TrainConfig, require_path
 from .data import Corpus, EmbeddingStore, load_corpus, load_embeddings
 from .model import Model, load_checkpoint, save_checkpoint
 from .training import train
 
 
 def _load_run_config(path: str) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The run config `--config` names: a UTF-8 JSON object."""
+    require_path(path, "--config", "read")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigError(f"--config: {path} is not UTF-8 JSON: {exc}") from exc
     return RunConfig.from_dict(obj)
 
 
+def _require_paths(cfg: RunConfig, args, **uses: str) -> None:
+    """Check every path the command reads or writes, before any data is
+    read: the file `--out` names or else `output_dir`, each field in `uses`
+    for its use, then the data inputs, the entity file only when it is set.
+    A `--corpus` or `--checkpoint` that is given replaces its field and is
+    named in its place."""
+    if getattr(args, "out", None):
+        require_path(args.out, "--out", "write")
+    else:
+        cfg.require("output_dir", "make")
+    reads = ["corpus", "word_embeddings", "relation_embeddings"]
+    if cfg.entity_embeddings:
+        reads.append("entity_embeddings")
+    for name, use in {**uses, **dict.fromkeys(reads, "read")}.items():
+        flag = getattr(args, name, None)
+        if flag:
+            setattr(cfg, name, flag)
+            require_path(flag, f"--{name}", use)
+        else:
+            cfg.require(name, use)
+
+
 def _load_store(cfg: RunConfig, entities: bool = False) -> EmbeddingStore:
-    """Check every configured input path, then load the embeddings. The
-    entity file is optional and checked when it is set, but parsed only for
-    `entities`: TransE pair assignment alone reads it."""
-    optional = ["entity_embeddings"] if cfg.entity_embeddings else []
-    cfg.require_paths("corpus", "word_embeddings", "relation_embeddings",
-                      *optional)
+    """The embeddings. The entity file is parsed only for `entities`:
+    TransE pair assignment alone reads it."""
     return load_embeddings(cfg.word_embeddings,
                            cfg.entity_embeddings if entities else None,
                            cfg.relation_embeddings)
 
 
 def _load_corpus(cfg: RunConfig, store: EmbeddingStore,
-                 train_cfg: TrainConfig, use: str) -> Corpus:
+                 train_cfg: TrainConfig, use: str, scored: bool = False
+                 ) -> Corpus:
     """The corpus, parsed at the sentence limit L and M of `train_cfg`, if
-    a sentence is left to `use` it for."""
+    a sentence is left to `use` it for and, when it will be `scored`, a
+    bag has a gold label other than NA."""
     vocab = {n: i for i, n in enumerate(store.relation_names)}
     corpus = load_corpus(cfg.corpus, train_cfg.L, train_cfg.M, vocab)
     if not corpus.bags:
         raise ValueError(f"no sentence to {use} in {cfg.corpus}: it is empty "
                          f"or every sentence is longer than L={train_cfg.L}")
+    if scored and all(bag.labels <= {evaluation.NA_RELATION}
+                      for bag in corpus.bags):
+        raise evaluation.EvaluationError(
+            f"zero gold positives in {cfg.corpus}: every bag is labelled NA, "
+            "so there is nothing to score")
     return corpus
 
 
@@ -64,27 +94,14 @@ def _write_output(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_trained(cfg: RunConfig, args, use: str, entities: bool = False
+def _load_trained(cfg: RunConfig, use: str, entities: bool = False,
+                  scored: bool = False
                   ) -> tuple[EmbeddingStore, Corpus, Model]:
-    """Resolve --checkpoint/--corpus against `cfg`, then load the embeddings,
-    the checkpoint, and the corpus parsed for the checkpoint's model."""
-    ckpt = args.checkpoint or cfg.checkpoint
-    if not ckpt or not os.path.exists(ckpt):
-        raise ConfigError(f"checkpoint not found: {ckpt!r}")
-    if args.corpus:
-        cfg.corpus = args.corpus
+    """Load the embeddings, the checkpoint, and the corpus parsed for the
+    checkpoint's model."""
     store = _load_store(cfg, entities)
-    model = load_checkpoint(ckpt, store)
-    return store, _load_corpus(cfg, store, model.config, use), model
-
-
-def _require_out(cfg: RunConfig, out: str | None) -> None:
-    """Check the file `--out` names, or else the field `output_dir`, before
-    any data is read."""
-    if out:
-        require_writable(out, "--out")
-    else:
-        cfg.require_writable("output_dir", directory=True)
+    model = load_checkpoint(cfg.checkpoint, store)
+    return store, _load_corpus(cfg, store, model.config, use, scored), model
 
 
 def _evaluate(model: Model, corpus: Corpus):
@@ -96,10 +113,7 @@ def _evaluate(model: Model, corpus: Corpus):
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
-    if not cfg.checkpoint:
-        raise ConfigError("config field 'checkpoint' is required")
-    cfg.require_writable("checkpoint")
-    cfg.require_writable("output_dir", directory=True)
+    _require_paths(cfg, args, checkpoint="write")
     store = _load_store(cfg)
     corpus = _load_corpus(cfg, store, cfg.train, "train on")
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -128,8 +142,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args.config)
-    cfg.require_writable("output_dir", directory=True)
-    _, corpus, model = _load_trained(cfg, args, "evaluate")
+    _require_paths(cfg, args, checkpoint="read")
+    _, corpus, model = _load_trained(cfg, "evaluate", scored=True)
     os.makedirs(cfg.output_dir, exist_ok=True)
     curve, auc, precisions = _evaluate(model, corpus)
     metrics = json.dumps({"auc": auc, **{f"p@{r}": p for r, p in
@@ -150,8 +164,8 @@ def cmd_predict(args) -> int:
                           "predict ranks every relation")
     threshold = args.threshold if args.threshold is not None else cfg.train.threshold
     dataclasses.replace(cfg.train, threshold=threshold).validate()
-    _require_out(cfg, args.out)
-    store, corpus, model = _load_trained(cfg, args, "predict on", args.multi)
+    _require_paths(cfg, args, checkpoint="read")
+    store, corpus, model = _load_trained(cfg, "predict on", args.multi)
     lines = []
     for bag in corpus.bags:
         scores = model.bag_scores(bag)
@@ -176,6 +190,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("--pairs 2 needs --relations >= 3 (two distinct "
                           f"non-NA relations per bag), got --relations "
                           f"{args.relations}")
+    require_path(args.out_dir, "--out-dir", "make")
     spec = synth.SynthSpec(
         E=args.relations, vocab_size=args.vocab, bags=args.bags,
         pairs_per_sentence=args.pairs, seed=args.seed,
@@ -188,9 +203,9 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
-    _require_out(cfg, args.out)
+    _require_paths(cfg, args)
     store = _load_store(cfg)
-    corpus = _load_corpus(cfg, store, cfg.train, "train on")
+    corpus = _load_corpus(cfg, store, cfg.train, "train on", scored=True)
     grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]
 
     def run_point(train_cfg):

@@ -1,4 +1,5 @@
-"""Run configuration with the published hyperparameter defaults."""
+"""Run configuration with the published hyperparameter defaults, and the
+one rule, `require_path`, for every path a command reads or writes."""
 
 from __future__ import annotations
 
@@ -130,27 +131,32 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def require_paths(self, *names: str) -> None:
-        for name in names:
-            path = getattr(self, name)
-            if not path:
-                raise ConfigError(f"config field {name!r} is required")
-            if not os.path.exists(path):
-                raise ConfigError(f"config field {name!r}: no such file: {path}")
-
-    def require_writable(self, name: str, directory: bool = False) -> None:
-        """`require_writable` on the path of field `name`."""
-        require_writable(getattr(self, name), f"config field {name!r}",
-                         directory)
+    def require(self, name: str, use: str) -> None:
+        """`require_path` on the path of field `name`, naming the field."""
+        require_path(getattr(self, name), f"config field {name!r}", use)
 
 
-def require_writable(path: str, what: str, directory: bool = False) -> None:
-    """Raise `ConfigError` naming `what` unless `path` can be written as a
-    file, or made as a `directory`: it must not exist as the other kind,
-    and the nearest of its parents that exists must be a directory."""
-    if os.path.exists(path) and os.path.isdir(path) != directory:
+def require_path(path: str, what: str, use: str) -> None:
+    """Raise `ConfigError` naming `what` unless `path` can serve `use`.
+
+    The one rule for every path a command reads or writes:
+    - "read": an existing path that is not a directory (a pipe or a device
+      will do);
+    - "write": a file, which must not exist as a directory;
+    - "make": a directory, which must not exist as anything else.
+    A path to write or make needs the nearest of its parents that exists
+    to be a directory. An empty path is missing.
+    """
+    if use not in ("read", "write", "make"):
+        raise ValueError(f"use must be 'read', 'write' or 'make', got {use!r}")
+    if not path:
+        raise ConfigError(f"{what} is required")
+    exists = os.path.exists(path)
+    if use == "read" and not exists:
+        raise ConfigError(f"{what}: no such file: {path}")
+    if exists and os.path.isdir(path) != (use == "make"):
         raise ConfigError(f"{what}: {path} is "
-                          f"{'not ' if directory else ''}a directory")
+                          f"{'not ' if use == 'make' else ''}a directory")
     parent = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)

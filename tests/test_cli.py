@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 
 import pytest
 
 from capsrel import cli, synth
 from capsrel.cli import main
-from capsrel.config import RunConfig, TrainConfig
+from capsrel.config import RunConfig, TrainConfig, require_path
 from capsrel.data import load_corpus, load_embeddings
 from capsrel.model import Model
 from capsrel.training import train
@@ -415,6 +417,169 @@ class TestOutputPaths:
                 "directory") in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["ckdir", "run.json"]
         assert os.listdir(ckdir) == []
+
+
+class TestInputPaths:
+    """Every path a command reads, from a config field or a flag, must exist
+    and not be a directory. Either fault exits 2 naming the field or the
+    flag before any data is read; so does an `--out-dir` of `synth` that is
+    a file or lies under one."""
+
+    @pytest.fixture()
+    def no_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read before the input paths were "
+                                 "checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", refuse)
+
+    READS = {
+        "train": ["corpus", "word_embeddings", "relation_embeddings",
+                  "entity_embeddings", "--config"],
+        "sweep": ["corpus", "word_embeddings", "relation_embeddings",
+                  "entity_embeddings", "--config"],
+        "eval": ["corpus", "word_embeddings", "relation_embeddings",
+                 "entity_embeddings", "checkpoint", "--config", "--corpus",
+                 "--checkpoint"],
+    }
+    READS["predict"] = READS["eval"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command,source", [
+        (command, source) for command, sources in READS.items()
+        for source in sources])
+    def test_exits_2_naming_the_field_or_flag_before_reading_data(
+            self, workspace, tmp_path, capsys, no_read, command, source,
+            kind):
+        _, cfg, _ = workspace
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_text("")     # never read: every case stops before
+        run_cfg = dict(cfg, checkpoint=str(ckpt),
+                       output_dir=str(tmp_path / "out"))
+        if not source.startswith("--"):
+            run_cfg[source] = str(bad)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(run_cfg))
+        argv = [command, "--config", str(cfg_path)]
+        if source == "--config":
+            argv[2] = str(bad)
+        elif source.startswith("--"):
+            argv += [source, str(bad)]
+        assert main(argv) == 2
+        what = source if source.startswith("--") else \
+            f"config field {source!r}"
+        assert (f"config error: {what}: " + (
+            f"no such file: {bad}" if kind == "missing"
+            else f"{bad} is a directory")) in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["m.ckpt", "run.json"] + (["bad"] if kind == "directory" else []))
+
+    @pytest.mark.parametrize("under", [False, True], ids=["is", "under"])
+    def test_synth_out_dir_of_a_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                       under):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "s" if under else taken
+        assert main(["synth", "--out-dir", str(out)]) == 2
+        assert (f"config error: --out-dir: {taken} " + (
+            f"in {out} is not a directory" if under else "is not a directory")
+        ) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["taken"]
+
+    def test_pipes_and_devices_are_inputs(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for path in (fifo, os.devnull):
+            require_path(str(path), "--corpus", "read")
+        with pytest.raises(ValueError, match="use must be"):
+            require_path(os.devnull, "--corpus", "append")
+
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path,
+                                                      capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --config: {cfg_path} is not UTF-8 JSON" in err
+
+    def test_config_that_is_not_json_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("{")
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --config: {cfg_path} is not UTF-8 JSON" in err
+
+
+class TestNoGoldPositive:
+    """A corpus that `eval` or `sweep` would score needs a bag with a gold
+    label other than NA; one without exits 1 naming it before any scoring
+    or training. `predict` reads no gold label and scores such a corpus."""
+
+    @pytest.fixture()
+    def na_corpus(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        corpus = tmp_path / "na.jsonl"
+        records = [json.loads(line) for line in open(cfg["corpus"])]
+        corpus.write_text("".join(
+            json.dumps(dict(r, relations=["NA"] * len(r["relations"]))) + "\n"
+            for r in records))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(
+            cfg, checkpoint=str(tmp_path / "m.ckpt"),
+            output_dir=str(tmp_path / "out"))))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        return corpus, cfg_path
+
+    def test_eval_exits_1_naming_the_corpus_before_scoring(
+            self, na_corpus, tmp_path, capsys, monkeypatch):
+        corpus, cfg_path = na_corpus
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a bag was scored")
+        monkeypatch.setattr(Model, "bag_scores", no_scoring)
+        assert main(["eval", "--config", str(cfg_path),
+                     "--corpus", str(corpus)]) == 1
+        assert f"zero gold positives in {corpus}" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == ["train_log.jsonl"]
+
+    def test_sweep_exits_1_naming_the_corpus_before_training(
+            self, na_corpus, tmp_path, capsys, monkeypatch):
+        corpus, cfg_path = na_corpus
+        cfg = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps(dict(cfg, corpus=str(corpus))))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a grid point was trained")
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "report.md"
+        assert main(["sweep", "--config", str(cfg_path), "--iters", "1",
+                     "--dims", "2", "--out", str(out)]) == 1
+        assert f"zero gold positives in {corpus}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_scores_it(self, na_corpus, tmp_path):
+        corpus, cfg_path = na_corpus
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--config", str(cfg_path),
+                     "--corpus", str(corpus), "--out", str(out)]) == 0
+        bags = {json.dumps(json.loads(line)["pairs"])
+                for line in corpus.read_text().splitlines()}
+        assert len(out.read_text().splitlines()) == len(bags)
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md"), encoding="utf-8").read()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("capsrel ")]
+        parser = cli.build_parser()
+        commands = {parser.parse_args(shlex.split(line, comments=True)[1:]
+                                      ).command for line in lines}
+        assert commands == {"synth", "train", "eval", "predict", "sweep"}
 
 
 class TestModelFieldsFromCheckpoint:
