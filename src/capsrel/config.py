@@ -147,8 +147,6 @@ def require_path(path: str, what: str, use: str) -> None:
     A path to write or make needs the nearest of its parents that exists
     to be a directory. An empty path is missing.
     """
-    if use not in ("read", "write", "make"):
-        raise ValueError(f"use must be 'read', 'write' or 'make', got {use!r}")
     if not path:
         raise ConfigError(f"{what} is required")
     exists = os.path.exists(path)
