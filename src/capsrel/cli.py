@@ -19,7 +19,8 @@ import os
 import sys
 
 from . import evaluation, prediction, synth
-from .config import ConfigError, RunConfig, TrainConfig, require_path
+from .config import (ConfigError, RunConfig, TrainConfig, atomic_write,
+                     require_path)
 from .data import Corpus, EmbeddingStore, load_corpus, load_embeddings
 from .model import Model, load_checkpoint, save_checkpoint
 from .training import train
@@ -86,12 +87,9 @@ def _load_corpus(cfg: RunConfig, store: EmbeddingStore,
 
 
 def _write_output(path: str, text: str) -> None:
-    """Create the parent directory, then write `path` atomically."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    """Write `text` to `path` through `atomic_write`."""
+    with atomic_write(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_trained(cfg: RunConfig, use: str, entities: bool = False,
@@ -116,8 +114,6 @@ def cmd_train(args) -> int:
     _require_paths(cfg, args, checkpoint="write")
     store = _load_store(cfg)
     corpus = _load_corpus(cfg, store, cfg.train, "train on")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    os.makedirs(os.path.dirname(cfg.checkpoint) or ".", exist_ok=True)
     model = Model(cfg.train, store)
     log_path = os.path.join(cfg.output_dir, "train_log.jsonl")
     records = [json.dumps({"run_config": cfg.to_dict()}, sort_keys=True)]
@@ -144,7 +140,6 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args.config)
     _require_paths(cfg, args, checkpoint="read")
     _, corpus, model = _load_trained(cfg, "evaluate", scored=True)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     curve, auc, precisions = _evaluate(model, corpus)
     metrics = json.dumps({"auc": auc, **{f"p@{r}": p for r, p in
                                          precisions.items()}}, sort_keys=True)

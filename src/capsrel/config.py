@@ -1,11 +1,14 @@
-"""Run configuration with the published hyperparameter defaults, and the
-one rule, `require_path`, for every path a command reads or writes."""
+"""Run configuration with the published hyperparameter defaults, the
+one rule, `require_path`, for every path a command reads or writes, and
+the one writer, `atomic_write`, of every file it writes."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
+import secrets
 from dataclasses import dataclass, field
 
 
@@ -160,3 +163,30 @@ def require_path(path: str, what: str, use: str) -> None:
         parent = os.path.dirname(parent)
     if not os.path.isdir(parent):
         raise ConfigError(f"{what}: {parent} in {path} is not a directory")
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Yield a new file, UTF-8 text or `binary`, whose content replaces
+    `path` when the block exits cleanly.
+
+    Missing parent directories are made first. The file is created beside
+    `path` under a fresh random name with `O_EXCL`, so it never truncates
+    or takes over a file that is already there, and with mode 0o666 less
+    the umask, as `open(path, "w")` gives. `os.replace` then puts it in
+    place, so `path` holds the old content or the whole new one. If the
+    block or the replace raises, the file is removed and `path` is left as
+    it was.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f"{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -6,9 +6,11 @@ relation. The votes stay factored as (u, Wc, b_hat), and routing
 contracts the factors, so no E x d x H vote tensor is built. Ablation
 switches replace attention with the identity and the capsule stack with
 a sigmoid dense head (one tape node) over the mean-pooled sequence.
-Every layer takes N sentences packed with their lengths: a bag's
-instances are scored in one no-grad pass, and one sentence is the N=1
-call of the same nodes.
+`Model.activations` is the one forward: it takes a list of N sentences,
+packs their rows one after another, passes their lengths to every layer
+that splits rows into sentences, and returns N x E. Selection and
+evaluation score a bag's instances with one no-grad call, and training
+calls it on the selected sentence alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import capsule as caps
 from . import encoder
 from .autodiff import ContractViolation, Tensor, dropout, no_grad
-from .config import ConfigError, TrainConfig
+from .config import ConfigError, TrainConfig, atomic_write
 from .data import EmbeddingStore, SentenceInstance, num_position_buckets
 
 CHECKPOINT_VERSION = 1
@@ -95,61 +97,35 @@ class Model:
 
     # -- forward --------------------------------------------------------------
 
-    def word_ids(self, inst: SentenceInstance) -> np.ndarray:
-        return np.asarray([self.store.word_id(t) for t in inst.tokens],
-                          dtype=np.int64)
-
-    def encode(self, inst: SentenceInstance, train: bool = False
-               ) -> tuple[Tensor, int]:
-        """Attention-weighted hidden sequence x_tilde (n x 2B) of the n-token
-        sentence, and n."""
-        ids, position_ids, (n,) = self._pack([inst])
-        return self._encode(ids, position_ids, None, train), n
-
-    def activations(self, inst: SentenceInstance, train: bool = False) -> Tensor:
-        """Per-relation activations a in [0, 1), length E."""
-        return self._head(self.encode(inst, train=train)[0], None)
-
-    def instance_scores(self, bag) -> np.ndarray:
-        """Eval-mode activations of each of the bag's N instances, N x E,
-        from one no-grad pass over their packed rows."""
-        ids, position_ids, lengths = self._pack(bag.instances)
-        with no_grad():
-            x_tilde = self._encode(ids, position_ids, lengths, train=False)
-            return self._head(x_tilde, lengths).data
-
-    def bag_scores(self, bag) -> np.ndarray:
-        """Eval-mode per-relation score: max over the bag's instances."""
-        return self.instance_scores(bag).max(axis=0)
-
-    def _pack(self, insts) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """The word ids and position ids of `insts`, one sentence after
-        another, and the length of each."""
-        ids = [self.word_ids(inst) for inst in insts]
-        if any(len(i) == 0 for i in ids):
+    def encode(self, insts: list[SentenceInstance], train: bool = False
+               ) -> tuple[Tensor, list[int]]:
+        """Attention-weighted hidden rows x_tilde of the sentences `insts`,
+        packed one after another (sum of n_i rows of width 2B), and the
+        token count n_i of each."""
+        ids = [np.asarray([self.store.word_id(t) for t in inst.tokens],
+                          dtype=np.int64) for inst in insts]
+        lengths = [len(i) for i in ids]
+        if 0 in lengths:
             raise ContractViolation("cannot encode an empty sentence")
-        return (np.concatenate(ids),
-                np.concatenate([inst.position_ids for inst in insts]),
-                [len(i) for i in ids])
-
-    def _encode(self, ids: np.ndarray, position_ids: np.ndarray, lengths,
-                train: bool) -> Tensor:
-        """x_tilde of the sentences of `lengths` (None: one), row by row."""
         cfg = self.config
         p = self.params
-        X = encoder.embed(ids, position_ids, p["word_emb"],
-                          [p[f"pos_emb_{m}"] for m in range(cfg.M)])
+        X = encoder.embed(
+            np.concatenate(ids),
+            np.concatenate([inst.position_ids for inst in insts]),
+            p["word_emb"], [p[f"pos_emb_{m}"] for m in range(cfg.M)])
         H = encoder.bilstm(
             X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
             (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]), lengths)
         H = dropout(H, cfg.dropout, self.dropout_rng, training=train)
         if cfg.word_att:
             H, _ = encoder.word_attention(H, p["att_A"], p["att_r"], lengths)
-        return H
+        return H, lengths
 
-    def _head(self, x_tilde: Tensor, lengths) -> Tensor:
-        """The activations of each sentence of `lengths` in x_tilde: N x E,
-        or E when `lengths` is None."""
+    def activations(self, insts: list[SentenceInstance], train: bool = False
+                    ) -> Tensor:
+        """Per-relation activations in [0, 1) of the N sentences `insts`,
+        N x E, from one pass over their packed rows."""
+        x_tilde, lengths = self.encode(insts, train)
         cfg = self.config
         p = self.params
         if not cfg.capsule:
@@ -157,16 +133,23 @@ class Model:
         u, a_hat = caps.primary_capsules(x_tilde, p["caps_Wb"], p["caps_b1"],
                                          cfg.C, cfg.d, lengths)
         factors = caps.votes(u, p["caps_Wc"], p["caps_bhat"])
-        children = None if lengths is None else [(n + 1) * cfg.C
-                                                 for n in lengths]
         return caps.dynamic_routing(factors, a_hat, cfg.routing_iters,
-                                    children)[1]
+                                    [(n + 1) * cfg.C for n in lengths])[1]
+
+    def instance_scores(self, bag) -> np.ndarray:
+        """Eval-mode activations of each of the bag's N instances, N x E,
+        from one no-grad `activations` pass."""
+        with no_grad():
+            return self.activations(bag.instances).data
+
+    def bag_scores(self, bag) -> np.ndarray:
+        """Eval-mode per-relation score: max over the bag's instances."""
+        return self.instance_scores(bag).max(axis=0)
 
 
-def _pooled_head(x: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
+def _pooled_head(x: Tensor, W: Tensor, b: Tensor, lengths) -> Tensor:
     """The -Capsule head, sigmoid(mean of each sentence's rows @ W + b), as
-    one tape node: N x E for the sentences of `lengths`, E for None."""
-    single = lengths is None
+    one tape node: N x E for the sentences of `lengths`."""
     lengths = encoder.sentence_lengths(lengths, x.shape[0], "_pooled_head")
     scale = (1.0 / lengths)[:, None]
     pooled = np.stack([x.data[lo:hi].sum(axis=0) for lo, hi
@@ -174,11 +157,11 @@ def _pooled_head(x: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
     a = encoder._sigmoid(pooled @ W.data + b.data)
 
     def bw(g):
-        dz = g.reshape(a.shape) * a * (1.0 - a)
+        dz = g * a * (1.0 - a)
         x._accumulate(np.repeat((dz @ W.data.T) * scale, lengths, axis=0))
         W._accumulate(pooled.T @ dz)
         b._accumulate(dz.sum(axis=0))
-    return Tensor._from_op(a[0] if single else a, (x, W, b), bw)
+    return Tensor._from_op(a, (x, W, b), bw)
 
 
 # Checkpoint container: MAGIC, the header length as a little-endian u64,
@@ -222,15 +205,13 @@ def save_checkpoint(path: str, model: Model, extra: dict | None = None) -> None:
         "dropout_rng_state": model.dropout_rng.bit_generator.state,
         "extra": extra,
     }, sort_keys=True).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_PREFIX.pack(MAGIC, len(header)))
         fh.write(header)
         fh.write(bytes(_padding(len(header))))
         for entry in fixed["params"]:
             fh.write(np.ascontiguousarray(model.params[entry["name"]].data,
                                           dtype=_DTYPE))
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, store: EmbeddingStore) -> Model:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import atomic_write
+
 
 @dataclass
 class SynthSpec:
@@ -55,7 +57,6 @@ def generate(spec: SynthSpec, out_dir: str) -> SynthPaths:
     if spec.pairs_per_sentence == 2 and spec.E < 3:
         raise ValueError("two pairs per sentence need two distinct non-NA "
                          f"relations (E >= 3), got E={spec.E}")
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     names = relation_names(spec.E)
 
@@ -125,16 +126,16 @@ def generate(spec: SynthSpec, out_dir: str) -> SynthPaths:
         entities=os.path.join(out_dir, "entities.txt"),
         relations=os.path.join(out_dir, "relations.txt"),
     )
-    with open(paths.corpus, "w", encoding="utf-8") as fh:
+    with atomic_write(paths.corpus) as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
-    with open(paths.words, "w", encoding="utf-8") as fh:
+    with atomic_write(paths.words) as fh:
         for t in vocab:
             fh.write(_format_row(t, word_vecs[t]) + "\n")
-    with open(paths.entities, "w", encoding="utf-8") as fh:
+    with atomic_write(paths.entities) as fh:
         for eid in sorted(entity_vecs):
             fh.write(_format_row(eid, entity_vecs[eid]) + "\n")
-    with open(paths.relations, "w", encoding="utf-8") as fh:
+    with atomic_write(paths.relations) as fh:
         for name in names:
             fh.write(_format_row(name, rel_vecs[name]) + "\n")
     return paths

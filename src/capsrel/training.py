@@ -83,8 +83,8 @@ def train_epoch(model: Model, bags: list[Bag], optimizer: Adam,
         for bag in batch:
             idx = select_instance(model, bag)
             hist[idx] = hist.get(idx, 0) + 1
-            a = model.activations(bag.instances[idx], train=True)
-            total = margin_loss(a, label_vector(bag.labels, model.E))[0]
+            a = model.activations([bag.instances[idx]], train=True)
+            total = margin_loss(a, label_vector(bag.labels, model.E)[None])[0]
             if not np.isfinite(total.data):
                 raise NonFiniteError(
                     f"non-finite loss for bag {bag.key!r} in epoch {epoch}")
@@ -112,12 +112,3 @@ def train(model: Model, bags: list[Bag], config: TrainConfig,
             break
     return history
 
-
-def bag_top1_accuracy(model: Model, bags: list[Bag]) -> float:
-    """Fraction of bags whose top-scoring relation is among the gold labels."""
-    hits = 0
-    for bag in bags:
-        scores = model.bag_scores(bag)
-        if int(scores.argmax()) in bag.labels:
-            hits += 1
-    return hits / len(bags) if bags else 0.0

@@ -353,11 +353,13 @@ def bilstm_composed(X: Tensor, fwd, bwd) -> Tensor:
 def activations_composed(model: Model, inst: SentenceInstance,
                          train: bool = False) -> Tensor:
     """The whole model's forward for one sentence, wired from the composed
-    oracles: the graph `Model.activations` must match. It reads only
-    `model.params`, `model.config`, the word ids and `model.dropout_rng`,
-    which its dropout draws from as the model's does."""
+    oracles: the graph a row of `Model.activations` must match. It reads
+    only `model.params`, `model.config`, the store's word ids and
+    `model.dropout_rng`, which its dropout draws from as the model's
+    does."""
     cfg, p = model.config, model.params
-    X = embed_composed(model.word_ids(inst), inst.position_ids, p["word_emb"],
+    ids = [model.store.word_id(t) for t in inst.tokens]
+    X = embed_composed(ids, inst.position_ids, p["word_emb"],
                        [p[f"pos_emb_{m}"] for m in range(cfg.M)])
     H = bilstm_composed(
         X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
@@ -578,8 +580,9 @@ def train_epoch_reference(model: Model, bags, optimizer, config: TrainConfig,
         for bag in batch:
             idx = select_instance(model, bag)
             hist[idx] = hist.get(idx, 0) + 1
-            a = model.activations(bag.instances[idx], train=True)
-            total, _ = margin_loss(a, label_vector(bag.labels, model.E))
+            a = model.activations([bag.instances[idx]], train=True)
+            y = label_vector(bag.labels, model.E)[None]
+            total, _ = margin_loss(a, y)
             if not np.isfinite(total.data):
                 raise NonFiniteError(
                     f"non-finite loss for bag {bag.key!r} in epoch {epoch}")
@@ -591,3 +594,13 @@ def train_epoch_reference(model: Model, bags, optimizer, config: TrainConfig,
         losses.append(batch_loss.item())
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return EpochStats(epoch=epoch, mean_loss=mean_loss, selection_histogram=hist)
+
+
+def bag_top1_accuracy(model: Model, bags: list[Bag]) -> float:
+    """Fraction of bags whose top-scoring relation is among the gold labels."""
+    hits = 0
+    for bag in bags:
+        scores = model.bag_scores(bag)
+        if int(scores.argmax()) in bag.labels:
+            hits += 1
+    return hits / len(bags) if bags else 0.0

@@ -25,13 +25,13 @@ from capsrel.model import Model
 from capsrel.prediction import assign_all, predict_multi
 from capsrel.synth import SynthSpec, generate
 from capsrel.training import (
-    bag_top1_accuracy,
     label_vector,
     margin_loss,
     select_instance,
     train,
 )
-from helpers import make_instance, routing_reference, tiny_model
+from helpers import (bag_top1_accuracy, make_instance, routing_reference,
+                     take_rows, tiny_model)
 
 TRAIN_BUDGET_EPOCHS = 200
 TRAIN_BUDGET_SECONDS = 600.0
@@ -87,7 +87,7 @@ class TestAcceptance:
                     old = model.params[param_name]
                     model.params[param_name] = t
                     try:
-                        x_tilde, _ = model.encode(inst, train=False)
+                        x_tilde, _ = model.encode([inst], train=False)
                         return (x_tilde * Tensor(weights)).sum()
                     finally:
                         model.params[param_name] = old
@@ -263,7 +263,8 @@ class TestAcceptance:
         def loss_and_grads():
             for p in model.params.values():
                 p.grad = None
-            a = model.activations(bag.instances[selected], train=True)
+            a = take_rows(model.activations([bag.instances[selected]],
+                                            train=True), 0)
             total, _ = margin_loss(a, label_vector(bag.labels, model.E))
             total.backward()
             return total.item(), {k: (None if p.grad is None

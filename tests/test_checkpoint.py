@@ -105,6 +105,22 @@ class TestLayout:
                 == loaded.bag_scores(bag).tobytes())
 
 
+class TestAtomicSave:
+    def test_a_save_that_raises_partway_leaves_no_temporary_file(self,
+                                                               tmp_path):
+        # word_emb is the last buffer: the header and every other one are
+        # written before it fails to convert
+        path = tmp_path / "model.ckpt"
+        model = tiny_model()
+        save_checkpoint(str(path), model)
+        before = path.read_bytes()
+        model.params["word_emb"].data = np.array([["not a number"]])
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), model)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() == before
+
+
 class TestBoundary:
     def test_unknown_config_field_is_named(self, tmp_path):
         path = tmp_path / "m.ckpt"

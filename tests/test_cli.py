@@ -349,6 +349,47 @@ class TestEval:
         assert "JSON checkpoints are no longer read" in err
 
 
+class TestAtomicWrites:
+    """Each file a command writes is first written to a fresh file beside
+    it: a `<target>.tmp` already there, file or directory, is left as it
+    is, and the target gets the mode `open(path, "w")` gives."""
+
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_a_tmp_beside_the_target_is_left_alone(self, workspace, tmp_path,
+                                                   command, kind):
+        _, cfg, cfg_path = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        p = tmp_path / "run.json"
+        argv = [command, "--config", str(p)]
+        checkpoint, out = cfg["checkpoint"], tmp_path / "out"
+        if command == "train":
+            checkpoint = target = tmp_path / "m.ckpt"
+        elif command == "eval":
+            target = out / "metrics.json"
+        else:
+            target = tmp_path / "p.jsonl"
+            argv += ["--out", str(target)]
+        p.write_text(json.dumps(dict(cfg, checkpoint=str(checkpoint),
+                                     output_dir=str(out))))
+        taken = target.parent / (target.name + ".tmp")
+        target.parent.mkdir(exist_ok=True)
+        if kind == "directory":
+            taken.mkdir()
+        else:
+            taken.write_bytes(b"the user's own file\n")
+        assert main(argv) == 0
+        if kind == "directory":
+            assert taken.is_dir() and os.listdir(taken) == []
+        else:
+            assert taken.read_bytes() == b"the user's own file\n"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert os.stat(target).st_mode & 0o777 == 0o666 & ~umask
+        assert not [f for f in os.listdir(target.parent)
+                    if f.endswith(".tmp") and f != taken.name]
+
+
 class TestOutputPaths:
     """An output path of the wrong kind is a config error, named before any
     data is read, as a missing input path is."""

@@ -28,8 +28,8 @@ class TestEmbed:
     def test_row_width_is_dw_plus_dp_times_m(self):
         model = tiny_model(d_p=5, M=2, store=tiny_store(d_w=4))
         inst = make_instance(["alpha", "E1", "E2"], L=10, M=2)
-        X = embed(model.word_ids(inst), inst.position_ids,
-                  model.params["word_emb"],
+        X = embed([model.store.word_id(t) for t in inst.tokens],
+                  inst.position_ids, model.params["word_emb"],
                   [model.params["pos_emb_0"], model.params["pos_emb_1"]])
         assert X.shape == (3, 14)
 
@@ -40,14 +40,14 @@ class TestEmbed:
         inst = SentenceInstance(tokens=[], pairs=[("E1", "E2")], relations=[1],
                                 position_ids=np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(ContractViolation, match="empty sentence"):
-            model.activations(inst)
+            model.activations([inst])
 
     def test_m4_single_pair_uses_missing_bucket_rows(self):
         model = tiny_model(M=4)
         inst = make_instance(["E1", "E2"], L=10, M=4)
         tables = [model.params[f"pos_emb_{m}"] for m in range(4)]
-        X = embed(model.word_ids(inst), inst.position_ids,
-                  model.params["word_emb"], tables)
+        X = embed([model.store.word_id(t) for t in inst.tokens],
+                  inst.position_ids, model.params["word_emb"], tables)
         d_w = model.store.word.shape[1]
         d_p = model.config.d_p
         miss = missing_bucket(10)
@@ -62,7 +62,7 @@ class TestEmbed:
         inst = make_instance(["zzz", "E1", "E2"], L=10, M=2,
                              entities=[{"id": "E1", "span": [1, 2]},
                                        {"id": "E2", "span": [2, 3]}])
-        ids = model.word_ids(inst)
+        ids = [model.store.word_id(t) for t in inst.tokens]
         assert ids[0] == model.store.unk_id
 
 
@@ -251,8 +251,9 @@ class TestLstmSequence:
         counts = []
         for n in (3, 30):
             inst = make_instance(["E1"] + ["alpha"] * (n - 2) + ["E2"], L=40)
-            a = model.activations(inst, train=True)
-            counts.append(tape_nodes(margin_loss(a, label_vector({1}, 3))[0]))
+            a = model.activations([inst], train=True)
+            y = label_vector({1}, 3)[None]
+            counts.append(tape_nodes(margin_loss(a, y)[0]))
         assert counts == [nodes, nodes]
 
 
@@ -362,7 +363,7 @@ class TestEncoderGradients:
                 old = model.params[param_name]
                 model.params[param_name] = t
                 try:
-                    x_tilde, _ = model.encode(inst, train=False)
+                    x_tilde, _ = model.encode([inst], train=False)
                     return (x_tilde * Tensor(weights)).sum()
                 finally:
                     model.params[param_name] = old

@@ -47,8 +47,8 @@ def assert_matches_oracle(model, inst, train):
     weights = np.random.default_rng(model.config.seed).normal(size=model.E)
     state = model.dropout_rng.bit_generator.state
     a, grads = forward_and_grads(
-        model, lambda m, i, t: m.activations(i, train=t), inst, train,
-        weights, state)
+        model, lambda m, i, t: take_rows(m.activations([i], train=t), 0),
+        inst, train, weights, state)
     a_ref, grads_ref = forward_and_grads(model, activations_composed, inst,
                                          train, weights, state)
     np.testing.assert_allclose(a, a_ref, rtol=TOL, atol=TOL)
@@ -131,7 +131,8 @@ class TestBagPass:
         assert scores.shape == (len(bag.instances), model.E)
         with no_grad():
             for row, inst in zip(scores, bag.instances):
-                assert relative_gap(row, model.activations(inst).data) <= 1e-12
+                assert relative_gap(
+                    row, model.activations([inst]).data[0]) <= 1e-12
                 assert relative_gap(
                     row, activations_composed(model, inst).data) <= 1e-12
 
@@ -173,8 +174,7 @@ class TestBagPass:
         # head, each on N sentences at once
         model = tiny_model(seed=5, B=2, C=2, d=2, L=6, capsule=capsule)
         bag = bag_of(lengths, L=6, seed=5)
-        ids, position_ids, n = model._pack(bag.instances)
-        w = np.random.default_rng(5).normal(size=(len(n), model.E))
+        w = np.random.default_rng(5).normal(size=(len(lengths), model.E))
         names = ["word_emb", "pos_emb_1", "lstm_fwd_Wh", "lstm_bwd_Wx",
                  "att_r"] + (["caps_Wb", "caps_Wc"] if capsule
                              else ["head_W"])
@@ -183,8 +183,8 @@ class TestBagPass:
                 old = model.params[name]
                 model.params[name] = t
                 try:
-                    x = model._encode(ids, position_ids, n, train=False)
-                    return (model._head(x, n) * Tensor(w)).sum()
+                    return (model.activations(bag.instances)
+                            * Tensor(w)).sum()
                 finally:
                     model.params[name] = old
             probe = Tensor(model.params[name].data.copy())

@@ -15,17 +15,16 @@ from capsrel.data import Bag
 from capsrel.model import Model, _pooled_head, load_checkpoint, save_checkpoint
 from capsrel.optim import Adam
 from capsrel.training import (
-    bag_top1_accuracy,
     label_vector,
     margin_loss,
     select_instance,
     train,
     train_epoch,
 )
-from helpers import (check_fused_node, make_instance, mixed_bags, param_count,
-                     planted_trigger_bags, planted_trigger_store,
-                     pooled_head_composed, tiny_model, tiny_store,
-                     train_epoch_reference)
+from helpers import (bag_top1_accuracy, check_fused_node, make_instance,
+                     mixed_bags, param_count, planted_trigger_bags,
+                     planted_trigger_store, pooled_head_composed, reshape,
+                     take_rows, tiny_model, tiny_store, train_epoch_reference)
 from test_checkpoint import entries, join, join_entries, split
 
 
@@ -151,7 +150,7 @@ class TestSelectInstance:
         insts = [make_instance(s, L=10, M=2) for s in sentences]
         bag = Bag(key=insts[0].key, instances=insts, labels={1, 2})
         with no_grad():
-            scores = [max(model.activations(i).data[k] for k in (1, 2))
+            scores = [max(model.activations([i]).data[0, k] for k in (1, 2))
                       for i in insts]
         expected = int(np.argmax(scores))
         assert select_instance(model, bag) == expected
@@ -180,7 +179,8 @@ class TestInstanceScores:
         bag = Bag(key=insts[0].key, instances=insts, labels={1})
         scores = model.instance_scores(bag)
         with no_grad():
-            expected = np.stack([model.activations(i).data for i in insts])
+            expected = np.stack([model.activations([i]).data[0]
+                                 for i in insts])
         assert scores.shape == (3, model.E)
         np.testing.assert_array_equal(scores, expected)
         np.testing.assert_array_equal(model.bag_scores(bag),
@@ -252,8 +252,8 @@ class TestTrainableStart:
         model = Model(TrainConfig(**self.CONFIG), planted_trigger_store())
         bag = planted_trigger_bags(n_bags=2, relations=2, lengths=(length,))[1]
         assert len(bag.instances[0].tokens) == length
-        a = model.activations(bag.instances[0], train=True)
-        margin_loss(a, label_vector(bag.labels, model.E))[0].backward()
+        a = model.activations([bag.instances[0]], train=True)
+        margin_loss(a, label_vector(bag.labels, model.E)[None])[0].backward()
         largest: dict[str, float] = {}
         for name, p in model.params.items():
             group = name.split("_")[0]  # word, pos, lstm, att or caps
@@ -279,10 +279,10 @@ class TestPublishedShapeGradient:
     def test_directional_derivatives_match_central_differences(self):
         model = Model(TrainConfig(dropout=0.0), planted_trigger_store(d_w=50))
         bag = planted_trigger_bags(n_bags=2, relations=2, lengths=(10,))[1]
-        y = label_vector(bag.labels, model.E)
+        y = label_vector(bag.labels, model.E)[None]
 
         def loss():
-            return margin_loss(model.activations(bag.instances[0]), y)[0]
+            return margin_loss(model.activations([bag.instances[0]]), y)[0]
 
         loss().backward()
         rng = np.random.default_rng(0)
@@ -367,7 +367,8 @@ class TestGradientIsolation:
 
         def loss_and_grads():
             opt.zero_grad()
-            a = model.activations(bag.instances[selected], train=True)
+            a = take_rows(model.activations([bag.instances[selected]],
+                                            train=True), 0)
             total, _ = margin_loss(a, label_vector(bag.labels, model.E))
             total.backward()
             return total.item(), {k: (p.grad.copy() if p.grad is not None
@@ -412,7 +413,7 @@ class TestBuildModel:
     def test_capsule_ablation_activations_in_unit_interval(self):
         model = tiny_model(capsule=False)
         inst = make_instance(["alpha", "E1", "E2"], L=10, M=2)
-        a = model.activations(inst)
+        a = take_rows(model.activations([inst]), 0)
         assert a.shape == (model.E,)
         assert np.all((a.data > 0) & (a.data < 1))
 
@@ -452,7 +453,9 @@ class TestPooledHeadNode:
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(size=(n, width)),
                   rng.normal(size=(width, E)) * scale, rng.normal(size=E)]
-        check_fused_node(_pooled_head, pooled_head_composed, arrays,
+        check_fused_node(lambda x, W, b: _pooled_head(x, W, b, [n]),
+                         lambda x, W, b: reshape(pooled_head_composed(x, W, b),
+                                                 (1, E)), arrays,
                          [True, True, bias_grad],
                          central_differences=scale == 1.0)
 
