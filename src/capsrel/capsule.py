@@ -8,13 +8,13 @@ vote of child i for parent j is u_hat[j, :, i] = Wc[j] @ u_i + b_hat[j].
 Routing-by-agreement iteratively couples children to parents. It reads
 the votes only through two contractions, the parent sum and the
 agreement, and forms both from the factors (u, Wc, b_hat), so the
-E x d x H vote tensor is never built. Each layer takes the rows of N
-sentences packed one after another, with `lengths`, the rows of each
-(None: one sentence): the windows of a sentence never cross into the
-next, and routing couples each sentence's children to its own E parents,
-one sentence at a time, so its E x H arrays stay the size of one
-sentence's. Primary capsules and routing are one tape node each, with a
-hand-written backward.
+E x d x H vote tensor is never built. Primary capsules and routing take
+the rows of N sentences packed one after another and `lengths`, the rows
+of each: the windows of a sentence never cross into the next, and routing
+couples each sentence's children to its own E parents, one sentence at a
+time, so its E x H arrays stay the size of one sentence's. Capsules lie
+on the last axis. Primary capsules and routing are one tape node each,
+with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -27,41 +27,43 @@ from .autodiff import ContractViolation, ShapeError, Tensor, recording
 from .encoder import sentence_bounds, sentence_lengths, softmax
 
 
-def _squash(x: np.ndarray, axis: int):
-    """The squash law on an array, k x with k = n/(0.5+n^2) and n = ||x||
-    along `axis`, and the function taking its output gradient to x's."""
-    n = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+def _squash(x: np.ndarray):
+    """The squash law on the last axis, k x with k = n/(0.5+n^2), n = ||x||,
+    and the function taking its output gradient to x's."""
+    n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     nn = n * n
     k = n / (nn + 0.5)
 
     def backward(g):
         u = x / np.where(n == 0.0, 1.0, n)
         slope = n * (0.5 - nn) / (nn + 0.5) ** 2    # n k'(n)
-        return k * g + u * ((g * u).sum(axis=axis, keepdims=True) * slope)
+        return k * g + u * ((g * u).sum(axis=-1, keepdims=True) * slope)
     return x * k, backward
 
 
-def squash(x: Tensor, axis: int = -1) -> Tensor:
-    """Norm-bounding nonlinearity: ||out|| = n^2/(0.5+n^2) < 1, direction kept.
+def squash(x: Tensor) -> Tensor:
+    """Norm-bounding nonlinearity on each capsule along the last axis:
+    ||out|| = n^2/(0.5+n^2) < 1, direction kept.
 
     One tape node; zero maps to zero (limit convention), with zero gradient.
     """
-    out, backward = _squash(x.data, axis)
+    out, backward = _squash(x.data)
     return Tensor._from_op(out, (x,), lambda g: x._accumulate(backward(g)))
 
 
-def capsule_length(s: Tensor, axis: int = -1) -> Tensor:
-    """||squash(s)|| by the squash law, q/(0.5+q) with q = ||s||^2: one tape
-    node on the pre-squash s, whose gradient is s/(0.5+q)^2."""
-    q = (s.data * s.data).sum(axis=axis, keepdims=True)
+def capsule_length(s: Tensor) -> Tensor:
+    """||squash(s)|| by the squash law, q/(0.5+q) with q = ||s||^2 over the
+    last axis: one tape node on the pre-squash s, whose gradient is
+    s/(0.5+q)^2."""
+    q = (s.data * s.data).sum(axis=-1, keepdims=True)
 
     def bw(g):
-        s._accumulate(np.expand_dims(g, axis) * s.data / (q + 0.5) ** 2)
-    return Tensor._from_op((q / (q + 0.5)).squeeze(axis), (s,), bw)
+        s._accumulate(g[..., None] * s.data / (q + 0.5) ** 2)
+    return Tensor._from_op((q / (q + 0.5))[..., 0], (s,), bw)
 
 
 def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
-                     C: int, d: int, lengths=None) -> tuple[Tensor, Tensor]:
+                     C: int, d: int, lengths) -> tuple[Tensor, Tensor]:
     """Extract (L+1)*C child capsules of dim d from each sentence's L x 2B
     rows, for the sentences of `lengths` in order.
 
@@ -92,7 +94,7 @@ def primary_capsules(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
     s = Tensor._from_op(
         (windows @ Wb.data.T + b1.data).reshape((len(windows) * C, d)),
         (x_tilde, Wb, b1), bw)
-    return squash(s, axis=-1), capsule_length(s, axis=-1)
+    return squash(s), capsule_length(s)
 
 
 def votes(u: Tensor, Wc: Tensor, b_hat: Tensor
@@ -140,9 +142,9 @@ def _route(factors, a: np.ndarray, iterations: int, keep: bool):
     for it in range(iterations):
         if it:
             b = b + _agreement(factors, v)
-        p, p_backward = softmax(b, axis=0)
+        p, p_backward = softmax(b)
         s = _parent_sum(factors, a * p)
-        v, v_backward = _squash(s, -1)
+        v, v_backward = _squash(s)
         if keep:
             steps.append((p, p_backward, v, v_backward))
 
@@ -162,31 +164,23 @@ def _route(factors, a: np.ndarray, iterations: int, keep: bool):
     return s, backward if keep else None
 
 
-def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
-                    a_hat: Tensor, iterations: int,
-                    lengths=None) -> tuple[Tensor, Tensor]:
+def dynamic_routing(u_hat: tuple[Tensor, Tensor, Tensor], a_hat: Tensor,
+                    iterations: int, lengths) -> tuple[Tensor, Tensor]:
     """Routing-by-agreement: E parent capsules per sentence and their
     activations.
 
-    `u_hat` is the votes u_hat[j, :, i] = W[j] @ x[i] + b[j], either as
-    the factors (x: H x m, W: E x d x m, b: E x d) that `votes` returns
-    or as a bare E x d x H tensor, which is the case x = I_H, W = u_hat,
-    b = 0. The H children are those of the sentences of `lengths`, in
-    order, and each sentence routes its own children to its own E
-    parents. Per iteration: logits b[j] += v_j . u_hat[j] (the agreement)
-    after the first, couplings c = a_hat * softmax of b over parents,
-    parent inputs s_j = u_hat[j] c[j] (the parent sum) and
-    v_j = squash(s_j). Both contractions run on the factors, so every
-    array routing forms is E x H or smaller. One tape node returns the
-    last s, N x E x d (E x d when `lengths` is None); its backward walks
-    each sentence's iterations in reverse.
+    `u_hat` is the votes u_hat[j, :, i] = W[j] @ x[i] + b[j] as the
+    factors (x: H x m, W: E x d x m, b: E x d) that `votes` returns. The
+    H children are those of the sentences of `lengths`, in order, and
+    each sentence routes its own children to its own E parents. Per
+    iteration: logits b[j] += v_j . u_hat[j] (the agreement) after the
+    first, couplings c = a_hat * softmax of b over parents, parent inputs
+    s_j = u_hat[j] c[j] (the parent sum) and v_j = squash(s_j). Both
+    contractions run on the factors, so every array routing forms is
+    E x H or smaller. One tape node returns the last s, N x E x d, and its
+    backward walks each sentence's iterations in reverse; the squash and
+    length nodes on it give the N x E x d parents and N x E activations.
     """
-    if isinstance(u_hat, Tensor):
-        if len(u_hat.shape) != 3 or a_hat.shape != u_hat.shape[2:]:
-            raise ShapeError(f"dynamic_routing shapes do not conform: "
-                             f"u_hat {u_hat.shape}, a_hat {a_hat.shape}")
-        E, d, H = u_hat.shape
-        u_hat = Tensor(np.eye(H)), u_hat, Tensor(np.zeros((E, d)))
     x, W, b_hat = u_hat
     E, d = b_hat.shape if len(b_hat.shape) == 2 else (-1, -1)
     if (len(x.shape) != 2 or W.shape != (E, d, x.shape[1])
@@ -211,8 +205,7 @@ def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
 
     def bw(gs):
         gx, ga = np.zeros_like(x.data), np.empty_like(a_hat.data)
-        for (lo, hi), backward, g in zip(bounds, backwards,
-                                         gs.reshape(s.shape)):
+        for (lo, hi), backward, g in zip(bounds, backwards, gs):
             def vote_term(left, right, lo=lo, hi=hi):
                 # each term goes straight to the factors' gradients
                 gx[lo:hi] += right.T @ (left[:, None] @ W.data)[:, 0]
@@ -222,5 +215,5 @@ def dynamic_routing(u_hat: Tensor | tuple[Tensor, Tensor, Tensor],
             ga[lo:hi] = backward(g, vote_term)
         x._accumulate(gx)
         a_hat._accumulate(ga)
-    out = Tensor._from_op(s[0] if lengths is None else s, parents, bw)
-    return squash(out, axis=-1), capsule_length(out, axis=-1)
+    out = Tensor._from_op(s, parents, bw)
+    return squash(out), capsule_length(out)

@@ -4,14 +4,15 @@ Shapes follow the model config: a sentence of n tokens gives n input rows
 of width V = d_w + d_p * M, the Bi-LSTM emits n x 2B hidden states, and
 attention rescales each row by its softmax weight, keeping the
 per-position sequence for the capsule layer. Each layer takes the rows of
-N sentences packed one after another, with `lengths`, the rows of each
-(None: one sentence of all rows); nothing is padded or masked. Each layer
-is one tape node with a hand-written backward. The Bi-LSTM runs the numpy
-kernel `_lstm` once per direction: one loop over the steps that advances
-every sentence still running together, longest first, so a step is one
-product with `Wh` for all of them, and BPTT (one reverse sweep, then one
-product per weight). Word attention normalises each sentence's scores on
-its own, on the numpy softmax kernel that routing shares.
+N sentences packed one after another; the Bi-LSTM and attention also
+require `lengths`, the rows of each. Nothing is padded or masked. Each
+layer is one tape node with a hand-written backward. The Bi-LSTM runs
+the numpy kernel `_lstm` once per direction: one loop over the steps that
+advances every sentence still running together, longest first, so a step
+is one product with `Wh` for all of them, and BPTT (one reverse sweep,
+then one product per weight). Word attention normalises each sentence's
+scores on its own, on the numpy softmax kernel (over axis 0) that routing
+shares.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 def embed(word_ids: np.ndarray, position_ids: np.ndarray,
           word_emb: Tensor, pos_embs: list[Tensor]) -> Tensor:
-    """Build the n x V input matrix of an n-token sentence.
+    """Build the n x V input matrix of the n packed tokens of N sentences.
 
-    Row t is the word embedding concatenated with the M position-bucket
-    embeddings. One tape node, whose backward scatter-adds each column
-    block of the gradient into its table's rows, once per read, in place:
-    each call then adds its n rows, not a table-sized array.
+    Row t is token t's word embedding concatenated with its M
+    position-bucket embeddings. One tape node, whose backward scatter-adds
+    each column block of the gradient into its table's rows, once per read,
+    in place: each call then adds its n rows, not a table-sized array.
     """
     tables = [word_emb, *pos_embs]
     word_ids = np.asarray(word_ids, dtype=np.int64)
@@ -72,11 +73,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sentence_lengths(lengths, rows: int, node: str) -> np.ndarray:
-    """The rows of each sentence in `rows` packed rows: `lengths`, or one
-    sentence when it is None. Raises `ShapeError` naming `node` unless
-    they are integers of at least 1 that add up to `rows`."""
-    if lengths is None:
-        return np.array([rows])
+    """`lengths`, the rows of each sentence in `rows` packed rows, as an
+    array. Raises `ShapeError` naming `node` unless they are integers of
+    at least 1 that add up to `rows`."""
     out = np.asarray(lengths)
     if (out.ndim != 1 or not len(out) or out.dtype.kind not in "iu"
             or out.min() < 1 or out.sum() != rows):
@@ -176,7 +175,7 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
 
 
 def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
-           bwd: tuple[Tensor, Tensor, Tensor], lengths=None) -> Tensor:
+           bwd: tuple[Tensor, Tensor, Tensor], lengths) -> Tensor:
     """Hidden sequence, one 2B row per row of X: forward states beside
     backward states, each sentence of `lengths` run on its own.
 
@@ -211,16 +210,16 @@ def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
                            (X, *weights), bw)
 
 
-def softmax(x: np.ndarray, axis: int):
-    """Softmax of an array along `axis`, shifted by its max before exp, and
+def softmax(x: np.ndarray):
+    """Softmax of an array along axis 0, shifted by its max before exp, and
     the function taking its output gradient to x's."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    p = e / e.sum(axis=axis, keepdims=True)
-    return p, lambda g: p * (g - (g * p).sum(axis=axis, keepdims=True))
+    e = np.exp(x - x.max(axis=0, keepdims=True))
+    p = e / e.sum(axis=0, keepdims=True)
+    return p, lambda g: p * (g - (g * p).sum(axis=0, keepdims=True))
 
 
 def word_attention(H: Tensor, A: Tensor, r: Tensor,
-                   lengths=None) -> tuple[Tensor, Tensor]:
+                   lengths) -> tuple[Tensor, Tensor]:
     """Scale each hidden row by its bilinear-score softmax weight.
 
     Scores are h_t A r, normalised over the positions of each sentence of
@@ -234,7 +233,7 @@ def word_attention(H: Tensor, A: Tensor, r: Tensor,
     bounds = sentence_bounds(sentence_lengths(lengths, H.shape[0],
                                               "word_attention"))
     scores = (H.data @ A.data) @ r.data
-    parts = [softmax(scores[lo:hi], axis=0) for lo, hi in bounds]
+    parts = [softmax(scores[lo:hi]) for lo, hi in bounds]
     alpha = np.concatenate([p for p, _ in parts])
 
     def bw(g):

@@ -205,7 +205,15 @@ def primary_capsules_composed(x_tilde: Tensor, Wb: Tensor, b1: Tensor,
     windows = concat([concat([zero, x_tilde]), concat([x_tilde, zero])],
                      axis=1)
     s = reshape(add(matmul(windows, transpose(Wb)), b1), ((L + 1) * C, d))
-    return squash(s, axis=-1), capsule_length(s, axis=-1)
+    return squash(s), capsule_length(s)
+
+
+def vote_factors(u_hat: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """The factors (I_H, u_hat, 0) that stand for the E x d x H votes
+    u_hat, in the form `dynamic_routing` takes: u_hat[j, :, i] is
+    u_hat[j] @ e_i + 0."""
+    E, d, H = u_hat.shape
+    return Tensor(np.eye(H)), u_hat, Tensor(np.zeros((E, d)))
 
 
 def votes_composed(u: Tensor, Wc: Tensor, b_hat: Tensor) -> Tensor:
@@ -242,8 +250,8 @@ def dynamic_routing_composed(u_hat: Tensor, a_hat: Tensor,
             b = add(b, stacked_matmul(reshape(v, (E, 1, d)), u_hat))
         c = mul(a_hat, softmax_node(b, axis=0))
         s = reshape(stacked_matmul(u_hat, reshape(c, (E, H, 1))), (E, d))
-        v = squash(s, axis=-1)
-    return v, capsule_length(s, axis=-1)
+        v = squash(s)
+    return v, capsule_length(s)
 
 
 def check_fused_node(fused, composed, arrays, requires, interior: int = 1,

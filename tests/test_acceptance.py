@@ -31,7 +31,7 @@ from capsrel.training import (
     train,
 )
 from helpers import (bag_top1_accuracy, make_instance, routing_reference,
-                     take_rows, tiny_model)
+                     take_rows, tiny_model, vote_factors)
 
 TRAIN_BUDGET_EPOCHS = 200
 TRAIN_BUDGET_SECONDS = 600.0
@@ -112,10 +112,10 @@ class TestAcceptance:
             y[seed % E] = 1.0
 
             def capsule_chain(x_t, Wb_t, Wc_t):
-                u, a_hat = primary_capsules(x_t, Wb_t, Tensor(b1), C, d)
+                u, a_hat = primary_capsules(x_t, Wb_t, Tensor(b1), C, d, [L])
                 u_hat = votes(u, Wc_t, Tensor(b_hat))
-                _, a = dynamic_routing(u_hat, a_hat, 3)
-                total, _ = margin_loss(a, y)
+                _, a = dynamic_routing(u_hat, a_hat, 3, [(L + 1) * C])
+                total, _ = margin_loss(a, y[None])
                 return total
 
             for probe, f in [
@@ -143,11 +143,12 @@ class TestAcceptance:
             a_hat = rng.uniform(0, 1, size=H)
             v_ref, a_ref = routing_reference(u_hat, a_hat, iters)
             with no_grad():
-                v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
-                                       Tensor(a_hat), iters)
+                v, a = dynamic_routing(
+                    vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                    Tensor(a_hat), iters, [H])
             worst = max(worst,
-                        float(np.abs(v.data - v_ref).max()),
-                        float(np.abs(a.data - a_ref).max()))
+                        float(np.abs(v.data[0] - v_ref).max()),
+                        float(np.abs(a.data[0] - a_ref).max()))
         elapsed = time.time() - t0
         ok = worst < 1e-10 and elapsed < 10.0
         verdict(capsys, 2, "routing oracle equivalence",
@@ -162,14 +163,14 @@ class TestAcceptance:
             for _ in range(1000):
                 dim = int(rng.integers(1, 9))
                 x = rng.normal(0, rng.uniform(0.01, 5.0), size=dim)
-                s = squash(Tensor(x), axis=0).data
+                s = squash(Tensor(x)).data
                 n = np.linalg.norm(x)
                 expected = n * n / (0.5 + n * n)
                 worst = max(worst, abs(np.linalg.norm(s) - expected))
                 norm_ok &= np.linalg.norm(s) < 1.0
                 cos = float(s @ x) / (np.linalg.norm(s) * n)
                 direction_ok &= abs(cos - 1.0) < 1e-12
-            zero = squash(Tensor(np.zeros(4)), axis=0).data
+            zero = squash(Tensor(np.zeros(4))).data
         ok = (worst < 1e-12 and norm_ok and direction_ok
               and np.all(zero == 0.0))
         verdict(capsys, 3, "squash law",

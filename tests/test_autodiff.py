@@ -194,8 +194,9 @@ class TestGradCheck:
 
     def test_squash_norm_composite(self):
         from capsrel.capsule import capsule_length, squash
-        f = lambda t: add(square(squash(reshape(t, (2, 3)), axis=-1)).sum(),
-                          capsule_length(reshape(t, (3, 2)), axis=0).sum())
+        # capsule_length's capsules run down the columns: moved last first
+        f = lambda t: add(square(squash(reshape(t, (2, 3)))).sum(),
+                          capsule_length(transpose(reshape(t, (3, 2)))).sum())
         assert grad_check(f, Tensor(rand((6,), 1)), eps=1e-5) < 1e-4
 
     def test_wrong_backward_rule_is_caught(self):

@@ -15,8 +15,8 @@ from capsrel.capsule import (capsule_length, dynamic_routing, primary_capsules,
                              squash, votes)
 from capsrel.training import margin_loss
 from helpers import (add, check_fused_node, dynamic_routing_composed,
-                     primary_capsules_composed, relative_gap, routing_reference,
-                     votes_composed)
+                     primary_capsules_composed, relative_gap, reshape,
+                     routing_reference, vote_factors, votes_composed)
 
 
 class TestSquash:
@@ -57,7 +57,7 @@ class TestSquash:
 
     def test_rowwise_squash(self):
         X = np.random.default_rng(2).normal(size=(5, 3))
-        out = squash(Tensor(X), axis=-1).data
+        out = squash(Tensor(X)).data
         for i in range(5):
             np.testing.assert_allclose(out[i], squash_formula(X[i], -1),
                                        atol=1e-12)
@@ -89,23 +89,27 @@ class TestSquashNodes:
     @settings(max_examples=60, deadline=None)
     def test_match_the_law_and_its_gradient(self, case):
         x, axis = case
-        out = squash(Tensor(x), axis=axis).data
+        # the nodes take capsules on the last axis: the drawn axis moves
+        # there before each call, and back after
+        x_last = np.moveaxis(x, axis, -1)
+        out = np.moveaxis(squash(Tensor(x_last)).data, -1, axis)
         np.testing.assert_array_equal(out, squash_formula(x, axis))
-        np.testing.assert_allclose(capsule_length(Tensor(x), axis=axis).data,
+        np.testing.assert_allclose(capsule_length(Tensor(x_last)).data,
                                    np.linalg.norm(out, axis=axis),
                                    rtol=0, atol=1e-15)
 
         w = np.random.default_rng(x.size).normal(size=x.shape)
         zero = np.linalg.norm(x, axis=axis, keepdims=True) == 0.0
         for node in (squash, capsule_length):
-            leaf = Tensor(x, requires_grad=True)
-            out = node(leaf, axis=axis)
+            leaf = Tensor(x_last, requires_grad=True)
+            out = node(leaf)
             assert out._parents == (leaf,)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                (out * Tensor(w if node is squash else w.sum(axis=axis))
-                 ).sum().backward()
-            assert np.all(leaf.grad[np.broadcast_to(zero, x.shape)] == 0.0)
+                (out * Tensor(np.moveaxis(w, axis, -1) if node is squash
+                              else w.sum(axis=axis))).sum().backward()
+            grad = np.moveaxis(leaf.grad, -1, axis)
+            assert np.all(grad[np.broadcast_to(zero, x.shape)] == 0.0)
 
         # squash is not twice differentiable at the zero vector, so central
         # differences there are off by 2 eps; its check skips zero capsules
@@ -113,11 +117,12 @@ class TestSquashNodes:
         x_live = x[:, live] if axis == 0 else x[live]
         w_live = w[:, live] if axis == 0 else w[live]
         if x_live.size:
-            assert grad_check(lambda t: (squash(t, axis=axis) * Tensor(w_live)
-                                         ).sum(), Tensor(x_live)) < 1e-6
-        assert grad_check(lambda t: (capsule_length(t, axis=axis)
+            w_last = Tensor(np.moveaxis(w_live, axis, -1))
+            assert grad_check(lambda t: (squash(t) * w_last).sum(),
+                              Tensor(np.moveaxis(x_live, axis, -1))) < 1e-6
+        assert grad_check(lambda t: (capsule_length(t)
                                      * Tensor(w.sum(axis=axis))).sum(),
-                          Tensor(x)) < 1e-6
+                          Tensor(x_last)) < 1e-6
 
 
 class TestPrimaryCapsules:
@@ -130,7 +135,7 @@ class TestPrimaryCapsules:
         C, d, width, L = 3, 2, 4, 3
         Wb, b1 = self.params(C, d, width)
         u, a_hat = primary_capsules(Tensor(np.random.default_rng(1).normal(
-            size=(L, width))), Wb, b1, C, d)
+            size=(L, width))), Wb, b1, C, d, [L])
         assert u.shape == ((L + 1) * C, d)
         assert a_hat.shape == ((L + 1) * C,)
 
@@ -138,7 +143,7 @@ class TestPrimaryCapsules:
         C, d, width, L = 2, 2, 3, 4
         Wb = Tensor(np.random.default_rng(2).normal(size=(C * d, 2 * width)))
         u, a_hat = primary_capsules(Tensor(np.zeros((L, width))), Wb,
-                                    Tensor(np.zeros(C * d)), C, d)
+                                    Tensor(np.zeros(C * d)), C, d, [L])
         np.testing.assert_array_equal(u.data, 0.0)
         np.testing.assert_array_equal(a_hat.data, 0.0)
 
@@ -148,7 +153,8 @@ class TestPrimaryCapsules:
         x = np.array([[1.0, -2.0, 0.5]])
         Wb = np.random.default_rng(3).normal(size=(2, 2 * width))
         b1 = np.array([0.3, -0.1])
-        u, a_hat = primary_capsules(Tensor(x), Tensor(Wb), Tensor(b1), 1, 2)
+        u, a_hat = primary_capsules(Tensor(x), Tensor(Wb), Tensor(b1), 1, 2,
+                                    [1])
         w0 = np.concatenate([np.zeros(width), x[0]])   # window before x
         w1 = np.concatenate([x[0], np.zeros(width)])   # window after x
         exp0 = squash_formula(Wb @ w0 + b1, -1)
@@ -163,7 +169,7 @@ class TestPrimaryCapsules:
         C, d, width, L = 2, 3, 4, 5
         Wb, b1 = self.params(C, d, width, seed=4)
         u, a_hat = primary_capsules(Tensor(np.random.default_rng(4).normal(
-            size=(L, width))), Wb, b1, C, d)
+            size=(L, width))), Wb, b1, C, d, [L])
         np.testing.assert_allclose(a_hat.data,
                                    np.linalg.norm(u.data, axis=1), atol=1e-12)
         assert np.all(a_hat.data < 1.0)
@@ -171,7 +177,8 @@ class TestPrimaryCapsules:
     def test_filter_bank_shape_checked(self):
         with pytest.raises(ShapeError, match=r"Wb \(4, 5\)"):
             primary_capsules(Tensor(np.zeros((3, 4))),
-                             Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)), 2, 2)
+                             Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)), 2, 2,
+                             [3])
 
 
 def assert_reads_as(factors, u_hat: np.ndarray, tol: float = 0.0) -> None:
@@ -262,6 +269,12 @@ def normal_arrays(seed, *shapes):
     return [rng.normal(size=shape) for shape in shapes]
 
 
+def one_sentence(outs):
+    """A one-sentence composed graph's outputs as the 1 x ... outputs of
+    the layer called with `lengths` [H]."""
+    return tuple(reshape(o, (1, *o.shape)) for o in outs)
+
+
 class TestCapsuleNodes:
     """`primary_capsules` is one tape node, and routing on the factors
     `votes` returns matches routing on the votes the composed graph forms;
@@ -275,7 +288,7 @@ class TestCapsuleNodes:
         arrays = normal_arrays(seed, (L, width), (C * d, 2 * width), (C * d,))
         # the squash and capsule_length nodes sit on the one fused node
         check_fused_node(
-            lambda *t: primary_capsules(*t, C, d),
+            lambda *t: primary_capsules(*t, C, d, [L]),
             lambda *t: primary_capsules_composed(*t, C, d),
             arrays, [True, True, bias_grad], interior=3)
 
@@ -301,7 +314,7 @@ class TestCapsuleNodes:
         a_hat[np.array(zeros[:H])] = 0.0
 
         def fused(u, Wc, b_hat, a_hat):
-            return dynamic_routing(votes(u, Wc, b_hat), a_hat, iters)
+            return dynamic_routing(votes(u, Wc, b_hat), a_hat, iters, [H])
 
         # squash has a kink at a zero parent input, where central
         # differences fail; an all-zero a_hat leaves every parent there,
@@ -310,8 +323,8 @@ class TestCapsuleNodes:
         _, act = fused(*(Tensor(x) for x in (u, Wc, b_hat, a_hat)))
         check_fused_node(
             fused,
-            lambda u, Wc, b_hat, a_hat: dynamic_routing_composed(
-                votes_composed(u, Wc, b_hat), a_hat, iters),
+            lambda u, Wc, b_hat, a_hat: one_sentence(dynamic_routing_composed(
+                votes_composed(u, Wc, b_hat), a_hat, iters)),
             [u, Wc, b_hat, a_hat], [True, True, bias_grad, True],
             interior=3, central_differences=act.data.min() > 1e-6, tol=1e-10)
 
@@ -327,7 +340,7 @@ class TestCapsuleNodes:
     def test_nonconforming_operand_names_every_shape(self, layer, shapes):
         args = [Tensor(np.zeros(shape)) for shape in shapes.values()]
         fn = votes if layer == "votes" else (
-            lambda *t: primary_capsules(*t, C=2, d=2))
+            lambda *t: primary_capsules(*t, C=2, d=2, lengths=[3]))
         message = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
         with pytest.raises(ShapeError, match=re.escape(message)):
             fn(*args)
@@ -343,28 +356,30 @@ class TestDynamicRouting:
     def test_identical_votes_give_identical_parents(self):
         vote = np.random.default_rng(7).normal(size=3)
         u_hat = np.stack([np.stack([vote, vote])])  # H=1, E=2
-        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor([0.7]), 3)
-        np.testing.assert_array_equal(v.data[0], v.data[1])
-        assert a.data[0] == a.data[1]
+        v, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                               Tensor([0.7]), 3, [1])
+        np.testing.assert_array_equal(v.data[0][0], v.data[0][1])
+        assert a.data[0][0] == a.data[0][1]
 
     def test_zero_activations_give_zero_parents(self):
         u_hat, _ = self.rand_case(4, 3, 2, seed=8)
-        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
-                               Tensor(np.zeros(4)), 3)
+        v, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                               Tensor(np.zeros(4)), 3, [4])
         np.testing.assert_array_equal(v.data, 0.0)
         np.testing.assert_array_equal(a.data, 0.0)
 
     def test_first_iteration_uses_uniform_couplings(self):
         u_hat, a_hat = self.rand_case(5, 3, 2, seed=9)
-        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), 1)
+        v, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                               Tensor(a_hat), 1, [5])
         ref_v, ref_a = routing_reference(u_hat, a_hat, 1)
         # from b=0 the softmax is uniform: c[i] = a_hat[i]/E
         s = (a_hat[:, None, None] / 3 * u_hat).sum(axis=0)
         for j in range(3):
-            np.testing.assert_allclose(v.data[j], squash_formula(s[j], -1),
+            np.testing.assert_allclose(v.data[0][j], squash_formula(s[j], -1),
                                        atol=1e-12)
-        np.testing.assert_allclose(v.data, ref_v, atol=1e-12)
-        np.testing.assert_allclose(a.data, ref_a, atol=1e-12)
+        np.testing.assert_allclose(v.data[0], ref_v, atol=1e-12)
+        np.testing.assert_allclose(a.data[0], ref_a, atol=1e-12)
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 5])
     @pytest.mark.parametrize("seed", range(5))
@@ -374,19 +389,22 @@ class TestDynamicRouting:
         E = int(rng.integers(2, 6))
         d = int(rng.integers(1, 5))
         u_hat, a_hat = self.rand_case(H, E, d, seed=2000 + seed)
-        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), iters)
+        v, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                               Tensor(a_hat), iters, [H])
         ref_v, ref_a = routing_reference(u_hat, a_hat, iters)
-        np.testing.assert_allclose(v.data, ref_v, atol=1e-10)
-        np.testing.assert_allclose(a.data, ref_a, atol=1e-10)
+        np.testing.assert_allclose(v.data[0], ref_v, atol=1e-10)
+        np.testing.assert_allclose(a.data[0], ref_a, atol=1e-10)
 
     def test_parent_permutation_equivariance(self):
         u_hat, a_hat = self.rand_case(6, 4, 3, seed=10)
         perm = np.array([2, 0, 3, 1])
-        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), 3)
-        vp, ap = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)[perm]),
-                                 Tensor(a_hat), 3)
-        np.testing.assert_allclose(vp.data, v.data[perm], atol=1e-12)
-        np.testing.assert_allclose(ap.data, a.data[perm], atol=1e-12)
+        v, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                               Tensor(a_hat), 3, [6])
+        vp, ap = dynamic_routing(
+            vote_factors(Tensor(u_hat.transpose(1, 2, 0)[perm])),
+            Tensor(a_hat), 3, [6])
+        np.testing.assert_allclose(vp.data[0], v.data[0][perm], atol=1e-12)
+        np.testing.assert_allclose(ap.data[0], a.data[0][perm], atol=1e-12)
 
     def test_couplings_per_child_sum_to_activation(self, monkeypatch):
         # the couplings are the weights of each forward parent sum
@@ -399,8 +417,8 @@ class TestDynamicRouting:
 
         monkeypatch.setattr(capsule, "_parent_sum", recording)
         u_hat, a_hat = self.rand_case(7, 3, 2, seed=11)
-        _, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)),
-                               Tensor(a_hat), 3)
+        _, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                               Tensor(a_hat), 3, [7])
         assert len(couplings) == 3
         for c in couplings:
             np.testing.assert_allclose(c.sum(axis=0), a_hat, atol=1e-12)
@@ -411,29 +429,23 @@ class TestDynamicRouting:
         H, E, d = 200, 53, 8
         u_hat, a_hat = self.rand_case(H, E, d, seed=13)
         a_hat[rng.choice(H, size=40, replace=False)] = 0.0
-        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0)), Tensor(a_hat), 3)
+        v, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
+                               Tensor(a_hat), 3, [H])
         ref_v, ref_a = routing_reference(u_hat, a_hat, 3)
-        np.testing.assert_allclose(v.data, ref_v, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(a.data, ref_a, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("u_hat, a_hat", [
-        ((2, 3, 4), (1,)), ((2, 3, 4), (2, 4)), ((2, 3, 4), (5,)),
-        ((3, 4), (4,))],
-        ids=["a_hat-of-one", "a_hat-per-parent", "a_hat-too-long", "votes-2d"])
-    def test_nonconforming_operands_name_both_shapes(self, u_hat, a_hat):
-        with pytest.raises(ShapeError,
-                           match=re.escape(f"u_hat {u_hat}, a_hat {a_hat}")):
-            dynamic_routing(Tensor(np.zeros(u_hat)), Tensor(np.zeros(a_hat)), 3)
+        np.testing.assert_allclose(v.data[0], ref_v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a.data[0], ref_a, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("u, Wc, b_hat, a_hat", [
+        ((4, 2), (3, 2, 2), (3, 2), (1,)), ((4, 2), (3, 2, 2), (3, 2), (3, 4)),
         ((4, 2), (3, 2, 2), (3, 2), (5,)), ((4, 2), (3, 2, 3), (3, 2), (4,)),
         ((4, 2), (3, 2, 2), (1, 2), (4,)), ((4,), (3, 2, 2), (3, 2), (4,))],
-        ids=["a_hat-too-long", "Wc-wider-than-u", "b_hat-one-parent", "u-1d"])
+        ids=["a_hat-of-one", "a_hat-per-parent", "a_hat-too-long",
+             "Wc-wider-than-u", "b_hat-one-parent", "u-1d"])
     def test_nonconforming_factors_name_every_shape(self, u, Wc, b_hat, a_hat):
         factors = tuple(Tensor(np.zeros(shape)) for shape in (u, Wc, b_hat))
         with pytest.raises(ShapeError, match=re.escape(
                 f"u {u}, Wc {Wc}, b_hat {b_hat}, a_hat {a_hat}")):
-            dynamic_routing(factors, Tensor(np.zeros(a_hat)), 3)
+            dynamic_routing(factors, Tensor(np.zeros(a_hat)), 3, [4])
 
     def test_factored_votes_never_form_the_vote_tensor(self):
         # wide capsules make one E x d x H array larger than everything
@@ -445,7 +457,7 @@ class TestDynamicRouting:
         a_hat = Tensor(rng.uniform(0, 1, size=H), requires_grad=True)
         tracemalloc.start()
         try:
-            v, a = dynamic_routing(votes(*factors), a_hat, 3)
+            v, a = dynamic_routing(votes(*factors), a_hat, 3, [H])
             add(v.sum(), a.sum()).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -454,14 +466,15 @@ class TestDynamicRouting:
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ContractViolation):
-            dynamic_routing(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)), 0)
+            dynamic_routing(vote_factors(Tensor(np.zeros((2, 2, 2)))),
+                            Tensor(np.zeros(2)), 0, [2])
 
     @pytest.mark.parametrize("iters", [True, 2.5, np.float64(3.0), "3"],
                              ids=["bool", "float", "numpy-float", "str"])
     def test_rejects_non_integer_iterations(self, iters):
         with pytest.raises(ContractViolation, match=re.escape(repr(iters))):
-            dynamic_routing(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)),
-                            iters)
+            dynamic_routing(vote_factors(Tensor(np.zeros((2, 2, 2)))),
+                            Tensor(np.zeros(2)), iters, [2])
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 4])
     def test_runs_2r_minus_1_stacked_products(self, monkeypatch, iters):
@@ -476,8 +489,9 @@ class TestDynamicRouting:
                 return fn(*args)
             monkeypatch.setattr(capsule, name, counting)
         u_hat, a_hat = self.rand_case(6, 3, 2, seed=12)
-        v, a = dynamic_routing(Tensor(u_hat.transpose(1, 2, 0),
-                                      requires_grad=True), Tensor(a_hat), iters)
+        v, a = dynamic_routing(
+            vote_factors(Tensor(u_hat.transpose(1, 2, 0), requires_grad=True)),
+            Tensor(a_hat), iters, [6])
         assert calls.count("_parent_sum") == iters
         assert calls.count("_agreement") == iters - 1
         calls.clear()
@@ -508,14 +522,19 @@ class TestRoutingNode:
         u_hat, a_hat, iters, scale = case
         w_v = np.random.default_rng(1).normal(size=u_hat.shape[:2])
         w_a = np.random.default_rng(2).normal(size=u_hat.shape[0])
+        H = len(a_hat)
         results = []
-        for routing in (dynamic_routing, dynamic_routing_composed):
+        for routing in (
+                lambda u, a, iters: dynamic_routing(vote_factors(u), a, iters,
+                                                    [H]),
+                lambda *args: one_sentence(dynamic_routing_composed(*args))):
             u = Tensor(u_hat, requires_grad=True)
             a = Tensor(a_hat, requires_grad=True)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 v, act = routing(u, a, iters)
-                add((v * Tensor(w_v)).sum(), (act * Tensor(w_a)).sum()).backward()
+                add((v * Tensor(w_v[None])).sum(),
+                    (act * Tensor(w_a[None])).sum()).backward()
             results.append((v, act, u, a))
         (v, act, u, a), (v_ref, act_ref, u_ref, a_ref) = results
         np.testing.assert_array_equal(v.data, v_ref.data)
@@ -526,7 +545,7 @@ class TestRoutingNode:
         # one node, under the squash and capsule_length nodes, on the
         # factors x = I_H, W = u_hat and b = 0
         u, a = Tensor(u_hat, requires_grad=True), Tensor(a_hat)
-        v, act = dynamic_routing(u, a, iters)
+        v, act = dynamic_routing(vote_factors(u), a, iters, [H])
         (node,) = v._parents
         assert act._parents == (node,)
         eye, W, zero, a_node = node._parents
@@ -543,10 +562,11 @@ class TestRoutingNode:
 
         def f(which):
             def objective(t):
-                args = (t, Tensor(a_hat)) if which == "u" else (Tensor(u_hat), t)
-                v, act = dynamic_routing(*args, iters)
-                out = (act * Tensor(w_a)).sum()
-                return add(out, (v * Tensor(w_v)).sum()) if a_hat.any() else out
+                u, a = (t, Tensor(a_hat)) if which == "u" else (Tensor(u_hat), t)
+                v, act = dynamic_routing(vote_factors(u), a, iters, [H])
+                out = (act * Tensor(w_a[None])).sum()
+                return (add(out, (v * Tensor(w_v[None])).sum()) if a_hat.any()
+                        else out)
             return objective
         assert grad_check(f("u"), Tensor(u_hat)) < 1e-6
         assert grad_check(f("a"), Tensor(a_hat)) < 1e-6
@@ -565,21 +585,23 @@ class TestCapsuleGradients:
 
         def f_wc(t):
             u_hat = votes(Tensor(u), t, Tensor(b_hat))
-            _, a = dynamic_routing(u_hat, Tensor(np.linalg.norm(u, axis=1)), 3)
-            total, _ = margin_loss(a, y)
+            _, a = dynamic_routing(u_hat, Tensor(np.linalg.norm(u, axis=1)), 3,
+                                   [H])
+            total, _ = margin_loss(a, y[None])
             return total
 
         def f_u(t):
-            a_hat = capsule_length(t, axis=1)
+            a_hat = capsule_length(t)
             u_hat = votes(t, Tensor(Wc), Tensor(b_hat))
-            _, a = dynamic_routing(u_hat, a_hat, 3)
-            total, _ = margin_loss(a, y)
+            _, a = dynamic_routing(u_hat, a_hat, 3, [H])
+            total, _ = margin_loss(a, y[None])
             return total
 
         def f_bhat(t):
             u_hat = votes(Tensor(u), Tensor(Wc), t)
-            _, a = dynamic_routing(u_hat, Tensor(np.linalg.norm(u, axis=1)), 3)
-            total, _ = margin_loss(a, y)
+            _, a = dynamic_routing(u_hat, Tensor(np.linalg.norm(u, axis=1)), 3,
+                                   [H])
+            total, _ = margin_loss(a, y[None])
             return total
 
         assert grad_check(f_wc, Tensor(Wc), eps=1e-5) < 1e-4
@@ -595,7 +617,7 @@ class TestCapsuleGradients:
         w = rng.normal(size=((L + 1) * C, d))
 
         def f(t):
-            u, a_hat = primary_capsules(Tensor(x), t, Tensor(b1), C, d)
+            u, a_hat = primary_capsules(Tensor(x), t, Tensor(b1), C, d, [L])
             return add((u * Tensor(w)).sum(), (a_hat * a_hat).sum())
 
         Wb = rng.normal(0, 0.6, size=(C * d, 2 * width))

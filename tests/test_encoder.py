@@ -128,14 +128,14 @@ class TestBiLstm:
         zeros = (Tensor(np.zeros((V, 4 * B))), Tensor(np.zeros((B, 4 * B))),
                  Tensor(np.zeros(4 * B)))
         X = Tensor(np.random.default_rng(0).normal(size=(L, V)))
-        H = bilstm(X, zeros, zeros)
+        H = bilstm(X, zeros, zeros, [L])
         np.testing.assert_array_equal(H.data, np.zeros((L, 2 * B)))
 
     def test_single_step_output_width(self):
         rng = np.random.default_rng(1)
         V, B = 3, 4
         H = bilstm(Tensor(rng.normal(size=(1, V))), lstm_params(rng, V, B),
-                   lstm_params(rng, V, B))
+                   lstm_params(rng, V, B), [1])
         assert H.shape == (1, 2 * B)
 
     def test_reversal_swaps_directions(self):
@@ -144,8 +144,8 @@ class TestBiLstm:
         fwd = lstm_params(rng, V, B)
         bwd = lstm_params(rng, V, B)
         X = rng.normal(size=(L, V))
-        H = bilstm(Tensor(X), fwd, bwd).data
-        H_rev = bilstm(Tensor(X[::-1].copy()), bwd, fwd).data
+        H = bilstm(Tensor(X), fwd, bwd, [L]).data
+        H_rev = bilstm(Tensor(X[::-1].copy()), bwd, fwd, [L]).data
         # forward half on x == backward half on reverse(x), row-reversed
         np.testing.assert_allclose(H[:, :B], H_rev[::-1, B:], atol=1e-12)
 
@@ -158,7 +158,7 @@ class TestBiLstm:
                     for _ in range(2)]
         X = rng.normal(size=(length, V))
         H = bilstm(Tensor(X), [Tensor(p) for p in fwd],
-                   [Tensor(p) for p in bwd]).data
+                   [Tensor(p) for p in bwd], [length]).data
         H_ref = bilstm_composed(Tensor(X), [Tensor(p) for p in fwd],
                                 [Tensor(p) for p in bwd]).data
         np.testing.assert_allclose(H, H_ref, rtol=1e-10, atol=1e-10)
@@ -171,7 +171,7 @@ def lstm_arrays(rng, L, V, B, scale=0.5):
 
 
 def fused(X, *weights):
-    return bilstm(X, weights[:3], weights[3:])
+    return bilstm(X, weights[:3], weights[3:], [X.shape[0]])
 
 
 def composed(X, *weights):
@@ -267,7 +267,7 @@ class TestWordAttention:
     def test_identical_rows_get_uniform_weights(self):
         A, r = self.att()
         H = Tensor(np.tile(np.random.default_rng(1).normal(size=6), (4, 1)))
-        _, alpha = word_attention(H, A, r)
+        _, alpha = word_attention(H, A, r, [4])
         np.testing.assert_allclose(alpha.data, 0.25, atol=1e-12)
 
     def test_identity_bilinear_scores_first_component(self):
@@ -276,7 +276,7 @@ class TestWordAttention:
         A = Tensor(np.eye(2 * B))
         e1 = np.zeros(2 * B)
         e1[0] = 1.0
-        _, alpha = word_attention(H, A, Tensor(e1))
+        _, alpha = word_attention(H, A, Tensor(e1), [5])
         expected = np.exp(H.data[:, 0] - H.data[:, 0].max())
         expected /= expected.sum()
         np.testing.assert_allclose(alpha.data, expected, atol=1e-12)
@@ -284,14 +284,14 @@ class TestWordAttention:
     def test_scaling_bilinear_matrix_preserves_argmax(self):
         A, r = self.att(seed=6)
         H = Tensor(np.random.default_rng(6).normal(size=(5, 6)))
-        _, a1 = word_attention(H, A, r)
-        _, a2 = word_attention(H, Tensor(A.data * 7.5), r)
+        _, a1 = word_attention(H, A, r, [5])
+        _, a2 = word_attention(H, Tensor(A.data * 7.5), r, [5])
         assert a1.data.argmax() == a2.data.argmax()
 
     def test_output_rows_are_nonneg_combinations(self):
         A, r = self.att(seed=7)
         H = Tensor(np.random.default_rng(7).normal(size=(4, 6)))
-        out, alpha = word_attention(H, A, r)
+        out, alpha = word_attention(H, A, r, [4])
         assert np.all(alpha.data >= 0)
         assert abs(alpha.data.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(out.data, alpha.data[:, None] * H.data,
@@ -313,7 +313,8 @@ class TestWordAttentionNode:
                   rng.normal(size=width))
         w = rng.normal(size=(L, width))
         results = []
-        for attention in (word_attention, word_attention_composed):
+        for attention in (lambda *t: word_attention(*t, [L]),
+                          word_attention_composed):
             leaves = [Tensor(x, requires_grad=True) for x in arrays]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -326,7 +327,7 @@ class TestWordAttentionNode:
         for leaf, ref in zip(leaves, leaves_ref):
             assert relative_gap(leaf.grad, ref.grad) <= 1e-12
         leaves = [Tensor(x, requires_grad=True) for x in arrays]
-        assert word_attention(*leaves)[0]._parents == tuple(leaves)
+        assert word_attention(*leaves, [L])[0]._parents == tuple(leaves)
 
         # central differences cannot follow a softmax saturated this hard
         if scale != 1.0:
@@ -335,7 +336,7 @@ class TestWordAttentionNode:
             def f(t):
                 args = [Tensor(x) for x in arrays]
                 args[k] = t
-                return (word_attention(*args)[0] * Tensor(w)).sum()
+                return (word_attention(*args, [L])[0] * Tensor(w)).sum()
             assert grad_check(f, Tensor(arrays[k])) < 1e-6
 
     @pytest.mark.parametrize("shapes", [
@@ -348,7 +349,7 @@ class TestWordAttentionNode:
         message = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
         with pytest.raises(ShapeError, match=re.escape(message)):
             word_attention(*(Tensor(np.zeros(shape))
-                             for shape in shapes.values()))
+                             for shape in shapes.values()), [4])
 
 
 class TestEncoderGradients:

@@ -21,7 +21,7 @@ from helpers import (activations_composed, bilstm_composed, check_fused_node,
                      concat, dynamic_routing_composed, make_instance,
                      pooled_head_composed, primary_capsules_composed,
                      relative_gap, reshape, take_rows, tiny_model, tiny_store,
-                     votes_composed, word_attention_composed)
+                     vote_factors, votes_composed, word_attention_composed)
 
 # The Bi-LSTM oracle forms tanh as 2 sigmoid(2x) - 1: `check_fused_node`'s
 # tolerance for it, which every layer after the Bi-LSTM inherits.
@@ -274,9 +274,9 @@ class TestPackedNodes:
             packed(pooled_head_composed, lengths, as_rows=True),
             arrays, [True] * 3, tol=1e-12)
 
-    @pytest.mark.parametrize("lengths", [[], [2, 0, 1], [1, 1], [4, 1],
+    @pytest.mark.parametrize("lengths", [None, [], [2, 0, 1], [1, 1], [4, 1],
                                          [1.5, 1.5], [[3]]],
-                             ids=["none", "zero", "too-few-rows",
+                             ids=["absent", "none", "zero", "too-few-rows",
                                   "too-many-rows", "float", "2d"])
     @pytest.mark.parametrize("node", ["bilstm", "word_attention",
                                       "primary_capsules", "dynamic_routing",
@@ -296,8 +296,8 @@ class TestPackedNodes:
                 Tensor(np.zeros((rows, 1))), Tensor(np.zeros((1, 2))),
                 Tensor(np.zeros(1)), 1, 1, lengths),
             "dynamic_routing": lambda: dynamic_routing(
-                Tensor(np.zeros((2, 1, rows))), Tensor(np.zeros(rows)), 1,
-                lengths),
+                vote_factors(Tensor(np.zeros((2, 1, rows)))),
+                Tensor(np.zeros(rows)), 1, lengths),
             "_pooled_head": lambda: _pooled_head(
                 Tensor(np.zeros((rows, 2))), Tensor(np.zeros((2, 2))),
                 Tensor(np.zeros(2)), lengths),
