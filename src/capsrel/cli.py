@@ -154,11 +154,11 @@ def cmd_predict(args) -> int:
     cfg = _load_run_config(args.config)
     if args.multi and not cfg.entity_embeddings:
         raise ConfigError("--multi requires the 'entity_embeddings' config field")
-    if args.threshold is not None and not args.multi:
-        raise ConfigError("--threshold applies only with --multi: plain "
-                          "predict ranks every relation")
-    threshold = args.threshold if args.threshold is not None else cfg.train.threshold
-    dataclasses.replace(cfg.train, threshold=threshold).validate()
+    if args.threshold is not None:
+        if not args.multi:
+            raise ConfigError("--threshold applies only with --multi: plain "
+                              "predict ranks every relation")
+        cfg.train = dataclasses.replace(cfg.train, threshold=args.threshold)
     _require_paths(cfg, args, checkpoint="read")
     store, corpus, model = _load_trained(cfg, "predict on", args.multi)
     lines = []
@@ -166,7 +166,7 @@ def cmd_predict(args) -> int:
         scores = model.bag_scores(bag)
         # single mode ranks every relation and assigns no pair
         if args.multi:
-            picked = prediction.predict_multi(scores, threshold)
+            picked = prediction.predict_multi(scores, cfg.train.threshold)
             pairs = list(bag.key)
         else:
             picked, pairs = prediction.predict_single(scores), []
@@ -181,18 +181,18 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.pairs == 2 and args.relations < 3:
+    # the SynthSpec field of each flag; a flag not given keeps its default
+    fields = {"relations": "E", "vocab": "vocab_size", "bags": "bags",
+              "pairs": "pairs_per_sentence", "seed": "seed",
+              "noise": "transe_noise", "dw": "d_w", "k": "k"}
+    spec = synth.SynthSpec(**{field: getattr(args, flag) for flag, field
+                              in fields.items() if hasattr(args, flag)})
+    if spec.pairs_per_sentence == 2 and spec.E < 3:
         raise ConfigError("--pairs 2 needs --relations >= 3 (two distinct "
-                          f"non-NA relations per bag), got --relations "
-                          f"{args.relations}")
+                          f"non-NA relations per bag), got --relations {spec.E}")
     require_path(args.out_dir, "--out-dir", "make")
-    spec = synth.SynthSpec(
-        E=args.relations, vocab_size=args.vocab, bags=args.bags,
-        pairs_per_sentence=args.pairs, seed=args.seed,
-        d_w=args.dw, k=args.k, transe_noise=args.noise)
     paths = synth.generate(spec, args.out_dir)
-    print(json.dumps({"corpus": paths.corpus, "words": paths.words,
-                      "entities": paths.entities, "relations": paths.relations}))
+    print(json.dumps(dataclasses.asdict(paths)))
     return 0
 
 
@@ -269,17 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--threshold", type=float, default=None)
     p_pred.set_defaults(func=cmd_predict)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
+    p_synth = sub.add_parser("synth", help="generate a synthetic corpus",
+                             argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.add_argument("--relations", type=_at_least(2), default=4,
+    p_synth.add_argument("--relations", type=_at_least(2),
                          help="number of relations including NA")
-    p_synth.add_argument("--vocab", type=_at_least(1), default=30)
-    p_synth.add_argument("--bags", type=_at_least(1), default=50)
-    p_synth.add_argument("--pairs", type=int, default=1, choices=(1, 2))
-    p_synth.add_argument("--seed", type=_at_least(0), default=0)
-    p_synth.add_argument("--noise", type=_at_least(0, float), default=0.0)
-    p_synth.add_argument("--dw", type=_at_least(1), default=16)
-    p_synth.add_argument("--k", type=_at_least(1), default=8)
+    p_synth.add_argument("--vocab", type=_at_least(1))
+    p_synth.add_argument("--bags", type=_at_least(1))
+    p_synth.add_argument("--pairs", type=int, choices=(1, 2))
+    p_synth.add_argument("--seed", type=_at_least(0))
+    p_synth.add_argument("--noise", type=_at_least(0, float))
+    p_synth.add_argument("--dw", type=_at_least(1))
+    p_synth.add_argument("--k", type=_at_least(1))
     p_synth.set_defaults(func=cmd_synth)
 
     p_sweep = sub.add_parser("sweep", help="capsule-dim / routing-iteration grid")

@@ -19,19 +19,18 @@ class ConfigError(ValueError):
 # Accepted value types per annotated field type: a bool is not an int, and a
 # float field takes an integer such as 0 too.
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+# The TransE pair differences, e2 - e1 and e1 - e2, that `pair_diff` and
+# `prediction.assign_all` accept.
+PAIR_DIFFS = ("e2-e1", "e1-e2")
 # Smallest legal value of each bounded integer field.
 _INT_MINIMA = {"B": 1, "L": 1, "C": 1, "d": 1, "batch_size": 1,
                "routing_iters": 1, "d_p": 0, "epochs": 0, "seed": 0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Model and training hyperparameters.
-
-    Defaults: Adam lr 0.001, batch 128, LSTM unit size B=300, sentence
-    limit L=120, position dim d_p=5, capsule dim d=8, C=32 capsules per
-    window, dropout 0.5, 3 routing iterations.
-    """
+    """Model and training hyperparameters, checked when built: every
+    instance is valid, and `dataclasses.replace` checks its new values."""
 
     lr: float = 0.001
     batch_size: int = 128
@@ -47,7 +46,6 @@ class TrainConfig:
     M: int = 2
     word_att: bool = True
     capsule: bool = True
-    # TransE pair difference direction: "e2-e1" (default) or "e1-e2"
     pair_diff: str = "e2-e1"
     threshold: float = 0.7
 
@@ -60,9 +58,9 @@ class TrainConfig:
         unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
-        return cls(**obj).validate()
+        return cls(**obj)
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if type(value) not in _FIELD_TYPES[f.type]:
@@ -78,12 +76,12 @@ class TrainConfig:
             raise ConfigError(f"M must be 2 or 4, got {self.M}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.pair_diff not in ("e2-e1", "e1-e2"):
-            raise ConfigError(f"pair_diff must be 'e2-e1' or 'e1-e2', "
+        if self.pair_diff not in PAIR_DIFFS:
+            raise ConfigError(f"pair_diff must be "
+                              f"{' or '.join(map(repr, PAIR_DIFFS))}, "
                               f"got {self.pair_diff!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        return self
 
 
 @dataclass

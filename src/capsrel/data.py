@@ -223,9 +223,10 @@ def load_corpus(path: str, L: int, M: int,
     return Corpus(bags=list(groups.values()))
 
 
-def _load_vector_file(path: str, expected_dim: int | None = None,
+def _load_vector_file(path: str, width: tuple[int, str] | None = None,
                       first: str | None = None
                       ) -> tuple[list[str], np.ndarray]:
+    """Names and rows of `path`; `width` is (floats a row, their source)."""
     names: list[str] = []
     rows: list[np.ndarray] = []
     index: dict[str, int] = {}
@@ -239,16 +240,16 @@ def _load_vector_file(path: str, expected_dim: int | None = None,
                 raise CorpusFormatError(
                     f"{path}:{lineno}: the first name must be {first!r}, "
                     f"got {token!r}")
-            if expected_dim is None:
+            if width is None:
                 if not values:
                     raise CorpusFormatError(
                         f"{path}:{lineno}: {token!r} has no vector; the first "
                         "row fixes the width, which must be at least 1")
-                expected_dim = len(values)
-            if len(values) != expected_dim:
+                width = len(values), f"line {lineno}"
+            if len(values) != width[0]:
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: expected {expected_dim} floats for "
-                    f"{token!r}, got {len(values)}")
+                    f"{path}:{lineno}: expected {width[0]} floats (the width "
+                    f"of {width[1]}) for {token!r}, got {len(values)}")
             try:
                 vec = np.asarray([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
@@ -281,7 +282,8 @@ def load_embeddings(word_path: str, entity_path: str | None,
     word_names, word = _load_vector_file(word_path)
     relation_names, relation = _load_vector_file(relation_path, first="NA")
     if entity_path:
-        entity_names, entity = _load_vector_file(entity_path, relation.shape[1])
+        entity_names, entity = _load_vector_file(
+            entity_path, (relation.shape[1], f"the relation table {relation_path}"))
     else:
         entity_names, entity = [], np.zeros((0, relation.shape[1]))
     unk = word.mean(axis=0, keepdims=True)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 NA_RELATION = 0
+# The recall targets of precision@recall: metrics.json and the sweep report.
+RECALLS = (0.1, 0.2, 0.3, 0.4)
 DECISION_DTYPE = np.dtype([("score", np.float64), ("gold", np.bool_)])
 
 
@@ -51,8 +53,7 @@ def pr_curve(decisions: np.ndarray) -> np.ndarray:
     return np.column_stack([tp[ends] / positives, tp[ends] / (ends + 1)])
 
 
-def precision_at(curve: np.ndarray,
-                 recalls: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
+def precision_at(curve: np.ndarray, recalls: tuple[float, ...] = RECALLS
                  ) -> dict[float, float | None]:
     """Precision at the first curve point reaching each recall target.
 
@@ -109,10 +110,9 @@ def experiment_sweep(base_config, grid: list[dict], run_point) -> list[SweepRow]
     rows: list[SweepRow] = []
     for overrides in grid:
         label = ", ".join(f"{k}={v}" for k, v in sorted(overrides.items()))
-        config = replace(base_config, **overrides)
         start = time.monotonic()
         try:
-            point_auc, precisions = run_point(config)
+            point_auc, precisions = run_point(replace(base_config, **overrides))
             rows.append(SweepRow(label=label, auc=point_auc,
                                  precisions=precisions,
                                  wall_time_s=time.monotonic() - start))
@@ -123,23 +123,21 @@ def experiment_sweep(base_config, grid: list[dict], run_point) -> list[SweepRow]
     return rows
 
 
-def sweep_markdown(rows: list[SweepRow],
-                   recalls: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)) -> str:
-    """Render sweep results as a Markdown table (AUC over the full curve)."""
-    header = ("| config | " + " | ".join(f"P@{r}" for r in recalls)
+def sweep_markdown(rows: list[SweepRow]) -> str:
+    """Render sweep results as a Markdown table: precision at each of
+    `RECALLS`, and AUC over the full curve."""
+    header = ("| config | " + " | ".join(f"P@{r}" for r in RECALLS)
               + " | AUC | time (s) |")
-    sep = "|" + "---|" * (len(recalls) + 3)
+    sep = "|" + "---|" * (len(RECALLS) + 3)
     lines = ["<!-- AUC computed over the full PR curve -->", header, sep]
     for row in rows:
         if row.error is not None:
-            cells = ["-"] * len(recalls) + ["-", f"{row.wall_time_s:.1f}"]
+            cells = ["-"] * len(RECALLS) + ["-", f"{row.wall_time_s:.1f}"]
             lines.append(f"| {row.label} (error: {row.error}) | "
                          + " | ".join(cells) + " |")
             continue
-        prec_cells = []
-        for r in recalls:
-            v = row.precisions.get(r)
-            prec_cells.append("-" if v is None else f"{v:.3f}")
+        prec_cells = ["-" if row.precisions.get(r) is None
+                      else f"{row.precisions[r]:.3f}" for r in RECALLS]
         lines.append(f"| {row.label} | " + " | ".join(prec_cells)
                      + f" | {row.auc:.3f} | {row.wall_time_s:.1f} |")
     return "\n".join(lines) + "\n"

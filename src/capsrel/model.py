@@ -77,7 +77,6 @@ class Model:
                  arrays: dict[str, np.ndarray] | None = None):
         """Draw the parameters of `param_table`, or adopt `arrays` as they
         are: `load_checkpoint` passes them, already checked against it."""
-        config.validate()
         self.config = config
         self.store = store
         self.E = store.relation.shape[0]
@@ -97,7 +96,7 @@ class Model:
 
     # -- forward --------------------------------------------------------------
 
-    def encode(self, insts: list[SentenceInstance], train: bool = False
+    def encode(self, insts: list[SentenceInstance], train: bool
                ) -> tuple[Tensor, list[int]]:
         """Attention-weighted hidden rows x_tilde of the sentences `insts`,
         packed one after another (sum of n_i rows of width 2B), and the

@@ -10,9 +10,9 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a name -> Tensor dict (default lr 0.001)."""
+    """Bias-corrected Adam over a name -> Tensor dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.001):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.step_count = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import PAIR_DIFFS
 from .data import EmbeddingStore
 
 
@@ -19,26 +20,27 @@ def predict_single(a: np.ndarray) -> list[tuple[int, float]]:
     return [(int(j), float(a[j])) for j in order]
 
 
-def predict_multi(a: np.ndarray, threshold: float = 0.7) -> list[tuple[int, float]]:
+def predict_multi(a: np.ndarray, threshold: float) -> list[tuple[int, float]]:
     """Top-2 relations strictly above the threshold; possibly empty."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    ranked = predict_single(a)
-    return [(j, s) for j, s in ranked[:2] if s > threshold]
+    return [(j, s) for j, s in predict_single(a)[:2] if s > threshold]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed difference is skipped
 def assign_all(relations: list[tuple[int, float]],
                pairs: list[tuple[str, str]], store: EmbeddingStore,
-               direction: str = "e2-e1") -> list[dict]:
+               direction: str) -> list[dict]:
     """One `{id, score, pair}` entry per relation, in the given order.
 
-    Each relation takes the remaining pair whose entity difference (e2 − e1,
-    or e1 − e2) is nearest (L2) its relation embedding, the first on ties.
-    A pair with a missing entity embedding, or whose difference is not
-    finite, is never assigned, and a relation with no pair left gets
-    `pair: None`.
+    Each relation takes the remaining pair whose entity difference (e2 − e1
+    or e1 − e2, as `direction`, one of `PAIR_DIFFS`, says) is nearest (L2)
+    its relation embedding, the first on ties. A pair with a missing entity
+    embedding, or whose difference is not finite, is never assigned, and a
+    relation with no pair left gets `pair: None`.
     """
+    if direction not in PAIR_DIFFS:
+        raise ValueError(f"direction {direction!r} is not one of {PAIR_DIFFS}")
     diffs = []
     for e1, e2 in pairs:
         v1, v2 = store.entity_vec(e1), store.entity_vec(e2)

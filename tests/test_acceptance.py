@@ -242,7 +242,8 @@ class TestAcceptance:
                 gold = dict(zip(inst.relations, inst.pairs))
                 picked = predict_multi(model.bag_scores(bag), threshold=0.7)
                 got = {e["id"]: tuple(e["pair"]) if e["pair"] else None
-                       for e in assign_all(picked, list(bag.key), store)}
+                       for e in assign_all(picked, list(bag.key), store,
+                                           cfg.pair_diff)}
                 hits += (set(got) == set(gold)
                          and all(got[r] == gold[r] for r in gold))
             return hits / len(corpus.bags)

@@ -97,7 +97,8 @@ def test_every_traced_model_layer_is_called(monkeypatch, run):
     bags = mixed_bags(n=2)
     assert len(bags[1].instances) > 1     # selection scores this bag
     if run == "train-step":
-        train_epoch(model, bags, Adam(model.params), model.config, 0)
+        train_epoch(model, bags, Adam(model.params, lr=model.config.lr),
+                    model.config, 0)
         spans = {"model.activations.selection", "model.activations.train"}
     else:
         model.bag_scores(bags[1])

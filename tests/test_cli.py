@@ -86,6 +86,18 @@ class TestSynth:
                            str(tmp_path / "g"))
         assert not (tmp_path / "g").exists()
 
+    def test_parser_holds_no_default_of_its_own(self):
+        args = cli.build_parser().parse_args(["synth", "--out-dir", "x"])
+        assert set(vars(args)) == {"command", "out_dir", "func"}
+
+    def test_flags_left_out_take_the_spec_defaults(self, tmp_path):
+        assert main(["synth", "--out-dir", str(tmp_path / "cli")]) == 0
+        synth.generate(synth.SynthSpec(), str(tmp_path / "spec"))
+        for name in ("corpus.jsonl", "words.txt", "entities.txt",
+                     "relations.txt"):
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "spec" / name).read_bytes())
+
 
 class TestLogLevel:
     def test_unknown_capsrel_log_exits_2_before_any_work(self, tmp_path,
@@ -619,6 +631,17 @@ class TestReadme:
         commands = {parser.parse_args(shlex.split(line, comments=True)[1:]
                                       ).command for line in lines}
         assert commands == {"synth", "train", "eval", "predict", "sweep"}
+
+    def test_training_defaults_sentence_matches_train_config(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md"), encoding="utf-8").read()
+        sentence = re.search(r"Training fields default to the published "
+                             r"configuration:(.*?)\.\s", readme, re.S).group(1)
+        stated = {name: float(value) for name, value
+                  in re.findall(r"`(\w+)` (\d+(?:\.\d+)?)", sentence)}
+        assert set(stated) == {"lr", "batch_size", "B", "L", "d_p", "d", "C",
+                               "dropout", "routing_iters"}
+        assert stated == {name: getattr(TrainConfig(), name) for name in stated}
 
 
 class TestModelFieldsFromCheckpoint:

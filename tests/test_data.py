@@ -320,6 +320,26 @@ class TestLoadEmbeddings:
             load_embeddings(str(tmp_path / "w.txt"), None,
                             str(tmp_path / "r.txt"))
 
+    def test_word2vec_header_line_is_named_as_the_width(self, tmp_path):
+        # word2vec text files start with a `count width` line
+        (tmp_path / "w.txt").write_text("2 3\nthe 1 2 3\nof 4 5 6\n")
+        self.write(tmp_path / "r.txt", [("NA", [0.0])])
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                "w.txt:2: expected 1 floats (the width of line 1) for "
+                "'the', got 3")):
+            load_embeddings(str(tmp_path / "w.txt"), None,
+                            str(tmp_path / "r.txt"))
+
+    def test_entity_width_is_named_as_the_relation_tables(self, tmp_path):
+        self.write(tmp_path / "w.txt", [("a", [1.0])])
+        self.write(tmp_path / "r.txt", [("NA", [0.0]), ("R1", [1.0])])
+        self.write(tmp_path / "e.txt", [("E1", [1.0, 2.0])])
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                "e.txt:1: expected 1 floats (the width of the relation table "
+                f"{tmp_path / 'r.txt'}) for 'E1', got 2")):
+            load_embeddings(str(tmp_path / "w.txt"), str(tmp_path / "e.txt"),
+                            str(tmp_path / "r.txt"))
+
     @pytest.mark.parametrize("bare", ["w.txt", "r.txt"])
     def test_file_of_bare_tokens_names_its_first_line(self, tmp_path, bare):
         # a bare-token file would load as an n x 0 table

@@ -185,3 +185,10 @@ class TestExperimentSweep:
         report = sweep_markdown(rows)
         assert "d=8" in report and "0.700" in report
         assert "diverged" in report
+
+    def test_invalid_override_is_an_error_row(self):
+        rows = experiment_sweep(TrainConfig(), [{"d": 0}, {"d": 8}],
+                                lambda cfg: (0.5, {}))
+        assert rows[0].auc is None
+        assert rows[0].error == "ConfigError: d must be >= 1, got 0"
+        assert rows[1].error is None and rows[1].auc == 0.5

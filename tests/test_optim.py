@@ -14,7 +14,7 @@ def make_param(values):
 
 def test_zero_gradient_is_a_fixed_point():
     params, p = make_param([1.0, -2.0, 3.0])
-    opt = Adam(params)
+    opt = Adam(params, lr=0.001)
     before = p.data.copy()
     for _ in range(5):
         p.grad = np.zeros(3)
@@ -24,7 +24,7 @@ def test_zero_gradient_is_a_fixed_point():
 
 def test_missing_gradient_leaves_parameter_untouched():
     params, p = make_param([1.0])
-    opt = Adam(params)
+    opt = Adam(params, lr=0.001)
     before = p.data.copy()
     opt.step()
     np.testing.assert_array_equal(p.data, before)
@@ -55,7 +55,7 @@ def test_constant_gradient_update_magnitude_approaches_lr():
 
 def test_step_counter_increments():
     params, p = make_param([1.0])
-    opt = Adam(params)
+    opt = Adam(params, lr=0.001)
     for expected in (1, 2, 3):
         p.grad = np.array([0.1])
         opt.step()
@@ -64,7 +64,7 @@ def test_step_counter_increments():
 
 def test_nan_gradient_aborts_naming_parameter():
     params, p = make_param([1.0])
-    opt = Adam(params)
+    opt = Adam(params, lr=0.001)
     p.grad = np.array([np.nan])
     with pytest.raises(NonFiniteError, match="'w'"):
         opt.step()

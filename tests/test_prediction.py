@@ -98,6 +98,12 @@ class TestAssignRelation:
         assert nearest(pairs, 1, store, direction="e2-e1") == ["E1", "E2"]
         assert nearest(pairs, 1, store, direction="e1-e2") == ["E2", "E1"]
 
+    @pytest.mark.parametrize("direction", ["e2e1", "E1-E2", "e1 - e2", ""],
+                             ids=["no-dash", "upper-case", "spaced", "empty"])
+    def test_unknown_direction_is_rejected_naming_it(self, direction):
+        with pytest.raises(ValueError, match=f"direction {direction!r}"):
+            nearest([("E1", "E2")], 1, toy_store(), direction=direction)
+
     def test_translation_invariance_of_assignment(self):
         store = toy_store()
         shifted = toy_store()
@@ -123,7 +129,7 @@ class TestAssignAll:
     def test_greedy_assignment_uses_each_pair_once(self):
         store = toy_store()
         out = assign_all([(1, 0.95), (2, 0.85)],
-                         [("E1", "E2"), ("E3", "E4")], store)
+                         [("E1", "E2"), ("E3", "E4")], store, "e2-e1")
         assert out[0]["pair"] == ["E1", "E2"]
         assert out[1]["pair"] == ["E3", "E4"]
 
@@ -132,7 +138,7 @@ class TestAssignAll:
         # both relations prefer (E1,E2)? R1 matches (E1,E2); once taken,
         # R1 again would fall back to (E3,E4)
         out = assign_all([(1, 0.95), (1, 0.85)],
-                         [("E1", "E2"), ("E3", "E4")], store)
+                         [("E1", "E2"), ("E3", "E4")], store, "e2-e1")
         assert out[0]["pair"] == ["E1", "E2"]
         assert out[1]["pair"] == ["E3", "E4"]
 
@@ -145,7 +151,7 @@ class TestAssignAll:
         store.entity = store.entity * scale
         store.relation = store.relation * scale
         out = assign_all([(2, 0.95), (1, 0.85)],
-                         [("E1", "E2"), ("E3", "E4")], store)
+                         [("E1", "E2"), ("E3", "E4")], store, "e2-e1")
         assert [r["pair"] for r in out] == [["E3", "E4"], ["E1", "E2"]]
 
     def test_non_finite_difference_is_never_assigned(self):
@@ -154,7 +160,7 @@ class TestAssignAll:
         store.entity = np.array([[-1.7e308, 0.0], [1.7e308, 0.0],
                                  [0.0, 0.0], [0.0, 1.0]])
         out = assign_all([(1, 0.95), (2, 0.85)],
-                         [("E1", "E2"), ("E3", "E4")], store)
+                         [("E1", "E2"), ("E3", "E4")], store, "e2-e1")
         assert [r["pair"] for r in out] == [["E3", "E4"], None]
 
 

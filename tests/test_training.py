@@ -1,5 +1,6 @@
 """Margin loss, instance selection, the training loop, ablations."""
 
+import dataclasses
 import re
 import weakref
 
@@ -230,13 +231,13 @@ class TestTrainLoop:
     def test_non_finite_loss_aborts_with_bag_key(self):
         model, bags = self.small_setup()
         model.params["caps_Wb"].data[0, 0] = np.nan
-        opt = Adam(model.params)
+        opt = Adam(model.params, lr=model.config.lr)
         with pytest.raises(NonFiniteError, match="bag"):
             train_epoch(model, bags, opt, model.config, epoch=0)
 
     def test_selection_histogram_recorded(self):
         model, bags = self.small_setup()
-        opt = Adam(model.params)
+        opt = Adam(model.params, lr=model.config.lr)
         stats = train_epoch(model, bags, opt, model.config, epoch=0)
         assert sum(stats.selection_histogram.values()) == len(bags)
 
@@ -350,7 +351,8 @@ class TestPerBagBackward:
 
         monkeypatch.setattr(model, "activations", tracked)
         bags = mixed_bags()
-        train_epoch(model, bags, Adam(model.params), model.config, epoch=0)
+        train_epoch(model, bags, Adam(model.params, lr=model.config.lr),
+                    model.config, epoch=0)
         assert alive_at_call == [0] * len(bags)
 
 
@@ -362,7 +364,7 @@ class TestGradientIsolation:
                      ["gamma", "E1", "E2"]]
         insts = [make_instance(s, L=10, M=2) for s in sentences]
         bag = Bag(key=insts[0].key, instances=insts, labels={1})
-        opt = Adam(model.params)
+        opt = Adam(model.params, lr=model.config.lr)
         selected = select_instance(model, bag)
 
         def loss_and_grads():
@@ -419,8 +421,18 @@ class TestBuildModel:
 
     def test_inconsistent_config_rejected(self):
         from capsrel.config import ConfigError
-        with pytest.raises(ConfigError):
-            TrainConfig(M=3).validate()
+        with pytest.raises(ConfigError, match=r"^M must be 2 or 4, got 3"):
+            TrainConfig(M=3)
+
+    def test_replace_checks_the_new_value(self):
+        from capsrel.config import ConfigError
+        with pytest.raises(ConfigError, match=r"^threshold must be in \(0, 1\)"):
+            dataclasses.replace(TrainConfig(), threshold=1.5)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.threshold = 1.5
 
     @pytest.mark.parametrize("field,value", [
         ("B", "4"), ("B", True), ("B", 4.0), ("word_att", 1), ("lr", "0.1"),
@@ -429,10 +441,10 @@ class TestBuildModel:
         from capsrel.config import ConfigError
         with pytest.raises(ConfigError,
                            match=rf"^{field} must be .*got {type(value).__name__}"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     def test_float_field_takes_an_integer(self):
-        assert TrainConfig(lr=1, dropout=0).validate().lr == 1
+        assert TrainConfig(lr=1, dropout=0).lr == 1
 
     def test_run_config_leaves_the_callers_dict_unchanged(self):
         obj = {"train": {"B": 4}, "C": 2}
