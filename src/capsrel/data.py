@@ -226,10 +226,15 @@ def load_corpus(path: str, L: int, M: int,
 def _load_vector_file(path: str, width: tuple[int, str] | None = None,
                       first: str | None = None
                       ) -> tuple[list[str], np.ndarray]:
-    """Names and rows of `path`; `width` is (floats a row, their source)."""
+    """Names and rows of `path`; `width` is (floats a row, their source).
+
+    A width-1 first row of two integers may be a word2vec `count width`
+    header: if the second row's width differs, its error says so.
+    """
     names: list[str] = []
     rows: list[np.ndarray] = []
     index: dict[str, int] = {}
+    header_like = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -246,10 +251,14 @@ def _load_vector_file(path: str, width: tuple[int, str] | None = None,
                         f"{path}:{lineno}: {token!r} has no vector; the first "
                         "row fixes the width, which must be at least 1")
                 width = len(values), f"line {lineno}"
+                header_like = len(parts) == 2 and all(map(str.isdecimal, parts))
             if len(values) != width[0]:
+                hint = (f"; {width[1]} looks like a word2vec \"count width\" "
+                        "header; remove it"
+                        if header_like and len(names) == 1 else "")
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected {width[0]} floats (the width "
-                    f"of {width[1]}) for {token!r}, got {len(values)}")
+                    f"of {width[1]}) for {token!r}, got {len(values)}{hint}")
             try:
                 vec = np.asarray([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:

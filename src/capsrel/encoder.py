@@ -10,9 +10,11 @@ layer is one tape node with a hand-written backward. The Bi-LSTM runs
 the numpy kernel `_lstm` once per direction: one loop over the steps that
 advances every sentence still running together, longest first, so a step
 is one product with `Wh` for all of them, and BPTT (one reverse sweep,
-then one product per weight). Word attention normalises each sentence's
-scores on its own, on the numpy softmax kernel (over axis 0) that routing
-shares.
+then one product per weight). A step activates its four gate blocks with
+one in-place tanh, using sigmoid(z) = 1/2 tanh(z/2) + 1/2 for the input,
+forget and output blocks. Word attention scores each row as h_t (A r), one
+mat-vec, and normalises each sentence's scores on its own, on the numpy
+softmax kernel (over axis 0) that routing shares.
 """
 
 from __future__ import annotations
@@ -66,10 +68,22 @@ def embed(word_ids: np.ndarray, position_ids: np.ndarray,
         tables, bw)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp only sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+# per gate block (input, forget, cell, output): the scale before and after
+# the one tanh of `_activate_gates`, and the shift after it
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])[:, None]
+_GATE_SHIFT = np.array([0.5, 0.5, 0.0, 0.5])[:, None]
+
+
+def _activate_gates(z: np.ndarray) -> np.ndarray:
+    """Activate n x 4 x B gate pre-activations (input, forget, cell,
+    output) in place with one tanh and return them: sigmoid(z) =
+    1/2 tanh(z/2) + 1/2 on the input, forget and output blocks, tanh(z) on
+    the cell block. tanh saturates at +-1, so nothing overflows."""
+    z *= _GATE_SCALE
+    np.tanh(z, out=z)
+    z *= _GATE_SCALE
+    z += _GATE_SHIFT
+    return z
 
 
 def sentence_lengths(lengths, rows: int, node: str) -> np.ndarray:
@@ -121,10 +135,15 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
     The 4B gate columns are ordered input, forget, cell, output, and each
     sentence's state starts at zero. The input projection runs once over
     every row. Each step then multiplies the states of all sentences still
-    running by `Wh` at once. The forward keeps the activated gates and the
-    cells; the backward is one reverse BPTT sweep over the same steps that
-    fills dZ, the gradient of the gate pre-activations, then forms dX, dWx
-    and dWh with one product each and db with one sum.
+    running by `Wh` at once, into one buffer, and `_activate_gates`
+    activates all four gate blocks in place with one tanh between a scale
+    and a shift: sigmoid(z) = 1/2 tanh(z/2) + 1/2 on the input, forget and
+    output blocks (scale 1/2, shift 1/2), tanh(z) on the cell block (scale
+    1, shift 0). The cells and states are written straight into the rows
+    they keep. The forward keeps the activated gates and the cells; the
+    backward is one reverse BPTT sweep over the same steps that fills dZ,
+    the gradient of the gate pre-activations, then forms dX, dWx and dWh
+    with one product each and db with one sum.
     """
     rows, steps, prev = _schedule(lengths, reverse)
     N, T, B = len(lengths), len(rows), Wh.shape[0]
@@ -133,17 +152,19 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
     gates = X[rows] @ Wx
     gates += b
     hs, cs = np.zeros((T + 1, B)), np.zeros((T + 1, B))     # row T: the start
-    h = c = np.zeros((N, B))
+    recurrent, ig = np.empty((N, 4 * B)), np.empty((N, B))
+    c = np.zeros((N, B))
     for at, n in steps:
         z = gates[at:at + n]
-        z += h[:n] @ Wh
-        cell = np.tanh(z[:, 2 * B:3 * B])
-        z[:] = _sigmoid(z)
-        z[:, 2 * B:3 * B] = cell
-        i, f, g, o = z.reshape(n, 4, B).transpose(1, 0, 2)
-        c = f * c[:n] + i * g
-        h = o * np.tanh(c)
-        hs[at:at + n], cs[at:at + n] = h, c
+        if at:              # step 0 has no product: the start state is zero
+            np.matmul(h[:n], Wh, out=recurrent[:n])
+            z += recurrent[:n]
+        i, f, g, o = _activate_gates(z.reshape(n, 4, B)).transpose(1, 0, 2)
+        np.multiply(f, c[:n], out=cs[at:at + n])
+        c = cs[at:at + n]
+        c += np.multiply(i, g, out=ig[:n])
+        h = np.tanh(c, out=hs[at:at + n])
+        h *= o
     gates = gates.reshape(T, 4, B)
     back = np.argsort(rows)                     # step order -> row order
 
@@ -222,9 +243,9 @@ def word_attention(H: Tensor, A: Tensor, r: Tensor,
                    lengths) -> tuple[Tensor, Tensor]:
     """Scale each hidden row by its bilinear-score softmax weight.
 
-    Scores are h_t A r, normalised over the positions of each sentence of
-    `lengths`. The weighted rows are one tape node; the weights alpha come
-    back as a constant.
+    Scores are h_t (A r), one mat-vec, normalised over the positions of
+    each sentence of `lengths`. The weighted rows are one tape node; the
+    weights alpha come back as a constant.
     """
     if len(H.shape) != 2 or len(A.shape) != 2 or A.shape[0] != H.shape[1] \
             or r.shape != A.shape[1:]:
@@ -232,7 +253,8 @@ def word_attention(H: Tensor, A: Tensor, r: Tensor,
                          f"A {A.shape}, r {r.shape}")
     bounds = sentence_bounds(sentence_lengths(lengths, H.shape[0],
                                               "word_attention"))
-    scores = (H.data @ A.data) @ r.data
+    Ar = A.data @ r.data
+    scores = H.data @ Ar
     parts = [softmax(scores[lo:hi]) for lo, hi in bounds]
     alpha = np.concatenate([p for p, _ in parts])
 
@@ -242,7 +264,7 @@ def word_attention(H: Tensor, A: Tensor, r: Tensor,
                                   (_, alpha_backward), (lo, hi)
                                   in zip(parts, bounds)])
         h_score = H.data.T @ g_score
-        H._accumulate(alpha[:, None] * g + np.outer(g_score, A.data @ r.data))
+        H._accumulate(alpha[:, None] * g + np.outer(g_score, Ar))
         A._accumulate(np.outer(h_score, r.data))
         r._accumulate(A.data.T @ h_score)
     return Tensor._from_op(alpha[:, None] * H.data, (H, A, r), bw), Tensor(alpha)

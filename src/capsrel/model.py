@@ -146,6 +146,12 @@ class Model:
         return self.instance_scores(bag).max(axis=0)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _pooled_head(x: Tensor, W: Tensor, b: Tensor, lengths) -> Tensor:
     """The -Capsule head, sigmoid(mean of each sentence's rows @ W + b), as
     one tape node: N x E for the sentences of `lengths`."""
@@ -153,7 +159,7 @@ def _pooled_head(x: Tensor, W: Tensor, b: Tensor, lengths) -> Tensor:
     scale = (1.0 / lengths)[:, None]
     pooled = np.stack([x.data[lo:hi].sum(axis=0) for lo, hi
                        in encoder.sentence_bounds(lengths)]) * scale
-    a = encoder._sigmoid(pooled @ W.data + b.data)
+    a = _sigmoid(pooled @ W.data + b.data)
 
     def bw(g):
         dz = g * a * (1.0 - a)

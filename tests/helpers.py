@@ -234,7 +234,7 @@ def word_attention_composed(H: Tensor, A: Tensor,
                             r: Tensor) -> tuple[Tensor, Tensor]:
     """The composed graph that `word_attention` fuses: scores, a softmax
     node over the positions, and the weighting, one tape op each."""
-    alpha = softmax_node(matmul(matmul(H, A), r), axis=0)
+    alpha = softmax_node(matmul(H, matmul(A, r)), axis=0)
     return mul(reshape(alpha, (H.shape[0], 1)), H), alpha
 
 

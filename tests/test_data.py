@@ -326,7 +326,26 @@ class TestLoadEmbeddings:
         self.write(tmp_path / "r.txt", [("NA", [0.0])])
         with pytest.raises(CorpusFormatError, match=re.escape(
                 "w.txt:2: expected 1 floats (the width of line 1) for "
-                "'the', got 3")):
+                "'the', got 3; line 1 looks like a word2vec \"count width\" "
+                "header; remove it")):
+            load_embeddings(str(tmp_path / "w.txt"), None,
+                            str(tmp_path / "r.txt"))
+
+    def test_width_one_file_of_numeric_tokens_loads(self, tmp_path):
+        # two integer fields on line 1 are a header only if line 2 disagrees
+        (tmp_path / "w.txt").write_text("2 3\n7 4\n")
+        self.write(tmp_path / "r.txt", [("NA", [0.0])])
+        store = load_embeddings(str(tmp_path / "w.txt"), None,
+                                str(tmp_path / "r.txt"))
+        assert store.word_vocab == {"2": 0, "7": 1}
+        np.testing.assert_array_equal(store.word[:2], [[3.0], [4.0]])
+
+    def test_width_mismatch_past_line_2_names_no_header(self, tmp_path):
+        (tmp_path / "w.txt").write_text("2 3\n7 4\nthe 1 2\n")
+        self.write(tmp_path / "r.txt", [("NA", [0.0])])
+        with pytest.raises(CorpusFormatError, match=(
+                r"w\.txt:3: expected 1 floats \(the width of line 1\) for "
+                r"'the', got 2$")):
             load_embeddings(str(tmp_path / "w.txt"), None,
                             str(tmp_path / "r.txt"))
 

@@ -5,17 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capsrel.autodiff import (ContractViolation, ShapeError, Tensor, grad_check,
                               no_grad)
 from capsrel.data import SentenceInstance, missing_bucket
-from capsrel.encoder import bilstm, embed, word_attention
+from capsrel.encoder import (_activate_gates, _lstm, bilstm, embed,
+                             word_attention)
 from capsrel.training import label_vector, margin_loss
 from helpers import (bilstm_composed, check_fused_node,
-                     embed_composed, make_instance, relative_gap, tape_nodes,
-                     tiny_model, tiny_store, word_attention_composed)
+                     embed_composed, make_instance, relative_gap, sigmoid,
+                     tape_nodes, tiny_model, tiny_store,
+                     word_attention_composed)
 
 
 def lstm_params(rng, V, B, scale=0.4):
@@ -162,6 +164,48 @@ class TestBiLstm:
         H_ref = bilstm_composed(Tensor(X), [Tensor(p) for p in fwd],
                                 [Tensor(p) for p in bwd]).data
         np.testing.assert_allclose(H, H_ref, rtol=1e-10, atol=1e-10)
+
+
+EDGES = [0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]
+
+
+class TestGateActivation:
+    """`_activate_gates`, the one in-place tanh that activates the gates
+    of every `_lstm` step."""
+
+    @given(st.lists(st.one_of(st.sampled_from(EDGES), st.floats(-40, 40)),
+                    min_size=4, max_size=4 * 5).map(
+                        lambda zs: zs[:len(zs) // 4 * 4]))
+    @example(EDGES + [0.0])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exp_form_sigmoid_and_tanh(self, zs):
+        # i, f and o are within one eps of the exp-form logistic of the
+        # oracles; the cell block is tanh itself
+        z = np.array(zs).reshape(4, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _activate_gates(z.copy()[None])[0]
+            ref = sigmoid(Tensor(z)).data
+        np.testing.assert_allclose(out[[0, 1, 3]], ref[[0, 1, 3]], rtol=0,
+                                   atol=2.22e-16)
+        np.testing.assert_array_equal(out[2], np.tanh(z[2]))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_stored_gates_lie_in_their_ranges(self, reverse):
+        # three packed sentences, weights large enough to saturate gates
+        rng = np.random.default_rng(8)
+        V, B, lengths = 3, 4, np.array([4, 1, 3])
+        X = rng.normal(size=(8, V))
+        Wx, Wh = rng.normal(0, 5, (V, 4 * B)), rng.normal(0, 5, (B, 4 * B))
+        b = 800.0 * rng.choice([-1.0, 0.0, 1.0], size=4 * B)
+        _, backward = _lstm(X, Wx, Wh, b, lengths, reverse)
+        cells = dict(zip(backward.__code__.co_freevars, backward.__closure__))
+        gates = cells["gates"].cell_contents
+        assert gates.shape == (8, 4, B)
+        sig, cell = gates[:, [0, 1, 3]], gates[:, 2]
+        assert sig.min() >= 0.0 and sig.max() <= 1.0
+        assert cell.min() >= -1.0 and cell.max() <= 1.0
+        assert {0.0, 1.0} <= set(sig.ravel()) and {-1.0, 1.0} <= set(cell.ravel())
 
 
 def lstm_arrays(rng, L, V, B, scale=0.5):
