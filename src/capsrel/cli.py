@@ -158,19 +158,23 @@ def cmd_predict(args) -> int:
         if not args.multi:
             raise ConfigError("--threshold applies only with --multi: plain "
                               "predict ranks every relation")
-        cfg.train = dataclasses.replace(cfg.train, threshold=args.threshold)
+        TrainConfig(threshold=args.threshold)   # its range, before any read
     _require_paths(cfg, args, checkpoint="read")
     store, corpus, model = _load_trained(cfg, "predict on", args.multi)
+    # decode with the checkpoint's fields; --threshold replaces its threshold
+    threshold = (model.config.threshold if args.threshold is None
+                 else args.threshold)
     lines = []
     for bag in corpus.bags:
         scores = model.bag_scores(bag)
         # single mode ranks every relation and assigns no pair
         if args.multi:
-            picked = prediction.predict_multi(scores, cfg.train.threshold)
+            picked = prediction.predict_multi(scores, threshold)
             pairs = list(bag.key)
         else:
             picked, pairs = prediction.predict_single(scores), []
-        rels = prediction.assign_all(picked, pairs, store, cfg.train.pair_diff)
+        rels = prediction.assign_all(picked, pairs, store,
+                                     model.config.pair_diff)
         for entry in rels:
             entry["name"] = store.relation_names[entry["id"]]
         lines.append(json.dumps(

@@ -57,7 +57,7 @@ class TrainConfig:
                 f"train config must be an object, got {type(obj).__name__}")
         unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**obj)
 
     def __post_init__(self) -> None:
@@ -98,39 +98,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        """Build and validate from a JSON object, naming any bad field."""
+        """Build and validate from README's flat JSON object, the paths
+        beside the `TrainConfig` fields, naming any bad or unknown field."""
         if not isinstance(obj, dict):
             raise ConfigError(
                 f"run config must be an object, got {type(obj).__name__}")
-        obj = dict(obj)
-        train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        train_obj = obj.pop("train", {})
-        if not isinstance(train_obj, dict):
-            raise ConfigError(
-                f"train must be an object, got {type(train_obj).__name__}")
-        train_obj = dict(train_obj)
-        # Accept train hyperparameters at top level too, but not twice.
-        twice = sorted(train_fields & set(obj) & set(train_obj))
-        if twice:
-            raise ConfigError(f"train config fields given both in train and "
-                              f"at the top level: {twice}")
-        for k in list(obj):
-            if k in train_fields:
-                train_obj[k] = obj.pop(k)
-        run_fields = {f.name for f in dataclasses.fields(cls)} - {"train"}
-        unknown = set(obj) - run_fields
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in obj.items():
+        path_fields = {f.name for f in dataclasses.fields(cls)} - {"train"}
+        paths = {k: v for k, v in obj.items() if k in path_fields}
+        for name, value in paths.items():
             if type(value) is not str:
                 raise ConfigError(f"{name} must be str, got "
                                   f"{type(value).__name__} {value!r}")
-        if obj.get("output_dir") == "":
+        if paths.get("output_dir") == "":
             raise ConfigError("output_dir must name a directory, such as '.'")
-        return cls(train=TrainConfig.from_dict(train_obj), **obj)
+        return cls(train=TrainConfig.from_dict(
+            {k: v for k, v in obj.items() if k not in path_fields}), **paths)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The flat object `from_dict` reads back."""
+        paths = dataclasses.asdict(self)
+        return {**paths.pop("train"), **paths}
 
     def require(self, name: str, use: str) -> None:
         """`require_path` on the path of field `name`, naming the field."""
@@ -146,10 +133,13 @@ def require_path(path: str, what: str, use: str) -> None:
     - "write": a file, which must not exist as a directory;
     - "make": a directory, which must not exist as anything else.
     A path to write or make needs the nearest of its parents that exists
-    to be a directory. An empty path is missing.
+    to be a directory. An empty path is missing, and no path may hold a
+    NUL byte, which no file name can.
     """
     if not path:
         raise ConfigError(f"{what} is required")
+    if "\0" in path:
+        raise ConfigError(f"{what}: {path!r} holds a NUL byte")
     exists = os.path.exists(path)
     if use == "read" and not exists:
         raise ConfigError(f"{what}: no such file: {path}")

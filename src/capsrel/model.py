@@ -283,9 +283,13 @@ def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
         for data in arrays.values():
             fh.readinto(data)
     model = Model(config, store, arrays)
+    state = header["dropout_rng_state"]
     try:
-        model.dropout_rng.bit_generator.state = header["dropout_rng_state"]
-    except (TypeError, ValueError, KeyError) as exc:
+        model.dropout_rng.bit_generator.state = state
+        # numpy truncates 1.5 and true to 1 and ignores extra keys
+        if not _same(model.dropout_rng.bit_generator.state, state):
+            raise ValueError("it does not read back as written")
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ContractViolation(
             f"{path}: invalid dropout_rng_state: {exc}") from exc
     return model

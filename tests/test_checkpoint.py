@@ -20,6 +20,11 @@ from helpers import (make_instance, param_count, tiny_model, tiny_store,
                      write_json_checkpoint)
 
 
+# A dropout generator state as numpy gives it and the checkpoint holds it.
+PCG64_STATE = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 1},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def split(data: bytes) -> tuple[dict, bytes]:
     """(header, parameter bytes) of a well-formed checkpoint."""
     (n,) = struct.unpack("<Q", data[8:16])
@@ -140,9 +145,16 @@ class TestBoundary:
         with pytest.raises(ContractViolation, match=r"m\.ckpt.*\bB must be int"):
             load_checkpoint(str(path), tiny_store())
 
+    # a valid state with one value changed: out of range for the uint64
+    # and uint32 numpy stores, or of a type it would convert
     @pytest.mark.parametrize("state", [
         "x", {"bit_generator": "PCG64"},
-        {"bit_generator": "MT19937", "state": {"key": [1], "pos": 0}}])
+        {"bit_generator": "MT19937", "state": {"key": [1], "pos": 0}},
+        dict(PCG64_STATE, state={"state": -1, "inc": 1}),
+        dict(PCG64_STATE, uinteger=2 ** 70),
+        dict(PCG64_STATE, state={"state": 1.5, "inc": 1}),
+        dict(PCG64_STATE, has_uint32=True),
+        dict(PCG64_STATE, colour="red")])
     def test_bad_dropout_rng_state_is_named(self, tmp_path, state):
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), tiny_model())

@@ -157,8 +157,7 @@ class TestTrain:
         assert field in err and type(value).__name__ in err
 
     @pytest.mark.parametrize("text,named", [
-        ('"abc"', "run config"), ("5", "run config"), ("[]", "run config"),
-        ('{"train": [], "B": 4}', "train")])
+        ('"abc"', "run config"), ("5", "run config"), ("[]", "run config")])
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys,
                                                   text, named):
         cfg_path = tmp_path / "bad.json"
@@ -166,15 +165,19 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert f"{named} must be an object" in capsys.readouterr().err
 
-    def test_field_given_twice_exits_2_naming_it(self, workspace, tmp_path,
-                                                capsys):
-        # B and seed inside "train" and at the top level: neither may win
+    def test_nested_train_object_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # the one spelling is flat: "train" is no field of a run config
         _, cfg, _ = workspace
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("data read before the config was checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", no_read)
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({**cfg, "train": {"B": 10, "seed": 1},
+        cfg_path.write_text(json.dumps({**cfg, "train": {"B": 10},
                                         "output_dir": str(tmp_path / "out")}))
         assert main(["train", "--config", str(cfg_path)]) == 2
-        assert ("given both in train and at the top level: ['B', 'seed']"
+        assert ("config error: unknown config fields: ['train']"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
@@ -427,6 +430,21 @@ class TestOutputPaths:
                 "directory") in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
 
+    @pytest.mark.parametrize("field", ["checkpoint", "output_dir"])
+    def test_output_path_holding_a_nul_byte_exits_2_before_reading_data(
+            self, workspace, tmp_path, capsys, no_read, field):
+        # no file name holds one: the write would fail only after training
+        _, cfg, _ = workspace
+        p = tmp_path / "run.json"
+        run_cfg = dict(cfg, checkpoint=str(tmp_path / "m.ckpt"),
+                       output_dir=str(tmp_path / "out"))
+        run_cfg[field] += "\0"
+        p.write_text(json.dumps(run_cfg))
+        assert main(["train", "--config", str(p)]) == 2
+        assert (f"config error: config field {field!r}: {run_cfg[field]!r} "
+                "holds a NUL byte") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_output_dir_under_a_file_exits_2_before_reading_data(
             self, workspace, tmp_path, capsys, no_read):
         _, cfg, _ = workspace
@@ -496,7 +514,7 @@ class TestInputPaths:
     }
     READS["predict"] = READS["eval"]
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "nul"])
     @pytest.mark.parametrize("command,source", [
         (command, source) for command, sources in READS.items()
         for source in sources])
@@ -504,7 +522,7 @@ class TestInputPaths:
             self, workspace, tmp_path, capsys, no_read, command, source,
             kind):
         _, cfg, _ = workspace
-        bad = tmp_path / "bad"
+        bad = tmp_path / ("b\0ad" if kind == "nul" else "bad")
         if kind == "directory":
             bad.mkdir()
         ckpt = tmp_path / "m.ckpt"
@@ -523,9 +541,11 @@ class TestInputPaths:
         assert main(argv) == 2
         what = source if source.startswith("--") else \
             f"config field {source!r}"
-        assert (f"config error: {what}: " + (
-            f"no such file: {bad}" if kind == "missing"
-            else f"{bad} is a directory")) in capsys.readouterr().err
+        assert f"config error: {what}: " + {
+            "missing": f"no such file: {bad}",
+            "directory": f"{bad} is a directory",
+            "nul": f"{str(bad)!r} holds a NUL byte"}[kind] \
+            in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["m.ckpt", "run.json"] + (["bad"] if kind == "directory" else []))
 
@@ -643,6 +663,15 @@ class TestReadme:
                                "dropout", "routing_iters"}
         assert stated == {name: getattr(TrainConfig(), name) for name in stated}
 
+    def test_run_config_example_is_the_spelling_to_dict_writes(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md"), encoding="utf-8").read()
+        example = json.loads(re.search(
+            r"A run config is one flat JSON.*?```json\n(.*?)^```", readme,
+            re.S | re.M).group(1))
+        written = RunConfig.from_dict(example).to_dict()
+        assert {name: written[name] for name in example} == example
+
 
 class TestModelFieldsFromCheckpoint:
     """`eval` and `predict` parse the corpus with the checkpoint's L and M,
@@ -680,6 +709,52 @@ class TestModelFieldsFromCheckpoint:
         assert outputs[0] == outputs[1]
 
 
+class TestDecodeFieldsFromCheckpoint:
+    """`predict --multi` decodes with the checkpoint's `threshold` and
+    `pair_diff`, whatever the run config says, and `--threshold` replaces
+    the checkpoint's threshold."""
+
+    def test_run_config_decode_fields_change_no_output(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(data), "--relations", "4",
+                     "--bags", "8", "--seed", "5", "--pairs", "2"]) == 0
+        base = {"corpus": str(data / "corpus.jsonl"),
+                "word_embeddings": str(data / "words.txt"),
+                "entity_embeddings": str(data / "entities.txt"),
+                "relation_embeddings": str(data / "relations.txt"),
+                "output_dir": str(tmp_path / "out"),
+                "B": 3, "C": 2, "d": 2, "M": 4, "epochs": 1, "seed": 1}
+
+        def config(checkpoint, fields):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({**base, **fields, "checkpoint":
+                                        str(tmp_path / checkpoint)}))
+            return str(path)
+
+        def predict(checkpoint, fields, *flags):
+            out = tmp_path / "preds.jsonl"
+            assert main(["predict", "--config", config(checkpoint, fields),
+                         "--out", str(out), *flags]) == 0
+            return out.read_bytes()
+
+        # training reads no threshold: both models hold the same parameters
+        trained = {"pair_diff": "e1-e2", "threshold": 0.5}
+        assert main(["train", "--config", config("loose.ckpt", trained)]) == 0
+        scores = sorted(r["score"] for line in predict("loose.ckpt", {})
+                        .splitlines() for r in json.loads(line)["relations"])
+        trained["threshold"] = t = scores[len(scores) // 2]
+        assert main(["train", "--config", config("model.ckpt", trained)]) == 0
+        want = predict("model.ckpt", trained, "--multi")
+        picked = [r for line in want.splitlines()
+                  for r in json.loads(line)["relations"]]
+        assert picked and any(r["pair"] for r in picked)
+        assert predict("model.ckpt", {}, "--multi") == want
+        assert predict("model.ckpt", {"threshold": 0.7, "pair_diff": "e2-e1"},
+                       "--multi") == want
+        assert predict("loose.ckpt", {}, "--multi",
+                       "--threshold", repr(t)) == want
+
+
 class TestPredict:
     def test_single_mode_ranks_all_relations(self, workspace, tmp_path):
         root, cfg, cfg_path = workspace
@@ -707,9 +782,13 @@ class TestPredict:
 
     @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.2", "nan"])
     def test_threshold_outside_unit_interval_exits_2(self, workspace, capsys,
-                                                     threshold):
+                                                     monkeypatch, threshold):
         root, cfg, cfg_path = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("data read before the flags were checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", no_read)
         assert main(["predict", "--config", str(cfg_path), "--multi",
                      "--threshold", threshold]) == 2
         assert "threshold must be in (0, 1)" in capsys.readouterr().err

@@ -136,12 +136,12 @@ def exercise(tmp_path) -> None:
             "word_embeddings": str(data / "words.txt"),
             "entity_embeddings": str(data / "entities.txt"),
             "relation_embeddings": str(data / "relations.txt"),
-            "train": {"B": 2, "C": 2, "d": 2, "d_p": 2, "L": 12,
-                      "batch_size": 4, "epochs": 1}}
+            "B": 2, "C": 2, "d": 2, "d_p": 2, "L": 12,
+            "batch_size": 4, "epochs": 1}
     for name, overrides in CONFIGS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({
-            **base, "train": {**base["train"], **overrides},
+            **base, **overrides,
             "checkpoint": str(tmp_path / name / "model.ckpt"),
             "output_dir": str(tmp_path / name)}))
         run("train", "--config", str(path))

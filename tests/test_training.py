@@ -447,10 +447,17 @@ class TestBuildModel:
         assert TrainConfig(lr=1, dropout=0).lr == 1
 
     def test_run_config_leaves_the_callers_dict_unchanged(self):
-        obj = {"train": {"B": 4}, "C": 2}
+        obj = {"B": 4, "C": 2}
         cfg = RunConfig.from_dict(obj)
         assert (cfg.train.B, cfg.train.C) == (4, 2)
-        assert obj == {"train": {"B": 4}, "C": 2}
+        assert obj == {"B": 4, "C": 2}
+
+    def test_run_config_reads_back_its_own_dict(self):
+        cfg = RunConfig(train=TrainConfig(B=4, word_att=False, threshold=0.2,
+                                          pair_diff="e1-e2"),
+                        corpus="c.jsonl", checkpoint="m.ckpt",
+                        output_dir="out")
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestPooledHeadNode:
