@@ -128,14 +128,13 @@ def _agreement(factors, v: np.ndarray) -> np.ndarray:
 
 def _route(factors, a: np.ndarray, iterations: int, keep: bool):
     """Routing over one sentence's children: the last parent inputs s
-    (E x d), and, if `keep`, the backward (else None, and no iteration's
+    (E x d), and the backward, or None unless `keep` (then no iteration's
     arrays outlive the next).
 
-    The backward takes the gradient of s and `vote_term`, and returns the
-    gradient of a. The vote gradient is a sum of 2r - 1 outer products,
-    one per parent sum and one per agreement; the backward hands each to
-    `vote_term(left, right)`, for left[j] right[j]^T per parent j, as it
-    forms it, so the E x d x H sum is never formed.
+    The backward maps the gradient of s to those of x, W, b and a. The
+    vote gradient is a sum of 2r - 1 outer products left[j] right[j]^T,
+    one per parent sum and one per agreement; the backward adds each into
+    the factors' gradients as it forms it, never forming the E x d x H sum.
     """
     b = np.zeros((len(factors[1]), len(a)))  # row j: parent j's logits
     steps = []                      # per iteration: softmax and squash kernels
@@ -148,19 +147,24 @@ def _route(factors, a: np.ndarray, iterations: int, keep: bool):
         if keep:
             steps.append((p, p_backward, v, v_backward))
 
-    def backward(gs, vote_term):
-        gb, ga = np.zeros_like(b), np.zeros_like(a)
+    def backward(gs):
+        x, W, _ = factors
+        gx, gW, gb_hat, gb, ga = map(np.zeros_like, (*factors, b, a))
         for it in reversed(range(iterations)):
             p, p_backward = steps[it][:2]
             gc = _agreement(factors, gs)
-            vote_term(gs, a * p)
+            terms = [(gs, a * p)]
             ga += (gc * p).sum(axis=0)
             gb = gb + p_backward(gc * a)
             if it:          # b = b_prev + agreement(v_prev)
                 _, _, v, v_backward = steps[it - 1]
-                vote_term(v, gb)
+                terms.append((v, gb))
                 gs = v_backward(_parent_sum(factors, gb))
-        return ga
+            for left, right in terms:       # left[j] right[j]^T per parent j
+                gx += right.T @ (left[:, None] @ W)[:, 0]
+                gW += left[:, :, None] * (right @ x)[:, None]
+                gb_hat += left * right.sum(axis=1)[:, None]
+        return gx, gW, gb_hat, ga
     return s, backward if keep else None
 
 
@@ -178,8 +182,9 @@ def dynamic_routing(u_hat: tuple[Tensor, Tensor, Tensor], a_hat: Tensor,
     s_j = u_hat[j] c[j] (the parent sum) and v_j = squash(s_j). Both
     contractions run on the factors, so every array routing forms is
     E x H or smaller. One tape node returns the last s, N x E x d, and its
-    backward walks each sentence's iterations in reverse; the squash and
-    length nodes on it give the N x E x d parents and N x E activations.
+    backward walks each sentence's iterations in reverse, then adds each
+    operand's gradient, summed or joined over sentences, once; the squash
+    and length nodes on it give the N x E x d parents and N x E activations.
     """
     x, W, b_hat = u_hat
     E, d = b_hat.shape if len(b_hat.shape) == 2 else (-1, -1)
@@ -204,16 +209,11 @@ def dynamic_routing(u_hat: tuple[Tensor, Tensor, Tensor], a_hat: Tensor,
         backwards.append(backward)
 
     def bw(gs):
-        gx, ga = np.zeros_like(x.data), np.empty_like(a_hat.data)
-        for (lo, hi), backward, g in zip(bounds, backwards, gs):
-            def vote_term(left, right, lo=lo, hi=hi):
-                # each term goes straight to the factors' gradients
-                gx[lo:hi] += right.T @ (left[:, None] @ W.data)[:, 0]
-                W._accumulate(left[:, :, None]
-                              * (right @ x.data[lo:hi])[:, None])
-                b_hat._accumulate(left * right.sum(axis=1)[:, None])
-            ga[lo:hi] = backward(g, vote_term)
-        x._accumulate(gx)
-        a_hat._accumulate(ga)
+        gx, gW, gb, ga = zip(*(backward(g)
+                               for backward, g in zip(backwards, gs)))
+        x._accumulate(np.concatenate(gx))
+        W._accumulate(sum(gW))
+        b_hat._accumulate(sum(gb))
+        a_hat._accumulate(np.concatenate(ga))
     out = Tensor._from_op(s, parents, bw)
     return squash(out), capsule_length(out)

@@ -103,6 +103,15 @@ class CorpusFormatError(ValueError):
     """A corpus or embedding file violates the documented format."""
 
 
+def _utf8(line: str) -> str:
+    """A line of a file opened with errors="surrogateescape", or
+    UnicodeDecodeError (a ValueError) at its first byte that is not UTF-8.
+
+    Decoding each line this way names the line of a bad byte; decoding the
+    file in chunks would give only its place in a chunk."""
+    return line.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def entity_anchors(pairs: list[tuple[str, str]],
                    entities: dict[str, tuple[int, int]],
                    M: int) -> list[int | None]:
@@ -196,13 +205,13 @@ def load_corpus(path: str, L: int, M: int,
     """
     groups: dict[tuple, Bag] = {}
     excluded = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(_utf8(line))
                 inst = parse_record(obj, L, M, relation_vocab)
             except (KeyError, TypeError, ValueError) as exc:
                 # CorpusFormatError and JSONDecodeError are ValueErrors.
@@ -235,9 +244,12 @@ def _load_vector_file(path: str, width: tuple[int, str] | None = None,
     rows: list[np.ndarray] = []
     index: dict[str, int] = {}
     header_like = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
+            try:
+                parts = _utf8(line).split()
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
             if not parts:
                 continue
             token, values = parts[0], parts[1:]

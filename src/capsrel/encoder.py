@@ -127,10 +127,11 @@ def _schedule(lengths: np.ndarray, reverse: bool):
 
 
 def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
-          lengths: np.ndarray, reverse: bool):
+          lengths: np.ndarray, reverse: bool, keep: bool):
     """One LSTM direction over the packed rows of X, each sentence of
     `lengths` in order or reversed: the states, one row per row of X, and
-    the function taking their gradient dH to (dX, dWx, dWh, db).
+    the backward, or None unless `keep` (then the gates and cells are
+    freed on return), taking their gradient dH to (dX, dWx, dWh, db).
 
     The 4B gate columns are ordered input, forget, cell, output, and each
     sentence's state starts at zero. The input projection runs once over
@@ -192,7 +193,7 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
         dWh = hs[prev].T @ dZ
         dZ = dZ[back]
         return dZ @ Wx.T, X.T @ dZ, dWh, dZ.sum(axis=0)
-    return hs[back], backward
+    return hs[back], backward if keep else None
 
 
 def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
@@ -214,12 +215,11 @@ def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
             "backward Wx {}, Wh {}, b {}".format(X.shape,
                                                  *(W.shape for W in weights)))
     lengths = sentence_lengths(lengths, X.shape[0], "bilstm")
+    keep = recording((X, *weights))     # a node off the tape needs no backward
     h_fwd, fwd_backward = _lstm(X.data, *(W.data for W in fwd), lengths,
-                                reverse=False)
-    if not recording((X, *weights)):
-        fwd_backward = None     # free its saved gates before the next direction
+                                reverse=False, keep=keep)
     h_bwd, bwd_backward = _lstm(X.data, *(W.data for W in bwd), lengths,
-                                reverse=True)
+                                reverse=True, keep=keep)
 
     def bw(g):
         dX_fwd, *d_fwd = fwd_backward(g[:, :B])

@@ -16,6 +16,7 @@ calls it on the selected sentence alone.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -173,11 +174,13 @@ def _pooled_head(x: Tensor, W: Tensor, b: Tensor, lengths) -> Tensor:
 # the UTF-8 JSON header, zero padding to a multiple of 8 bytes, then each
 # parameter's C-order little-endian float64 bytes in the order of the
 # `params` table. The header holds exactly the keys of HEADER_KEYS. Of
-# these, `checkpoint_layout` gives `version`, `relation_names` and
-# `params`: save writes them, and load compares the file's with them.
+# these, `checkpoint_layout` gives `version`, `relation_names`,
+# `word_vocab_sha256` and `params`: save writes them, and load compares
+# the file's with them.
 MAGIC = b"CAPSREL1"
 HEADER_KEYS = frozenset({"version", "config", "relation_names",
-                         "dropout_rng_state", "extra", "params"})
+                         "word_vocab_sha256", "dropout_rng_state", "extra",
+                         "params"})
 _PREFIX = struct.Struct("<8sQ")
 _DTYPE = np.dtype("<f8")
 
@@ -185,16 +188,23 @@ _DTYPE = np.dtype("<f8")
 def checkpoint_layout(config: TrainConfig, store: EmbeddingStore
                       ) -> tuple[dict, int]:
     """The header fields that `config` and `store` fix, and the size of the
-    data section. They are `version`, `relation_names` and the `params`
-    table: a {name, shape, offset} entry per `param_table` parameter,
-    sorted by name, each buffer right after the one before."""
+    data section. They are `version`, `relation_names`, `word_vocab_sha256`
+    (the sha256 of the store's word tokens in id order, joined by newlines,
+    so the word table's rows are read through the vocabulary they were
+    trained with) and the `params` table: a {name, shape, offset} entry per
+    `param_table` parameter, sorted by name, each buffer right after the
+    one before."""
     table, offset = [], 0
     for name, shape, _ in sorted(param_table(config, store),
                                  key=lambda entry: entry[0]):
         table.append({"name": name, "shape": list(shape), "offset": offset})
         offset += math.prod(shape) * _DTYPE.itemsize
+    words = "\n".join(sorted(store.word_vocab, key=store.word_vocab.get))
     return {"version": CHECKPOINT_VERSION,
-            "relation_names": store.relation_names, "params": table}, offset
+            "relation_names": store.relation_names,
+            "word_vocab_sha256": hashlib.sha256(
+                words.encode("utf-8")).hexdigest(),
+            "params": table}, offset
 
 
 def _padding(header_len: int) -> int:
@@ -223,9 +233,10 @@ def load_checkpoint(path: str, store: EmbeddingStore) -> Model:
     """Read a checkpoint written by `save_checkpoint` into a new model.
 
     The header's `config` must name every `TrainConfig` field. Its
-    `version`, `relation_names` and `params` must equal, type for type and
-    whatever the key order of an object, the fields `checkpoint_layout`
-    gives save for that config and `store`; the first difference is named.
+    `version`, `relation_names`, `word_vocab_sha256` and `params` must
+    equal, type for type and whatever the key order of an object, the
+    fields `checkpoint_layout` gives save for that config and `store`; the
+    first difference is named.
     Only then is anything allocated, and each buffer is read straight into
     the array the model keeps. Every way the file can be malformed raises
     `ContractViolation` naming `path` and the offending field.

@@ -447,6 +447,20 @@ class TestDynamicRouting:
                 f"u {u}, Wc {Wc}, b_hat {b_hat}, a_hat {a_hat}")):
             dynamic_routing(factors, Tensor(np.zeros(a_hat)), 3, [4])
 
+    def test_kernel_keeps_a_backward_only_on_the_tape(self):
+        rng = np.random.default_rng(15)
+        H, E, d = 5, 3, 2
+        factors = (rng.normal(size=(H, d)), rng.normal(size=(E, d, d)),
+                   rng.normal(size=(E, d)))
+        a_hat = rng.uniform(0, 1, size=H)
+        s, backward = capsule._route(factors, a_hat, 3, keep=False)
+        s_kept, backward_kept = capsule._route(factors, a_hat, 3, keep=True)
+        assert backward is None
+        np.testing.assert_array_equal(s, s_kept)
+        # the gradient of every array the kernel read: x, W, b and a_hat
+        grads = backward_kept(rng.normal(size=s.shape))
+        assert [g.shape for g in grads] == [(H, d), (E, d, d), (E, d), (H,)]
+
     def test_factored_votes_never_form_the_vote_tensor(self):
         # wide capsules make one E x d x H array larger than everything
         # routing keeps: its E x H couplings and the H x d child gradient

@@ -351,7 +351,7 @@ def test_malformed_checkpoint_raises_contract_violation_naming_path(saved,
 
 
 class TestHeaderEqualsLayout:
-    """The header's keys are exactly the six save writes, and its table is
+    """The header's keys are exactly the seven save writes, and its table is
     the one save writes for its config: anything else is named."""
 
     @pytest.fixture()
@@ -361,7 +361,8 @@ class TestHeaderEqualsLayout:
         return (path, *split(path.read_bytes()))
 
     @pytest.mark.parametrize("key", ["config", "dropout_rng_state", "extra",
-                                     "params", "relation_names", "version"])
+                                     "params", "relation_names", "version",
+                                     "word_vocab_sha256"])
     def test_missing_header_key_is_named(self, saved_parts, key):
         path, header, body = saved_parts
         del header[key]

@@ -900,6 +900,34 @@ class TestNothingToScore:
         assert sorted(os.listdir(tmp_path / "out")) == ["train_log.jsonl"]
 
 
+class TestWordFileOrder:
+    """The checkpoint records its word vocabulary: a word file with the
+    same lines in another order would read each word row for another
+    token, so it exits 1 naming the field before any bag is scored."""
+
+    @pytest.mark.parametrize("command", [["eval"], ["predict"]],
+                             ids=["eval", "predict"])
+    def test_reordered_word_file_exits_1_naming_the_field(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        _, cfg, _ = workspace
+        checkpoint, words = tmp_path / "m.ckpt", tmp_path / "words.txt"
+        run = dict(cfg, checkpoint=str(checkpoint),
+                   output_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(run))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        lines = open(cfg["word_embeddings"]).read().splitlines(keepends=True)
+        words.write_text("".join(reversed(lines)))
+        cfg_path.write_text(json.dumps(dict(run, word_embeddings=str(words))))
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a bag was scored")
+        monkeypatch.setattr(Model, "activations", no_scoring)
+        assert main([*command, "--config", str(cfg_path)]) == 1
+        assert f"{checkpoint}: word_vocab_sha256 is" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "out")) == ["train_log.jsonl"]
+
+
 class TestEntityFile:
     def test_parsed_only_by_predict_multi(self, workspace, tmp_path, capsys):
         _, cfg, _ = workspace

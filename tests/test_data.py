@@ -170,6 +170,25 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=":2:"):
             load_corpus(str(path), L=10, M=2, relation_vocab=REL_VOCAB)
 
+    def test_byte_that_is_not_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps(record([t, "E1", "E2"])).encode() + b"\n"
+                 for t in ("a", "b", "c\xff", "d")]
+        path.write_bytes(b"".join(lines).replace(b"\\u00ff", b"\xff"))
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:3: malformed record: 'utf-8' codec can't decode "
+                "byte 0xff")):
+            load_corpus(str(path), L=10, M=2, relation_vocab=REL_VOCAB)
+
+    def test_utf8_tokens_and_lines_ended_by_cr_load(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes("".join(
+            json.dumps(record([t, "E1", "E2"]), ensure_ascii=False) + "\r"
+            for t in ("café", "naïve")).encode("utf-8"))
+        corpus = load_corpus(str(path), L=10, M=2, relation_vocab=REL_VOCAB)
+        assert [i.tokens[0] for i in corpus.bags[0].instances] == ["café",
+                                                                   "naïve"]
+
     def test_unknown_relation_lists_known_ones(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_corpus(path, [record(["E1", "E2"], relations=("BOGUS",))])
@@ -376,6 +395,22 @@ class TestLoadEmbeddings:
         with pytest.raises(CorpusFormatError, match=r"r\.txt:1: .*'R1'"):
             load_embeddings(str(tmp_path / "w.txt"), None,
                             str(tmp_path / "r.txt"))
+
+    @pytest.mark.parametrize("bad", ["w", "e", "r"])
+    def test_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, bad):
+        rows = {"w": [("a", [1.0]), ("b", [2.0]), ("c", [3.0])],
+                "e": [("E1", [1.0]), ("E2", [2.0]), ("E3", [3.0])],
+                "r": [("NA", [0.0]), ("R1", [1.0]), ("R2", [2.0])]}
+        for name, table in rows.items():
+            self.write(tmp_path / f"{name}.txt", table)
+        path = tmp_path / f"{bad}.txt"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:3: 'utf-8' codec can't decode byte 0xff")):
+            load_embeddings(*(str(tmp_path / f"{name}.txt")
+                              for name in ("w", "e", "r")))
 
     def test_duplicate_token_last_wins(self, tmp_path):
         self.write(tmp_path / "w.txt", [("a", [1.0]), ("a", [9.0])])

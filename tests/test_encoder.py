@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capsrel import encoder
 from capsrel.autodiff import (ContractViolation, ShapeError, Tensor, grad_check,
                               no_grad)
 from capsrel.data import SentenceInstance, missing_bucket
@@ -177,6 +178,7 @@ class TestGateActivation:
                     min_size=4, max_size=4 * 5).map(
                         lambda zs: zs[:len(zs) // 4 * 4]))
     @example(EDGES + [0.0])
+    @example([0.0] * 11 + [5.065361703303381])   # o exactly one eps off
     @settings(max_examples=200, deadline=None)
     def test_matches_exp_form_sigmoid_and_tanh(self, zs):
         # i, f and o are within one eps of the exp-form logistic of the
@@ -187,7 +189,7 @@ class TestGateActivation:
             out = _activate_gates(z.copy()[None])[0]
             ref = sigmoid(Tensor(z)).data
         np.testing.assert_allclose(out[[0, 1, 3]], ref[[0, 1, 3]], rtol=0,
-                                   atol=2.22e-16)
+                                   atol=np.finfo(np.float64).eps)
         np.testing.assert_array_equal(out[2], np.tanh(z[2]))
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -198,7 +200,7 @@ class TestGateActivation:
         X = rng.normal(size=(8, V))
         Wx, Wh = rng.normal(0, 5, (V, 4 * B)), rng.normal(0, 5, (B, 4 * B))
         b = 800.0 * rng.choice([-1.0, 0.0, 1.0], size=4 * B)
-        _, backward = _lstm(X, Wx, Wh, b, lengths, reverse)
+        _, backward = _lstm(X, Wx, Wh, b, lengths, reverse, keep=True)
         cells = dict(zip(backward.__code__.co_freevars, backward.__closure__))
         gates = cells["gates"].cell_contents
         assert gates.shape == (8, 4, B)
@@ -267,6 +269,34 @@ class TestLstmSequence:
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
         np.testing.assert_array_equal(out.data, fused(*leaves).data)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_kernel_keeps_a_backward_only_on_the_tape(self, reverse):
+        X, Wx, Wh, b = lstm_arrays(np.random.default_rng(9), 5, V=3, B=2)[:4]
+        lengths = np.array([3, 2])
+        h, backward = _lstm(X, Wx, Wh, b, lengths, reverse, keep=False)
+        h_kept, backward_kept = _lstm(X, Wx, Wh, b, lengths, reverse,
+                                      keep=True)
+        assert backward is None
+        np.testing.assert_array_equal(h, h_kept)
+        grads = backward_kept(np.ones_like(h))
+        assert [g.shape for g in grads] == [X.shape, Wx.shape, Wh.shape,
+                                            b.shape]
+
+    def test_no_grad_runs_both_directions_without_a_backward(self,
+                                                             monkeypatch):
+        keeps, lstm = [], encoder._lstm
+
+        def recording(*args, keep, **kwargs):
+            keeps.append(keep)
+            return lstm(*args, keep=keep, **kwargs)
+        monkeypatch.setattr(encoder, "_lstm", recording)
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in lstm_arrays(np.random.default_rng(10), 5, V=3, B=2)]
+        with no_grad():
+            fused(*leaves)
+        fused(*leaves)
+        assert keeps == [False, False, True, True]
 
     def test_nonconforming_weights_name_every_shape(self):
         X, *weights = (Tensor(a) for a in
