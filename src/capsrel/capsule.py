@@ -155,8 +155,8 @@ def _route(factors, a: np.ndarray, iterations: int, keep: bool):
             gc = _agreement(factors, gs)
             terms = [(gs, a * p)]
             ga += (gc * p).sum(axis=0)
-            gb = gb + p_backward(gc * a)
             if it:          # b = b_prev + agreement(v_prev)
+                gb = gb + p_backward(gc * a)
                 _, _, v, v_backward = steps[it - 1]
                 terms.append((v, gb))
                 gs = v_backward(_parent_sum(factors, gb))

@@ -10,11 +10,13 @@ layer is one tape node with a hand-written backward. The Bi-LSTM runs
 the numpy kernel `_lstm` once per direction: one loop over the steps that
 advances every sentence still running together, longest first, so a step
 is one product with `Wh` for all of them, and BPTT (one reverse sweep,
-then one product per weight). A step activates its four gate blocks with
-one in-place tanh, using sigmoid(z) = 1/2 tanh(z/2) + 1/2 for the input,
-forget and output blocks. Word attention scores each row as h_t (A r), one
-mat-vec, and normalises each sentence's scores on its own, on the numpy
-softmax kernel (over axis 0) that routing shares.
+then one product per weight), which `_bptt` builds for a fresh run or for
+the part of an earlier pass's run that `sentence_runs` cuts out. A step
+activates its four gate blocks with one in-place tanh, using sigmoid(z) =
+1/2 tanh(z/2) + 1/2 for the input, forget and output blocks. Word
+attention scores each row as h_t (A r), one mat-vec, and normalises each
+sentence's scores on its own, on the numpy softmax kernel (over axis 0)
+that routing shares.
 """
 
 from __future__ import annotations
@@ -126,12 +128,17 @@ def _schedule(lengths: np.ndarray, reverse: bool):
     return first_row[k] + token, list(zip(starts.tolist(), counts.tolist())), prev
 
 
+RUN = "run"     # `_lstm(keep=RUN)` returns its step-major run
+
+
 def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
-          lengths: np.ndarray, reverse: bool, keep: bool):
+          lengths: np.ndarray, reverse: bool, keep):
     """One LSTM direction over the packed rows of X, each sentence of
     `lengths` in order or reversed: the states, one row per row of X, and
-    the backward, or None unless `keep` (then the gates and cells are
-    freed on return), taking their gradient dH to (dX, dWx, dWh, db).
+    what `keep` asks for. False gives None, and the gates and cells are
+    freed on return; True gives the backward of `_bptt`, taking their
+    gradient dH to (dX, dWx, dWh, db); RUN gives the run itself, its
+    step-major (gates, cells, states).
 
     The 4B gate columns are ordered input, forget, cell, output, and each
     sentence's state starts at zero. The input projection runs once over
@@ -141,12 +148,9 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
     and a shift: sigmoid(z) = 1/2 tanh(z/2) + 1/2 on the input, forget and
     output blocks (scale 1/2, shift 1/2), tanh(z) on the cell block (scale
     1, shift 0). The cells and states are written straight into the rows
-    they keep. The forward keeps the activated gates and the cells; the
-    backward is one reverse BPTT sweep over the same steps that fills dZ,
-    the gradient of the gate pre-activations, then forms dX, dWx and dWh
-    with one product each and db with one sum.
+    they keep.
     """
-    rows, steps, prev = _schedule(lengths, reverse)
+    schedule = rows, steps, _ = _schedule(lengths, reverse)
     N, T, B = len(lengths), len(rows), Wh.shape[0]
     # every array below holds one row per step and sentence, in step order;
     # each step turns its rows of the hoisted input projection into gates
@@ -166,7 +170,21 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
         c += np.multiply(i, g, out=ig[:n])
         h = np.tanh(c, out=hs[at:at + n])
         h *= o
-    gates = gates.reshape(T, 4, B)
+    run = gates.reshape(T, 4, B), cs, hs
+    if keep is RUN:
+        return hs[np.argsort(rows)], run
+    return _bptt(X, Wx, Wh, schedule, run, keep)
+
+
+def _bptt(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, schedule, run,
+          keep: bool):
+    """The states of a step-major `run` of `_lstm` in row order, and its
+    backward, or None unless `keep`: one reverse BPTT sweep over the steps
+    of `schedule` fills dZ, the gradient of the gate pre-activations, then
+    dX, dWx and dWh take one product each and db one sum."""
+    rows, steps, prev = schedule
+    gates, cs, hs = run
+    N, T, B = steps[0][1], len(rows), Wh.shape[0]     # N: sentences
     back = np.argsort(rows)                     # step order -> row order
 
     def backward(dH):
@@ -196,15 +214,30 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
     return hs[back], backward if keep else None
 
 
+def sentence_runs(runs, lengths, k: int) -> list:
+    """Sentence k's part of each step-major run of a pass over sentences
+    of `lengths`, as a pass over it alone holds it: step s < n_k is at
+    starts[s] + its rank, longest first, and the zero start row stays last."""
+    lengths = np.asarray(lengths)
+    steps = _schedule(lengths, False)[1][:lengths[k]]
+    rank = np.argsort(np.argsort(-lengths, kind="stable"))[k]
+    at = np.array([start for start, _ in steps]) + rank
+    with_start = np.append(at, lengths.sum())
+    return [(gates[at], cs[with_start], hs[with_start])
+            for gates, cs, hs in runs]
+
+
 def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
-           bwd: tuple[Tensor, Tensor, Tensor], lengths) -> Tensor:
+           bwd: tuple[Tensor, Tensor, Tensor], lengths, runs=None) -> Tensor:
     """Hidden sequence, one 2B row per row of X: forward states beside
     backward states, each sentence of `lengths` run on its own.
 
     One tape node over X and the six weights, (Wx, Wh, b) per direction,
     both of unit size B; each direction runs `_lstm`. The backward gives
     each direction its B columns of the gradient and adds both dX terms
-    into X once.
+    into X once. Off the tape, an empty list as `runs` receives the two
+    directions' runs; a pair of runs over these rows, as `sentence_runs`
+    cuts them, is adopted through `_bptt`, and no LSTM runs.
     """
     weights = (*fwd, *bwd)
     V = X.shape[1] if len(X.shape) == 2 else -1
@@ -216,10 +249,15 @@ def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
                                                  *(W.shape for W in weights)))
     lengths = sentence_lengths(lengths, X.shape[0], "bilstm")
     keep = recording((X, *weights))     # a node off the tape needs no backward
-    h_fwd, fwd_backward = _lstm(X.data, *(W.data for W in fwd), lengths,
-                                reverse=False, keep=keep)
-    h_bwd, bwd_backward = _lstm(X.data, *(W.data for W in bwd), lengths,
-                                reverse=True, keep=keep)
+    hand_over = runs == [] and not keep     # a pass that keeps its runs
+    (h_fwd, fwd_backward), (h_bwd, bwd_backward) = directions = [
+        _lstm(X.data, Wx.data, Wh.data, b.data, lengths, reverse,
+              keep=RUN if hand_over else keep) if run is None else
+        _bptt(X.data, Wx.data, Wh.data, _schedule(lengths, reverse), run, keep)
+        for (Wx, Wh, b), reverse, run in zip((fwd, bwd), (False, True),
+                                             runs or (None, None))]
+    if hand_over:
+        runs += [run for _, run in directions]
 
     def bw(g):
         dX_fwd, *d_fwd = fwd_backward(g[:, :B])

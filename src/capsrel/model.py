@@ -10,11 +10,13 @@ a sigmoid dense head (one tape node) over the mean-pooled sequence.
 packs their rows one after another, passes their lengths to every layer
 that splits rows into sentences, and returns N x E. Selection and
 evaluation score a bag's instances with one no-grad call, and training
-calls it on the selected sentence alone.
+calls it on the selected sentence alone, inside `handover`: there the
+train call adopts the Bi-LSTM runs selection computed for that sentence.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -94,6 +96,7 @@ class Model:
                 data = encoder.glorot_uniform(rng, *init, shape)
             self.params[name] = Tensor(data, requires_grad=True)
         self.dropout_rng = np.random.default_rng(config.seed + 1)
+        self._kept = None       # see `handover`
 
     # -- forward --------------------------------------------------------------
 
@@ -115,11 +118,37 @@ class Model:
             p["word_emb"], [p[f"pos_emb_{m}"] for m in range(cfg.M)])
         H = encoder.bilstm(
             X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
-            (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]), lengths)
+            (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]), lengths,
+            self._runs(insts, lengths, train))
         H = dropout(H, cfg.dropout, self.dropout_rng, training=train)
         if cfg.word_att:
             H, _ = encoder.word_attention(H, p["att_A"], p["att_r"], lengths)
         return H, lengths
+
+    @contextlib.contextmanager
+    def handover(self):
+        """Scope one bag's selection and train step: the no-grad pass keeps
+        its sentences' Bi-LSTM runs, and a train-mode call on one of them
+        alone adopts its part; that call drops the rest, the exit all."""
+        self._kept = (), (), ()        # the sentences, lengths, runs kept
+        try:
+            yield
+        finally:
+            self._kept = None
+
+    def _runs(self, insts: list[SentenceInstance], lengths, train: bool):
+        """`bilstm`'s `runs` inside `handover`: a list for an eval pass to
+        keep its runs in, or the kept runs of a train pass's one sentence."""
+        if self._kept is None:
+            return None
+        if not train:
+            self._kept = insts, lengths, []
+            return self._kept[2]
+        (scored, kept_lengths, runs), self._kept = self._kept, ((), (), ())
+        for k, inst in enumerate(scored if len(insts) == 1 else ()):
+            if inst is insts[0]:
+                return encoder.sentence_runs(runs, kept_lengths, k)
+        return None
 
     def activations(self, insts: list[SentenceInstance], train: bool = False
                     ) -> Tensor:

@@ -81,9 +81,10 @@ def train_epoch(model: Model, bags: list[Bag], optimizer: Adam,
         optimizer.zero_grad()
         totals = []
         for bag in batch:
-            idx = select_instance(model, bag)
-            hist[idx] = hist.get(idx, 0) + 1
-            a = model.activations([bag.instances[idx]], train=True)
+            with model.handover():
+                idx = select_instance(model, bag)
+                hist[idx] = hist.get(idx, 0) + 1
+                a = model.activations([bag.instances[idx]], train=True)
             total = margin_loss(a, label_vector(bag.labels, model.E)[None])[0]
             if not np.isfinite(total.data):
                 raise NonFiniteError(

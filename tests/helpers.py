@@ -580,15 +580,18 @@ def write_json_checkpoint(path, model: Model) -> None:
 def train_epoch_reference(model: Model, bags, optimizer, config: TrainConfig,
                           epoch: int) -> EpochStats:
     """The batch-wide tape: every bag's graph stays alive until one backward
-    of the batch's mean loss. `train_epoch` must match it bit for bit."""
+    of the batch's mean loss. Each bag's selection and train forward share
+    one `Model.handover` block, as in `train_epoch`, which must match it
+    bit for bit."""
     losses: list[float] = []
     hist: dict[int, int] = {}
     for batch in batch_iter(bags, config.batch_size, seed=config.seed + epoch):
         bag_losses = []
         for bag in batch:
-            idx = select_instance(model, bag)
-            hist[idx] = hist.get(idx, 0) + 1
-            a = model.activations([bag.instances[idx]], train=True)
+            with model.handover():
+                idx = select_instance(model, bag)
+                hist[idx] = hist.get(idx, 0) + 1
+                a = model.activations([bag.instances[idx]], train=True)
             y = label_vector(bag.labels, model.E)[None]
             total, _ = margin_loss(a, y)
             if not np.isfinite(total.data):
