@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 Before it reads any data, each command passes every path it reads or
 writes through `config.require_path`, named by the config field or the
 flag that gave it, so a missing input, a directory given as a file or a
-file given as a directory exits 2 naming its source.
+file given as a directory exits 2 naming its source; so does a file it
+writes that is a file it reads or another it writes, naming both.
 """
 
 from __future__ import annotations
@@ -37,16 +38,22 @@ def _load_run_config(path: str) -> RunConfig:
     return RunConfig.from_dict(obj)
 
 
-def _require_paths(cfg: RunConfig, args, **uses: str) -> None:
-    """Check every path the command reads or writes, before any data is
-    read: the file `--out` names or else `output_dir`, each field in `uses`
-    for its use, then the data inputs, the entity file only when it is set.
-    A `--corpus` or `--checkpoint` that is given replaces its field and is
-    named in its place."""
+def _require_paths(cfg: RunConfig, args, outputs: tuple[str, ...],
+                   **uses: str) -> list[str]:
+    """Check every path the command reads or writes before any data is
+    read: `--out` or else `output_dir`, each field in `uses` for its use,
+    then the data inputs, the entity file only when it is set. A `--corpus`
+    or `--checkpoint` that is given replaces its field and is named in its
+    place. No file written may be one read, `--config` too, or another one
+    written. Return `--out`, or else the paths of `outputs` in `output_dir`."""
     if getattr(args, "out", None):
         require_path(args.out, "--out", "write")
+        files = [("--out", args.out, "write")]
     else:
-        cfg.require("output_dir", "make")
+        require_path(cfg.output_dir, "config field 'output_dir'", "make")
+        files = [(f"{name} in config field 'output_dir'",
+                  os.path.join(cfg.output_dir, name), "write")
+                 for name in outputs]
     reads = ["corpus", "word_embeddings", "relation_embeddings"]
     if cfg.entity_embeddings:
         reads.append("entity_embeddings")
@@ -54,9 +61,23 @@ def _require_paths(cfg: RunConfig, args, **uses: str) -> None:
         flag = getattr(args, name, None)
         if flag:
             setattr(cfg, name, flag)
-            require_path(flag, f"--{name}", use)
-        else:
-            cfg.require(name, use)
+        what = f"--{name}" if flag else f"config field {name!r}"
+        require_path(getattr(cfg, name), what, use)
+        files.append((what, getattr(cfg, name), use))
+    files.append(("--config", args.config, "read"))
+    for i, (what, path, use) in enumerate(files):
+        for other, other_path, other_use in files[:i]:
+            if "write" in (use, other_use) and _same_file(path, other_path):
+                raise ConfigError(f"{other}: {other_path} is the file of "
+                                  f"{what}, {path}, which the command {use}s")
+    return [path for _, path, _ in files[:len(outputs)]]
+
+
+def _same_file(a: str, b: str) -> bool:
+    """`os.path.samefile` where both paths exist, else equal real paths."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _load_store(cfg: RunConfig, entities: bool = False) -> EmbeddingStore:
@@ -105,17 +126,18 @@ def _load_trained(cfg: RunConfig, use: str, entities: bool = False,
 def _evaluate(model: Model, corpus: Corpus):
     """Score every bag; return the PR curve, its AUC and precision@recall."""
     curve = evaluation.pr_curve(evaluation.decisions_from_scores(
-        (bag, model.bag_scores(bag)) for bag in corpus.bags))
+        (bag, rows.max(axis=0))
+        for bag, rows in zip(corpus.bags, model.scores(corpus.bags))))
     return curve, evaluation.auc(curve), evaluation.precision_at(curve)
 
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
-    _require_paths(cfg, args, checkpoint="write")
+    log_path, = _require_paths(cfg, args, ("train_log.jsonl",),
+                               checkpoint="write")
     store = _load_store(cfg)
     corpus = _load_corpus(cfg, store, cfg.train, "train on")
     model = Model(cfg.train, store)
-    log_path = os.path.join(cfg.output_dir, "train_log.jsonl")
     records = [json.dumps({"run_config": cfg.to_dict()}, sort_keys=True)]
     _write_output(log_path, records[0] + "\n")
 
@@ -138,14 +160,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args.config)
-    _require_paths(cfg, args, checkpoint="read")
+    metrics_path, curve_path = _require_paths(
+        cfg, args, ("metrics.json", "pr_curve.csv"), checkpoint="read")
     _, corpus, model = _load_trained(cfg, "evaluate", scored=True)
     curve, auc, precisions = _evaluate(model, corpus)
     metrics = json.dumps({"auc": auc, **{f"p@{r}": p for r, p in
                                          precisions.items()}}, sort_keys=True)
-    _write_output(os.path.join(cfg.output_dir, "metrics.json"), metrics + "\n")
-    _write_output(os.path.join(cfg.output_dir, "pr_curve.csv"),
-                  evaluation.curve_csv(curve))
+    _write_output(metrics_path, metrics + "\n")
+    _write_output(curve_path, evaluation.curve_csv(curve))
     print(metrics)
     return 0
 
@@ -159,14 +181,14 @@ def cmd_predict(args) -> int:
             raise ConfigError("--threshold applies only with --multi: plain "
                               "predict ranks every relation")
         TrainConfig(threshold=args.threshold)   # its range, before any read
-    _require_paths(cfg, args, checkpoint="read")
+    out, = _require_paths(cfg, args, ("predictions.jsonl",), checkpoint="read")
     store, corpus, model = _load_trained(cfg, "predict on", args.multi)
     # decode with the checkpoint's fields; --threshold replaces its threshold
     threshold = (model.config.threshold if args.threshold is None
                  else args.threshold)
     lines = []
-    for bag in corpus.bags:
-        scores = model.bag_scores(bag)
+    for bag, rows in zip(corpus.bags, model.scores(corpus.bags)):
+        scores = rows.max(axis=0)
         # single mode ranks every relation and assigns no pair
         if args.multi:
             picked = prediction.predict_multi(scores, threshold)
@@ -179,8 +201,7 @@ def cmd_predict(args) -> int:
             entry["name"] = store.relation_names[entry["id"]]
         lines.append(json.dumps(
             {"key": [list(p) for p in bag.key], "relations": rels}))
-    _write_output(args.out or os.path.join(cfg.output_dir, "predictions.jsonl"),
-                  "\n".join(lines) + "\n")
+    _write_output(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -202,7 +223,7 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args.config)
-    _require_paths(cfg, args)
+    out, = _require_paths(cfg, args, ("sweep.md",))
     store = _load_store(cfg)
     corpus = _load_corpus(cfg, store, cfg.train, "train on", scored=True)
     grid = [{"routing_iters": it, "d": d} for it in args.iters for d in args.dims]
@@ -216,7 +237,7 @@ def cmd_sweep(args) -> int:
     report = (f"Scored on the training corpus {cfg.corpus}.\n\n"
               + evaluation.sweep_markdown(
                   evaluation.experiment_sweep(cfg.train, grid, run_point)))
-    _write_output(args.out or os.path.join(cfg.output_dir, "sweep.md"), report)
+    _write_output(out, report)
     print(report)
     return 0
 

@@ -119,10 +119,6 @@ class RunConfig:
         paths = dataclasses.asdict(self)
         return {**paths.pop("train"), **paths}
 
-    def require(self, name: str, use: str) -> None:
-        """`require_path` on the path of field `name`, naming the field."""
-        require_path(getattr(self, name), f"config field {name!r}", use)
-
 
 def require_path(path: str, what: str, use: str) -> None:
     """Raise `ConfigError` naming `what` unless `path` can serve `use`.

@@ -8,10 +8,10 @@ switches replace attention with the identity and the capsule stack with
 a sigmoid dense head (one tape node) over the mean-pooled sequence.
 `Model.activations` is the one forward: it takes a list of N sentences,
 packs their rows one after another, passes their lengths to every layer
-that splits rows into sentences, and returns N x E. Selection and
-evaluation score a bag's instances with one no-grad call, and training
-calls it on the selected sentence alone, inside `handover`: there the
-train call adopts the Bi-LSTM runs selection computed for that sentence.
+that splits rows into sentences, and returns N x E. Eval, predict and
+selection score bags through one no-grad entry, `Model.scores`, one call
+per bag; training calls `activations` on the selected sentence alone,
+inside `handover`, and adopts the Bi-LSTM runs selection computed for it.
 """
 
 from __future__ import annotations
@@ -165,15 +165,15 @@ class Model:
         return caps.dynamic_routing(factors, a_hat, cfg.routing_iters,
                                     [(n + 1) * cfg.C for n in lengths])[1]
 
-    def instance_scores(self, bag) -> np.ndarray:
-        """Eval-mode activations of each of the bag's N instances, N x E,
-        from one no-grad `activations` pass."""
+    def scores(self, bags) -> list[np.ndarray]:
+        """Eval-mode activations of each bag's N_i instances, N_i x E, in
+        the order of `bags`: one no-grad `activations` pass per bag."""
         with no_grad():
-            return self.activations(bag.instances).data
+            return [self.activations(bag.instances).data for bag in bags]
 
     def bag_scores(self, bag) -> np.ndarray:
         """Eval-mode per-relation score: max over the bag's instances."""
-        return self.instance_scores(bag).max(axis=0)
+        return self.scores([bag])[0].max(axis=0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ def select_instance(model: Model, bag: Bag) -> int:
     if len(bag.instances) == 1:
         return 0
     gold = sorted(bag.labels)
-    return int(model.instance_scores(bag)[:, gold].max(axis=1).argmax())
+    return int(model.scores([bag])[0][:, gold].max(axis=1).argmax())
 
 
 @dataclass

@@ -5,10 +5,12 @@ import json
 import os
 import re
 import shlex
+import shutil
 
 import pytest
 
 from capsrel import cli, synth
+from capsrel.autodiff import recording
 from capsrel.cli import main
 from capsrel.config import RunConfig, TrainConfig, require_path
 from capsrel.data import load_corpus, load_embeddings
@@ -583,6 +585,143 @@ class TestInputPaths:
         assert f"config error: --config: {cfg_path} is not UTF-8 JSON" in err
 
 
+class TestOwnFiles:
+    """A file a command writes must not be a file it reads, `--config`
+    included, or another file it writes. The colliding pair exits 2 naming
+    both sources before any data is read, and every file keeps its bytes.
+    Paths are the same file if `os.path.samefile` says so where both
+    exist, else if they resolve to one path."""
+
+    DATA = ("corpus.jsonl", "words.txt", "entities.txt", "relations.txt")
+    OUT = "config field 'output_dir'"
+
+    # id: command, config fields, flags, symlinks, where the run config
+    # lies, and the two sources the error names; paths are relative to
+    # the test's directory, and fields name the copies of the data in data/
+    CASES = {
+        "train-checkpoint-is-corpus": (
+            "train", {"checkpoint": "data/corpus.jsonl"}, [], {}, "run.json",
+            ("config field 'checkpoint'", "config field 'corpus'")),
+        "train-checkpoint-is-config-through-dotdot": (
+            "train", {"checkpoint": "data/../run.json"}, [], {}, "run.json",
+            ("config field 'checkpoint'", "--config")),
+        "train-checkpoint-is-log-through-dotdot": (
+            "train", {"checkpoint": "data/../out/train_log.jsonl"}, [], {},
+            "run.json", (f"train_log.jsonl in {OUT}",
+                         "config field 'checkpoint'")),
+        "train-checkpoint-is-log-through-linked-dir": (
+            "train", {"checkpoint": "link/train_log.jsonl"}, [],
+            {"link": "out"}, "run.json",
+            (f"train_log.jsonl in {OUT}", "config field 'checkpoint'")),
+        "train-log-links-to-words": (
+            "train", {}, [], {"out/train_log.jsonl": "data/words.txt"},
+            "run.json",
+            (f"train_log.jsonl in {OUT}", "config field 'word_embeddings'")),
+        "eval-metrics-links-to-checkpoint": (
+            "eval", {}, [], {"out/metrics.json": "model.ckpt"}, "run.json",
+            (f"metrics.json in {OUT}", "config field 'checkpoint'")),
+        "eval-metrics-links-to-curve": (
+            "eval", {}, [], {"out/metrics.json": "out/pr_curve.csv"},
+            "run.json", (f"metrics.json in {OUT}", f"pr_curve.csv in {OUT}")),
+        "eval-curve-is-corpus-flag": (
+            "eval", {}, ["--corpus", "out/pr_curve.csv"], {}, "run.json",
+            (f"pr_curve.csv in {OUT}", "--corpus")),
+        "predict-out-is-checkpoint": (
+            "predict", {}, ["--out", "model.ckpt"], {}, "run.json",
+            ("--out", "config field 'checkpoint'")),
+        "predict-out-is-checkpoint-flag": (
+            "predict", {}, ["--checkpoint", "out/pr_curve.csv",
+                            "--out", "out/pr_curve.csv"], {}, "run.json",
+            ("--out", "--checkpoint")),
+        "predict-out-is-words": (
+            "predict", {}, ["--out", "data/words.txt"], {}, "run.json",
+            ("--out", "config field 'word_embeddings'")),
+        "predict-multi-out-is-entities-through-dotdot": (
+            "predict", {}, ["--multi", "--out", "out/../data/entities.txt"],
+            {}, "run.json", ("--out", "config field 'entity_embeddings'")),
+        "predict-out-links-to-relations": (
+            "predict", {}, ["--out", "out/p.jsonl"],
+            {"out/p.jsonl": "data/relations.txt"}, "run.json",
+            ("--out", "config field 'relation_embeddings'")),
+        "predict-writes-its-config": (
+            "predict", {}, [], {}, "out/predictions.jsonl",
+            (f"predictions.jsonl in {OUT}", "--config")),
+        "sweep-out-is-corpus": (
+            "sweep", {}, ["--out", "data/corpus.jsonl"], {}, "run.json",
+            ("--out", "config field 'corpus'")),
+        "sweep-out-links-to-config": (
+            "sweep", {}, ["--out", "out/report.md"],
+            {"out/report.md": "run.json"}, "run.json", ("--out", "--config")),
+        "sweep-report-is-config-through-linked-dir": (
+            "sweep", {"output_dir": "link"}, [], {"link": "data"},
+            "data/sweep.md", (f"sweep.md in {OUT}", "--config")),
+    }
+
+    @pytest.fixture()
+    def no_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read before the paths were checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", refuse)
+
+    @staticmethod
+    def contents(root):
+        """Every file under `root`, symlinks by their target, with its
+        bytes."""
+        found = {}
+        for path in sorted(root.rglob("*")):
+            if path.is_symlink():
+                found[str(path)] = os.readlink(path)
+            elif path.is_file():
+                found[str(path)] = path.read_bytes()
+        return found
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_exits_2_naming_both_and_keeps_every_byte(
+            self, workspace, tmp_path, capsys, no_read, case):
+        command, fields, flags, links, config_at, sources = case
+        _, cfg, _ = workspace
+        (tmp_path / "data").mkdir()
+        (tmp_path / "out").mkdir()
+        for name in self.DATA:
+            shutil.copy(os.path.join(os.path.dirname(cfg["corpus"]), name),
+                        tmp_path / "data")
+        (tmp_path / "model.ckpt").write_bytes(b"CAPSREL1 checkpoint bytes")
+        (tmp_path / "out" / "pr_curve.csv").write_text("recall,precision\n")
+        for link, target in links.items():
+            (tmp_path / link).symlink_to(tmp_path / target)
+        run_cfg = dict(cfg, checkpoint=str(tmp_path / "model.ckpt"),
+                       output_dir=str(tmp_path / "out"),
+                       **{name: str(tmp_path / "data" / os.path.basename(
+                           cfg[name])) for name in (
+                               "corpus", "word_embeddings",
+                               "entity_embeddings", "relation_embeddings")})
+        run_cfg.update({k: str(tmp_path / v) for k, v in fields.items()})
+        cfg_path = tmp_path / config_at
+        cfg_path.write_text(json.dumps(run_cfg))
+        before = self.contents(tmp_path)
+        argv = [command, "--config", str(cfg_path)]
+        argv += [flag if flag.startswith("--") else str(tmp_path / flag)
+                 for flag in flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {sources[0]}: "), err
+        assert f"is the file of {sources[1]}, " in err
+        assert self.contents(tmp_path) == before
+
+    def test_files_that_differ_pass_the_rule(self, workspace, tmp_path):
+        # a name of an input, in another directory, is another file
+        _, cfg, _ = workspace
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(
+            cfg, checkpoint=str(tmp_path / "out" / "corpus.jsonl"),
+            output_dir=str(tmp_path / "out"))))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["eval", "--config", str(cfg_path), "--corpus",
+                     cfg["corpus"]]) == 0
+        assert main(["predict", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "words.txt")]) == 0
+
+
 class TestNoGoldPositive:
     """A corpus that `eval` or `sweep` would score needs a bag with a gold
     label other than NA; one without exits 1 naming it before any scoring
@@ -609,7 +748,7 @@ class TestNoGoldPositive:
 
         def no_scoring(*args, **kwargs):
             raise AssertionError("a bag was scored")
-        monkeypatch.setattr(Model, "bag_scores", no_scoring)
+        monkeypatch.setattr(Model, "scores", no_scoring)
         assert main(["eval", "--config", str(cfg_path),
                      "--corpus", str(corpus)]) == 1
         assert f"zero gold positives in {corpus}" in capsys.readouterr().err
@@ -950,3 +1089,43 @@ class TestEntityFile:
                      "--out", str(tmp_path / "multi.jsonl")]) == 1
         assert f"{entities}:1:" in capsys.readouterr().err
         assert not (tmp_path / "multi.jsonl").exists()
+
+
+class TestOneScoringEntry:
+    """Every no-grad `Model.activations` call that `eval`, `predict`,
+    `sweep` and a training epoch make is made inside `Model.scores`."""
+
+    def test_every_no_grad_pass_is_made_inside_scores(self, workspace,
+                                                      tmp_path, monkeypatch):
+        _, cfg, _ = workspace
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(
+            cfg, checkpoint=str(tmp_path / "m.ckpt"),
+            output_dir=str(tmp_path / "out"))))
+        inside = []             # one entry per no-grad `activations` call
+        depth = [0]
+
+        def scores(self, bags, fn=Model.scores):
+            depth[0] += 1
+            try:
+                return fn(self, bags)
+            finally:
+                depth[0] -= 1
+
+        def activations(self, insts, train=False, fn=Model.activations):
+            if not recording([self.params["word_emb"]]):
+                inside.append(depth[0] > 0)
+            return fn(self, insts, train)
+        monkeypatch.setattr(Model, "scores", scores)
+        monkeypatch.setattr(Model, "activations", activations)
+        runs = {"train": [], "eval": [], "predict": [],
+                "predict --multi": ["--multi"],
+                "sweep": ["--iters", "1", "--dims", "2", "--out",
+                          str(tmp_path / "sweep.md")]}
+        for name, flags in runs.items():
+            inside.clear()
+            command = name.split()[0]
+            assert main([command, "--config", str(cfg_path), *flags]) == 0
+            # the corpus holds bags of 2 and 3 sentences, so a training
+            # epoch scores too
+            assert inside and all(inside), name

@@ -158,7 +158,7 @@ class TestOncePerSentence:
         model = tiny_model(seed=1)
         bag = mixed_bags()[2]
         model.bag_scores(bag)
-        model.instance_scores(bag)
+        model.scores([bag])
         assert keeps == [False] * 4
 
     def test_train_call_on_a_sentence_not_just_scored_runs_fresh(
@@ -167,13 +167,13 @@ class TestOncePerSentence:
         model = tiny_model(seed=1)
         bag = mixed_bags()[2]
         with model.handover():
-            model.instance_scores(bag)
+            model.scores([bag])
             model.activations([copy.copy(bag.instances[0])], train=True)
         with model.handover():
-            model.instance_scores(bag)
+            model.scores([bag])
             model.activations(bag.instances[:2], train=True)
         with model.handover():
-            model.instance_scores(bag)
+            model.scores([bag])
             model.activations([bag.instances[1]], train=True)   # adopted
             model.activations([bag.instances[1]], train=True)   # dropped
         assert keeps == 3 * [encoder.RUN, encoder.RUN, True, True]

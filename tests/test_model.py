@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsrel import encoder
-from capsrel.autodiff import ShapeError, Tensor, grad_check, no_grad
+from capsrel.autodiff import (ShapeError, Tensor, grad_check, no_grad,
+                              recording)
 from capsrel.capsule import dynamic_routing, primary_capsules, votes
 from capsrel.data import Bag
 from capsrel.encoder import bilstm, sentence_bounds, word_attention
@@ -120,14 +121,14 @@ def bag_cases(draw):
 
 
 class TestBagPass:
-    """`instance_scores` runs a bag's N sentences as one pass: each row is
+    """`scores` runs a bag's N sentences as one pass: each row is
     the sentence's own eval activations."""
 
     @given(bag_cases())
     @settings(max_examples=60, deadline=None)
     def test_each_row_equals_the_oracle_and_its_own_n1_call(self, case):
         model, bag = case
-        scores = model.instance_scores(bag)
+        scores = model.scores([bag])[0]
         assert scores.shape == (len(bag.instances), model.E)
         with no_grad():
             for row, inst in zip(scores, bag.instances):
@@ -146,12 +147,12 @@ class TestBagPass:
         grown = Bag(key=bag.key, labels=bag.labels,
                     instances=bag.instances[:at] + [longer]
                     + bag.instances[at:])
-        scores, grown_scores = (model.instance_scores(b) for b in (bag, grown))
+        scores, grown_scores = model.scores([bag, grown])
         for k, row in enumerate(scores):
             assert relative_gap(grown_scores[k + (k >= at)], row) <= 1e-12
 
     @pytest.mark.parametrize("select", [False, True],
-                             ids=["instance_scores", "select_instance"])
+                             ids=["scores", "select_instance"])
     def test_one_bilstm_call_per_bag(self, monkeypatch, select):
         calls = []
 
@@ -164,7 +165,7 @@ class TestBagPass:
         if select:
             select_instance(model, bag)
         else:
-            model.instance_scores(bag)
+            model.scores([bag])
         assert calls == [14]
 
     @pytest.mark.parametrize("lengths", [(2, 1), (1, 3, 2)])
@@ -189,6 +190,41 @@ class TestBagPass:
                     model.params[name] = old
             probe = Tensor(model.params[name].data.copy())
             assert grad_check(f, probe) < 1e-6, name
+
+
+# -- the one no-grad entry -----------------------------------------------------
+
+
+@st.composite
+def bag_lists(draw):
+    """A model and a list of 0 to 4 bags for it, each of 1 to 5 sentences
+    of 1 to L tokens, lengths mixed and repeated."""
+    model = draw(models())
+    cfg = model.config
+    return model, [
+        bag_of(draw(st.lists(st.integers(1, cfg.L), min_size=1, max_size=5)),
+               M=cfg.M, L=cfg.L, seed=cfg.seed + k)
+        for k in range(draw(st.integers(0, 4)))]
+
+
+class TestScores:
+    """`scores(bags)`, which eval, predict and selection all call, gives
+    each bag's rows from that bag's own no-grad `activations` call."""
+
+    @given(bag_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_one_array_per_bag_bit_equal_to_its_own_call(self, case):
+        model, bags = case
+        scores = model.scores(bags)
+        assert recording([model.params["word_emb"]])
+        assert len(scores) == len(bags)
+        for rows, bag in zip(scores, bags):
+            with no_grad():
+                own = model.activations(bag.instances).data
+            assert rows.shape == own.shape == (len(bag.instances), model.E)
+            assert rows.tobytes() == own.tobytes()
+            assert (model.bag_scores(bag).tobytes()
+                    == model.scores([bag])[0].max(axis=0).tobytes())
 
 
 def packed(composed, lengths, split=(0,), as_rows=False):

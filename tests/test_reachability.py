@@ -23,8 +23,11 @@ import numpy as np
 import capsrel
 from capsrel import autodiff, cli
 
-# Reached by no command, yet kept in `src/`: none.
-ALLOWED: set[str] = set()
+# Reached by no command, yet kept in `src/`, each with its reason.
+ALLOWED = {
+    # bench/run.py calls it until ROADMAP item 1 moves the bench to `scores`
+    "capsrel.model.Model.bag_scores",
+}
 
 # Classes whose `__init__`-assigned attributes are recorded like fields.
 # `Tensor` is left out: its attributes are read on every op.

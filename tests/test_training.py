@@ -158,10 +158,10 @@ class TestSelectInstance:
 
     def test_scores_gold_relations_only_and_ties_go_low(self):
         class FixedScores:
-            def instance_scores(self, bag):
-                return np.array([[0.9, 0.1, 0.2],
-                                 [0.1, 0.3, 0.2],
-                                 [0.8, 0.1, 0.3]])
+            def scores(self, bags):
+                return [np.array([[0.9, 0.1, 0.2],
+                                  [0.1, 0.3, 0.2],
+                                  [0.8, 0.1, 0.3]])]
         bag = Bag(key=(), instances=[None] * 3, labels={1, 2})
         assert select_instance(FixedScores(), bag) == 1
 
@@ -178,7 +178,7 @@ class TestInstanceScores:
                  for s in (["alpha", "E1", "E2"], ["E1", "beta", "E2"],
                            ["gamma", "E1", "delta", "E2"])]
         bag = Bag(key=insts[0].key, instances=insts, labels={1})
-        scores = model.instance_scores(bag)
+        scores = model.scores([bag])[0]
         with no_grad():
             expected = np.stack([model.activations([i]).data[0]
                                  for i in insts])
