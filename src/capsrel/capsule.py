@@ -137,11 +137,14 @@ def _route(factors, a: np.ndarray, iterations: int, keep: bool):
     the factors' gradients as it forms it, never forming the E x d x H sum.
     """
     b = np.zeros((len(factors[1]), len(a)))  # row j: parent j's logits
+    # the first logits are all zero, so their softmax is exactly 1/E (exp(0)
+    # = 1, summed to exactly E); the backward never differentiates it
+    p, p_backward = np.full(b.shape, 1.0 / len(b)), None
     steps = []                      # per iteration: softmax and squash kernels
     for it in range(iterations):
         if it:
             b = b + _agreement(factors, v)
-        p, p_backward = softmax(b)
+            p, p_backward = softmax(b)
         s = _parent_sum(factors, a * p)
         v, v_backward = _squash(s)
         if keep:

@@ -15,6 +15,7 @@ from capsrel.capsule import capsule_length, squash
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
                           parse_record)
+from capsrel.encoder import _activate_gates, _schedule
 from capsrel.evaluation import EvaluationError
 from capsrel.model import Model
 from capsrel.training import EpochStats, label_vector, margin_loss, select_instance
@@ -349,6 +350,32 @@ def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
         h = mul(o, tanh(c))
         rows[t] = reshape(h, (1, B))
     return concat(rows, axis=0)
+
+
+def lstm_single_product(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray,
+                        b: np.ndarray, lengths: np.ndarray, reverse: bool):
+    """`encoder._lstm`'s step loop with one `h @ Wh` product per step, as
+    it ran before the product was split into column blocks of `Wh`: the
+    states in row order and the step-major run (gates, cells, states)."""
+    rows, steps, _ = _schedule(lengths, reverse)
+    N, T, B = len(lengths), len(rows), Wh.shape[0]
+    gates = X[rows] @ Wx
+    gates += b
+    hs, cs = np.zeros((T + 1, B)), np.zeros((T + 1, B))
+    recurrent, ig = np.empty((N, 4 * B)), np.empty((N, B))
+    c = np.zeros((N, B))
+    for at, n in steps:
+        z = gates[at:at + n]
+        if at:
+            np.matmul(h[:n], Wh, out=recurrent[:n])
+            z += recurrent[:n]
+        i, f, g, o = _activate_gates(z.reshape(n, 4, B)).transpose(1, 0, 2)
+        np.multiply(f, c[:n], out=cs[at:at + n])
+        c = cs[at:at + n]
+        c += np.multiply(i, g, out=ig[:n])
+        h = np.tanh(c, out=hs[at:at + n])
+        h *= o
+    return hs[np.argsort(rows)], (gates.reshape(T, 4, B), cs, hs)
 
 
 def bilstm_composed(X: Tensor, fwd, bwd) -> Tensor:

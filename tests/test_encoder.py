@@ -1,6 +1,7 @@
 """Embedding lookup, Bi-LSTM recurrence, word-level attention."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from capsrel import encoder
 from capsrel.autodiff import (ContractViolation, ShapeError, Tensor, grad_check,
                               no_grad)
-from capsrel.data import SentenceInstance, missing_bucket
-from capsrel.encoder import (_activate_gates, _lstm, bilstm, embed,
-                             word_attention)
+from capsrel.data import Bag, SentenceInstance, missing_bucket
+from capsrel.encoder import (RUN, _activate_gates, _bptt, _lstm, _schedule,
+                             bilstm, embed, sentence_runs, word_attention)
 from capsrel.training import label_vector, margin_loss
 from helpers import (bilstm_composed, check_fused_node,
-                     embed_composed, make_instance, relative_gap, sigmoid,
-                     tape_nodes, tiny_model, tiny_store,
+                     embed_composed, lstm_direction_reference,
+                     lstm_single_product, make_instance, relative_gap,
+                     sigmoid, tape_nodes, tiny_model, tiny_store,
                      word_attention_composed)
 
 
@@ -329,6 +331,139 @@ class TestLstmSequence:
             y = label_vector({1}, 3)[None]
             counts.append(tape_nodes(margin_loss(a, y)[0]))
         assert counts == [nodes, nodes]
+
+
+@st.composite
+def blocked_directions(draw):
+    """One LSTM direction whose 4B gate columns span two or more blocks of
+    `encoder._WH_BLOCK` columns, the last one partial at B = 61: X, Wx,
+    Wh, b, the lengths of 1-4 sentences of 1-20 tokens, and `reverse`."""
+    B = draw(st.sampled_from([61, 300]))
+    lengths = np.array(draw(st.lists(st.integers(1, 20), min_size=1,
+                                     max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    V = 7
+    return (rng.normal(size=(lengths.sum(), V)),
+            rng.normal(0, V ** -0.5, (V, 4 * B)),
+            rng.normal(0, 2 * B ** -0.5, (B, 4 * B)),
+            rng.normal(0, 0.5, 4 * B), lengths, draw(st.booleans()))
+
+
+def direction_reference(X, Wx, Wh, b, lengths, reverse, dH):
+    """`lstm_direction_reference` run on each sentence of `lengths` on its
+    own: the states, and the gradients (dX, dWx, dWh, db) of the states
+    weighted by dH."""
+    weights = [Tensor(w, requires_grad=True) for w in (Wx, Wh, b)]
+    states, dX = [], []
+    for lo, hi in encoder.sentence_bounds(lengths):
+        x = Tensor(X[lo:hi], requires_grad=True)
+        h = lstm_direction_reference(x, *weights, reverse)
+        (h * Tensor(dH[lo:hi])).sum().backward()
+        states.append(h.data)
+        dX.append(x.grad)
+    return (np.concatenate(states),
+            [np.concatenate(dX), *(w.grad for w in weights)])
+
+
+def assert_matches_reference(h, grads, ref_h, ref_grads, tol=1e-10):
+    np.testing.assert_allclose(h, ref_h, rtol=tol, atol=tol)
+    for k, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert relative_gap(g, ref) <= tol, k
+        np.testing.assert_allclose(g, ref, rtol=tol, atol=tol, err_msg=str(k))
+
+
+class TestBlockedProduct:
+    """`_lstm` multiplies each step's states by `Wh` in column blocks.
+    Widths where 4B spans several blocks, against the per-step reference
+    and the single-product loop of tests/helpers.py."""
+
+    def test_drawn_widths_span_blocks_and_end_on_a_partial_one(self):
+        assert 4 * 61 > encoder._WH_BLOCK and 4 * 61 % encoder._WH_BLOCK
+        assert 4 * 300 >= 2 * encoder._WH_BLOCK
+
+    @given(blocked_directions())
+    @settings(max_examples=40, deadline=None)
+    def test_every_keep_matches_the_single_product_loop(self, case):
+        # states within 1e-15 of the largest |state|, and each array of
+        # the run within 1e-15 of its own largest entry
+        ref_h, ref_run = lstm_single_product(*case)
+        h, backward = _lstm(*case, keep=False)
+        h_kept, _ = _lstm(*case, keep=True)
+        h_run, run = _lstm(*case, keep=RUN)
+        assert backward is None
+        np.testing.assert_array_equal(h_kept, h)
+        np.testing.assert_array_equal(h_run, h)
+        assert np.abs(h - ref_h).max() <= 1e-15 * np.abs(ref_h).max()
+        for part, ref in zip(run, ref_run):
+            assert part.shape == ref.shape
+            assert np.abs(part - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @given(blocked_directions(), st.integers(0, 2 ** 16))
+    @settings(max_examples=15, deadline=None)
+    def test_states_and_gradients_match_per_step_reference(self, case, seed):
+        dH = np.random.default_rng(seed).normal(size=(len(case[0]),
+                                                      case[2].shape[0]))
+        h, backward = _lstm(*case, keep=True)
+        assert_matches_reference(h, backward(dH),
+                                 *direction_reference(*case, dH))
+
+    @given(blocked_directions(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_adopted_sentence_run_matches_per_step_reference(self, case,
+                                                             data):
+        # the run of a pass over every sentence, cut to sentence k and
+        # adopted through `_bptt` as the train step's `bilstm` adopts it
+        X, Wx, Wh, b, lengths, reverse = case
+        k = data.draw(st.integers(0, len(lengths) - 1))
+        lo, hi = encoder.sentence_bounds(lengths)[k]
+        dH = np.random.default_rng(k).normal(size=(hi - lo, Wh.shape[0]))
+        _, run = _lstm(*case, keep=RUN)
+        [own] = sentence_runs([run], lengths, k)
+        one = lengths[k:k + 1]
+        h, backward = _bptt(X[lo:hi], Wx, Wh, _schedule(one, reverse), own,
+                            keep=True)
+        assert_matches_reference(
+            h, backward(dH),
+            *direction_reference(X[lo:hi], Wx, Wh, b, one, reverse, dH))
+
+    def test_scores_follow_an_in_place_update_of_wh(self):
+        # the optimizer updates `Wh.data` in place, so a copy of its blocks
+        # kept past one call would score the next with stale weights
+        model = tiny_model(B=61)
+        bag = Bag(key=(), labels={1}, instances=[
+            make_instance(["alpha", "E1"] + ["beta"] * n + ["E2"])
+            for n in (1, 4)])
+        before = model.scores([bag])[0]
+        for name in ("lstm_fwd_Wh", "lstm_bwd_Wh"):
+            model.params[name].data *= -2.0
+        after = model.scores([bag])[0]
+        fresh = tiny_model(B=61)
+        for name, p in model.params.items():
+            np.copyto(fresh.params[name].data, p.data)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh.scores([bag])[0])
+
+    def test_no_grad_peak_adds_at_most_one_wh(self, monkeypatch):
+        # one no-grad `bilstm` over a 119-token sentence at B = 300 holds
+        # at most one more `Wh` than the single-product loop
+        rng = np.random.default_rng(11)
+        B, V, L = 300, 70, 119
+        X = Tensor(rng.normal(size=(L, V)))
+        fwd, bwd = ([Tensor(rng.normal(0, 0.05, shape)) for shape in
+                     ((V, 4 * B), (B, 4 * B), (4 * B,))] for _ in range(2))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                with no_grad():
+                    bilstm(X, fwd, bwd, [L])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        blocked = peak()
+        monkeypatch.setattr(encoder, "_lstm", lambda *args, keep: (
+            lstm_single_product(*args)[0], None))
+        assert blocked <= peak() + B * 4 * B * 8
 
 
 class TestWordAttention:
