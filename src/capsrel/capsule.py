@@ -6,15 +6,19 @@ windows), producing H = (L+1)*C child capsules u_i of dimension d. Each
 of the E relation capsules has one transform, shared by every child: the
 vote of child i for parent j is u_hat[j, :, i] = Wc[j] @ u_i + b_hat[j].
 Routing-by-agreement iteratively couples children to parents. It reads
-the votes only through two contractions, the parent sum and the
-agreement, and forms both from the factors (u, Wc, b_hat), so the
-E x d x H vote tensor is never built. Primary capsules and routing take
-the rows of N sentences packed one after another and `lengths`, the rows
-of each: the windows of a sentence never cross into the next, and routing
-couples each sentence's children to its own E parents, one sentence at a
-time, so its E x H arrays stay the size of one sentence's. Capsules lie
-on the last axis. Primary capsules and routing are one tape node each,
-with a hand-written backward.
+the votes only through the factors (u, Wc, b_hat), so the E x d x H vote
+tensor is never built, and it works in their contracted space: with
+ua = [u | 1], a vote is [Wc[j] | b_hat[j]] ua_i. An iteration's logits
+are the agreements so far, summed as E x (d+1) rows, times ua^T: one
+E x H product. Its parent sum is one narrow product of the couplings with
+ua, which gives sum_i c u_i and sum_i c together. The first iteration's
+couplings are a_hat/E for every parent, so it forms no E x H array at all.
+Primary capsules and routing take the rows of N sentences packed one after
+another and `lengths`, the rows of each: the windows of a sentence never
+cross into the next, and routing couples each sentence's children to its
+own E parents, one sentence at a time, so its E x H arrays stay the size
+of one sentence's. Capsules lie on the last axis. Primary capsules and
+routing are one tape node each, with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from .autodiff import ContractViolation, ShapeError, Tensor, recording
-from .encoder import sentence_bounds, sentence_lengths, softmax
+from .encoder import sentence_bounds, sentence_lengths
 
 
 def _squash(x: np.ndarray):
@@ -112,62 +116,98 @@ def votes(u: Tensor, Wc: Tensor, b_hat: Tensor
     return u, Wc, b_hat
 
 
-def _parent_sum(factors, c: np.ndarray) -> np.ndarray:
-    """sum_i c[j, i] u_hat[j, :, i] over the votes (x, W, b) stand for:
-    W[j] (c[j] @ x) + b[j] sum_i c[j, i]; E x d, from E x H weights c."""
-    x, W, b = factors
-    return (W @ (c @ x)[:, :, None])[:, :, 0] + b * c.sum(axis=1)[:, None]
+def _expand(factors, y: np.ndarray) -> np.ndarray:
+    """W[j] y[j, :m] + b[j] y[j, m] over the votes (x, W, b) stand for:
+    E x d from contracted E x (m+1) rows y, whose rows may broadcast. On
+    y = c @ [x | 1] it is the parent sum sum_i c[j, i] u_hat[j, :, i]."""
+    _, W, b = factors
+    return (W @ y[:, :-1, None])[:, :, 0] + b * y[:, -1:]
 
 
-def _agreement(factors, v: np.ndarray) -> np.ndarray:
-    """v[j] . u_hat[j, :, i] over the votes (x, W, b) stand for:
-    (W[j]^T v[j]) . x[i] + v[j] . b[j]; E x H, from E x d vectors v."""
-    x, W, b = factors
-    return (v[:, None] @ W)[:, 0] @ x.T + (v * b).sum(axis=1, keepdims=True)
+def _contract(factors, v: np.ndarray) -> np.ndarray:
+    """[W[j]^T v[j] | v[j] . b[j]] over the votes (x, W, b) stand for:
+    E x (m+1) from E x d vectors v, the transpose of `_expand`. Its
+    `_agreement` with [x | 1] is v[j] . u_hat[j, :, i]."""
+    _, W, b = factors
+    return np.column_stack(((v[:, None] @ W)[:, 0], (v * b).sum(axis=1)))
+
+
+def _agreement(q: np.ndarray, xa: np.ndarray) -> np.ndarray:
+    """q[j] . xa[i] for every parent j and child i: the E x H product, the
+    only array of that size routing forms."""
+    return q @ xa.T
 
 
 def _route(factors, a: np.ndarray, iterations: int, keep: bool):
     """Routing over one sentence's children: the last parent inputs s
-    (E x d), and the backward, or None unless `keep` (then no iteration's
-    arrays outlive the next).
+    (E x d), and the backward, or None unless `keep`.
 
-    The backward maps the gradient of s to those of x, W, b and a. The
-    vote gradient is a sum of 2r - 1 outer products left[j] right[j]^T,
-    one per parent sum and one per agreement; the backward adds each into
-    the factors' gradients as it forms it, never forming the E x d x H sum.
+    It runs in the contracted space of xa = [x | 1] (H x (m+1)), in which
+    every vote is u_hat[j, :, i] = [W[j] | b[j]] xa[i]. The agreements
+    summed over the iterations so far are the E x (m+1) rows q, so each
+    iteration's logits are the one E x H product `_agreement(q, xa)`, and
+    its softmax over parents runs in place on it. The parent sum under
+    couplings c = a p is `_expand` of y = c @ xa = p @ (a xa), Sum_i c u_i
+    and Sum_i c in one product. The first couplings are the exact a/E, so
+    that iteration's y is (a/E) @ xa for every parent and it forms no E x H
+    array. `keep` holds each later iteration's softmax, iterations - 1
+    E x H arrays, and the E x (m+1) and E x d rest.
+
+    The backward maps the gradient of s to those of x, W, b and a. Per
+    later iteration it forms one E x H array, the gradient of the
+    couplings over a, runs the softmax backward on it in place, and reads
+    a's gradient, which is also the softmax's shift, off the H x (m+1)
+    product p^T gy it needs anyway; the first iteration's gradients are
+    column sums. The vote gradients arrive as E x d x m outer products,
+    so the E x d x H sum is never formed.
     """
-    b = np.zeros((len(factors[1]), len(a)))  # row j: parent j's logits
-    # the first logits are all zero, so their softmax is exactly 1/E (exp(0)
-    # = 1, summed to exactly E); the backward never differentiates it
-    p, p_backward = np.full(b.shape, 1.0 / len(b)), None
-    steps = []                      # per iteration: softmax and squash kernels
+    x, W, _ = factors
+    xa = np.column_stack((x, np.ones(len(x))))
+    ax = a[:, None] * xa            # c @ xa = p @ ax
+    inv_E = 1.0 / len(W)            # the exact softmax of all-zero logits
+    y = ((a * inv_E) @ xa)[None]    # one row stands for every parent
+    p, q = None, np.zeros((len(W), xa.shape[1]))
+    steps = []      # per iteration: softmax, agreements, parent sum, squash
     for it in range(iterations):
         if it:
-            b = b + _agreement(factors, v)
-            p, p_backward = softmax(b)
-        s = _parent_sum(factors, a * p)
+            q = q + _contract(factors, v)
+            p = _agreement(q, xa)
+            p -= p.max(axis=0)
+            np.exp(p, out=p)
+            p /= p.sum(axis=0)          # a division: the bits of e / e.sum()
+            y = p @ ax
+        s = _expand(factors, y)
         v, v_backward = _squash(s)
         if keep:
-            steps.append((p, p_backward, v, v_backward))
+            steps.append((p, q, y, v, v_backward))
 
     def backward(gs):
-        x, W, _ = factors
-        gx, gW, gb_hat, gb, ga = map(np.zeros_like, (*factors, b, a))
+        # gax is xa's gradient over a: x's gradient is a gax[:, :m]
+        gW, gb, gq, gax, ga = map(np.zeros_like, (*factors[1:], q, xa, a))
         for it in reversed(range(iterations)):
-            p, p_backward = steps[it][:2]
-            gc = _agreement(factors, gs)
-            terms = [(gs, a * p)]
-            ga += (gc * p).sum(axis=0)
-            if it:          # b = b_prev + agreement(v_prev)
-                gb = gb + p_backward(gc * a)
-                _, _, v, v_backward = steps[it - 1]
-                terms.append((v, gb))
-                gs = v_backward(_parent_sum(factors, gb))
-            for left, right in terms:       # left[j] right[j]^T per parent j
-                gx += right.T @ (left[:, None] @ W)[:, 0]
-                gW += left[:, :, None] * (right @ x)[:, None]
-                gb_hat += left * right.sum(axis=1)[:, None]
-        return gx, gW, gb_hat, ga
+            p, q_it, y = steps[it][:3]
+            gy = _contract(factors, gs)
+            gW += gs[:, :, None] * y[:, None, :-1]
+            gb += gs * y[:, -1:]
+            if not it:                  # y = (a/E) @ xa in every row
+                w = gy.sum(axis=0) * inv_E
+                ga += xa @ w
+                gax += w
+                break
+            g = _agreement(gy, xa)      # the couplings' gradient over a
+            py = p.T @ gy
+            r = (xa * py).sum(axis=1)   # sum_j g p: a's gradient, the shift
+            g -= r
+            g *= p                      # the logits' gradient over a
+            gq += g @ ax                # every earlier iteration's agreement
+            gax += py + g.T @ q_it
+            ga += r
+            del g               # before the next iteration forms its own
+            v, v_backward = steps[it - 1][3:]
+            gW += v[:, :, None] * gq[:, None, :-1]
+            gb += v * gq[:, -1:]
+            gs = v_backward(_expand(factors, gq))
+        return a[:, None] * gax[:, :-1], gW, gb, ga
     return s, backward if keep else None
 
 

@@ -11,11 +11,11 @@ import numpy as np
 
 from capsrel.autodiff import (NonFiniteError, ShapeError, Tensor, dropout,
                               grad_check)
-from capsrel.capsule import capsule_length, squash
+from capsrel.capsule import _squash, capsule_length, squash
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
                           parse_record)
-from capsrel.encoder import _activate_gates, _schedule
+from capsrel.encoder import _activate_gates, _schedule, softmax
 from capsrel.evaluation import EvaluationError
 from capsrel.model import Model
 from capsrel.training import EpochStats, label_vector, margin_loss, select_instance
@@ -52,6 +52,61 @@ def routing_reference(u_hat: np.ndarray, a_hat: np.ndarray,
             for j in range(E):
                 b[i, j] = b[i, j] + float(u_hat[i, j] @ v[j])
     return v, a
+
+
+def parent_sum_factored(factors, c: np.ndarray) -> np.ndarray:
+    """sum_i c[j, i] u_hat[j, :, i] over the votes (x, W, b) stand for:
+    W[j] (c[j] @ x) + b[j] sum_i c[j, i]; E x d, from E x H weights c."""
+    x, W, b = factors
+    return (W @ (c @ x)[:, :, None])[:, :, 0] + b * c.sum(axis=1)[:, None]
+
+
+def agreement_factored(factors, v: np.ndarray) -> np.ndarray:
+    """v[j] . u_hat[j, :, i] over the votes (x, W, b) stand for:
+    (W[j]^T v[j]) . x[i] + v[j] . b[j]; E x H, from E x d vectors v."""
+    x, W, b = factors
+    return (v[:, None] @ W)[:, 0] @ x.T + (v * b).sum(axis=1, keepdims=True)
+
+
+def route_per_iteration(factors, a: np.ndarray, iterations: int, keep: bool):
+    """`capsule._route` as it ran before it routed in the contracted space:
+    every iteration forms its E x H couplings, and the backward forms an
+    agreement per iteration and a parent sum between iterations, with
+    the same signature and `keep` convention. Kept only as an oracle.
+    """
+    b = np.zeros((len(factors[1]), len(a)))  # row j: parent j's logits
+    # the first logits are all zero, so their softmax is exactly 1/E (exp(0)
+    # = 1, summed to exactly E); the backward never differentiates it
+    p, p_backward = np.full(b.shape, 1.0 / len(b)), None
+    steps = []                      # per iteration: softmax and squash kernels
+    for it in range(iterations):
+        if it:
+            b = b + agreement_factored(factors, v)
+            p, p_backward = softmax(b)
+        s = parent_sum_factored(factors, a * p)
+        v, v_backward = _squash(s)
+        if keep:
+            steps.append((p, p_backward, v, v_backward))
+
+    def backward(gs):
+        x, W, _ = factors
+        gx, gW, gb_hat, gb, ga = map(np.zeros_like, (*factors, b, a))
+        for it in reversed(range(iterations)):
+            p, p_backward = steps[it][:2]
+            gc = agreement_factored(factors, gs)
+            terms = [(gs, a * p)]
+            ga += (gc * p).sum(axis=0)
+            if it:          # b = b_prev + agreement(v_prev)
+                gb = gb + p_backward(gc * a)
+                _, _, v, v_backward = steps[it - 1]
+                terms.append((v, gb))
+                gs = v_backward(parent_sum_factored(factors, gb))
+            for left, right in terms:       # left[j] right[j]^T per parent j
+                gx += right.T @ (left[:, None] @ W)[:, 0]
+                gW += left[:, :, None] * (right @ x)[:, None]
+                gb_hat += left * right.sum(axis=1)[:, None]
+        return gx, gW, gb_hat, ga
+    return s, backward if keep else None
 
 
 def relative_gap(x: np.ndarray, ref: np.ndarray) -> float:

@@ -16,7 +16,8 @@ from capsrel.capsule import (capsule_length, dynamic_routing, primary_capsules,
 from capsrel.training import margin_loss
 from helpers import (add, check_fused_node, dynamic_routing_composed,
                      primary_capsules_composed, relative_gap, reshape,
-                     routing_reference, vote_factors, votes_composed)
+                     route_per_iteration, routing_reference, vote_factors,
+                     votes_composed)
 
 
 class TestSquash:
@@ -182,21 +183,24 @@ class TestPrimaryCapsules:
 
 
 def assert_reads_as(factors, u_hat: np.ndarray, tol: float = 0.0) -> None:
-    """Routing's two contractions on factored votes give what they give on
-    the E x d x H votes u_hat: the parent sum under couplings that are
-    multiples of 1/8, and the agreement with each unit vector e_k, which
-    reads u_hat[:, k] back. Exact (tol 0) unless `tol` is given."""
+    """Routing's contractions on factored votes give what they give on the
+    E x d x H votes u_hat: the parent sum, `_expand` of the contracted
+    couplings c @ [x | 1], under couplings that are multiples of 1/8, and
+    the agreement of `_contract` with [x | 1] for each unit vector e_k,
+    which reads u_hat[:, k] back. Exact (tol 0) unless `tol` is given."""
     arrays = tuple(t.data for t in factors)
     E, d, H = u_hat.shape
+    xa = np.column_stack((arrays[0], np.ones(H)))
     c = np.random.default_rng(H).integers(0, 9, size=(E, H)) / 8.0
-    np.testing.assert_allclose(capsule._parent_sum(arrays, c),
+    np.testing.assert_allclose(capsule._expand(arrays, c @ xa),
                                (u_hat @ c[:, :, None])[:, :, 0],
                                rtol=tol, atol=tol)
     for k in range(d):
         unit = np.zeros((E, d))
         unit[:, k] = 1.0
-        np.testing.assert_allclose(capsule._agreement(arrays, unit),
-                                   u_hat[:, k], rtol=tol, atol=tol)
+        np.testing.assert_allclose(
+            capsule._agreement(capsule._contract(arrays, unit), xa),
+            u_hat[:, k], rtol=tol, atol=tol)
 
 
 class TestVotes:
@@ -407,21 +411,27 @@ class TestDynamicRouting:
         np.testing.assert_allclose(ap.data[0], a.data[0][perm], atol=1e-12)
 
     def test_couplings_per_child_sum_to_activation(self, monkeypatch):
-        # the couplings are the weights of each forward parent sum
-        parent_sum = capsule._parent_sum
-        couplings = []
+        # the couplings are the weights of each forward parent sum: on the
+        # factors (I_H, u_hat, 0) its contracted form c @ [I_H | 1] holds
+        # them in its first H columns (one row for every parent in the
+        # first iteration) and their sum over children in the last
+        expand = capsule._expand
+        contracted = []
 
-        def recording(u_hat, c):
-            couplings.append(c.copy())
-            return parent_sum(u_hat, c)
+        def recording(u_hat, y):
+            contracted.append(y.copy())
+            return expand(u_hat, y)
 
-        monkeypatch.setattr(capsule, "_parent_sum", recording)
+        monkeypatch.setattr(capsule, "_expand", recording)
         u_hat, a_hat = self.rand_case(7, 3, 2, seed=11)
         _, a = dynamic_routing(vote_factors(Tensor(u_hat.transpose(1, 2, 0))),
                                Tensor(a_hat), 3, [7])
-        assert len(couplings) == 3
-        for c in couplings:
+        assert len(contracted) == 3
+        for y in contracted:
+            c = np.broadcast_to(y[:, :7], (3, 7))
             np.testing.assert_allclose(c.sum(axis=0), a_hat, atol=1e-12)
+            np.testing.assert_allclose(y[:, 7], y[:, :7].sum(axis=1),
+                                       atol=1e-12)
         assert np.all(a.data < 1.0)
 
     def test_paper_shape_matches_loop_oracle(self):
@@ -492,26 +502,34 @@ class TestDynamicRouting:
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 4])
     def test_runs_2r_minus_1_stacked_products(self, monkeypatch, iters):
-        # forward: one parent sum per iteration and one agreement update
-        # between iterations, none after the last, whose logits nothing
-        # reads; backward: the mirror image, an agreement per iteration
-        # and a parent sum between iterations
+        # forward: one parent sum (`_expand`) per iteration and one
+        # agreement update (`_contract`) between iterations, none after the
+        # last, whose logits nothing reads; backward: the mirror image. Each
+        # direction forms one E x H array (`_agreement`) per iteration after
+        # the first, and the first forms none.
         calls = []
-        for name in ("_parent_sum", "_agreement"):
+        for name in ("_expand", "_contract", "_agreement"):
             def counting(*args, fn=getattr(capsule, name), name=name):
-                calls.append(name)
-                return fn(*args)
+                out = fn(*args)
+                calls.append((name, out.shape))
+                return out
             monkeypatch.setattr(capsule, name, counting)
         u_hat, a_hat = self.rand_case(6, 3, 2, seed=12)
+
+        def assert_counts(expand, contract):
+            names = [name for name, _ in calls]
+            assert names.count("_expand") == expand
+            assert names.count("_contract") == contract
+            assert [shape for name, shape in calls if name == "_agreement"
+                    ] == [(3, 6)] * (iters - 1)
+            calls.clear()
+
         v, a = dynamic_routing(
             vote_factors(Tensor(u_hat.transpose(1, 2, 0), requires_grad=True)),
             Tensor(a_hat), iters, [6])
-        assert calls.count("_parent_sum") == iters
-        assert calls.count("_agreement") == iters - 1
-        calls.clear()
+        assert_counts(expand=iters, contract=iters - 1)
         add(v.sum(), a.sum()).backward()
-        assert calls.count("_agreement") == iters
-        assert calls.count("_parent_sum") == iters - 1
+        assert_counts(expand=iters - 1, contract=iters)
 
 
 @st.composite
@@ -584,6 +602,90 @@ class TestRoutingNode:
             return objective
         assert grad_check(f("u"), Tensor(u_hat)) < 1e-6
         assert grad_check(f("a"), Tensor(a_hat)) < 1e-6
+
+
+@st.composite
+def kernel_cases(draw):
+    """(factors, a_hat, iterations, scale) for one sentence up to the
+    published shape (E = 53, d = 8, H = 3840): squashed children, as
+    primary capsules give, exact zeros in a_hat, and a transform and bias
+    scaled by 30 in half the draws, which saturates the coupling softmax."""
+    E, d, H = (draw(st.integers(1, n)) for n in (53, 8, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    scale = draw(st.sampled_from([1.0, 30.0]))
+    x, _ = capsule._squash(rng.normal(size=(H, d)))
+    a_hat = rng.uniform(0.0, 1.0, size=H)
+    a_hat[rng.random(H) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    factors = (x, rng.normal(size=(E, d, d)) * scale,
+               rng.normal(size=(E, d)) * scale)
+    return factors, a_hat, draw(st.sampled_from([1, 2, 3, 5])), scale
+
+
+class TestContractedKernel:
+    """`_route` routes in the contracted space of [x | 1]; the
+    per-iteration kernel it replaced, `route_per_iteration`, is its
+    oracle. The sums run in another order, so the two agree to rounding."""
+
+    @given(kernel_cases(), st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_iteration_kernel(self, case, seed):
+        factors, a_hat, iters, scale = case
+        s, backward = capsule._route(factors, a_hat, iters, keep=True)
+        s_ref, backward_ref = route_per_iteration(factors, a_hat, iters,
+                                                  keep=True)
+        # one path: the no-grad forward gives the kept forward's bits
+        np.testing.assert_array_equal(
+            capsule._route(factors, a_hat, iters, keep=False)[0], s)
+        # unsaturated draws agree closer, unless E, d or H is 1: then s or a
+        # gradient rests on one or two signed sums, and when one cancels,
+        # reordering it moves the gap relative to the largest entry past
+        # 1e-14 / 1e-13 (up to 3.1e-13 seen at d = 1), for either kernel
+        unsaturated = scale == 1.0 and min(*factors[1].shape, len(a_hat)) > 1
+        s_tol, g_tol = (1e-14, 1e-13) if unsaturated else (1e-12, 1e-10)
+        assert relative_gap(s, s_ref) <= s_tol
+        gs = np.random.default_rng(seed).normal(size=s.shape)
+        for g, ref in zip(backward(gs), backward_ref(gs)):
+            assert g.shape == ref.shape
+            assert relative_gap(g, ref) <= g_tol
+
+    @staticmethod
+    def paper_sentence(H=3840, E=53, d=8):
+        rng = np.random.default_rng(16)
+        x, _ = capsule._squash(rng.normal(size=(H, d)))
+        return ((x, rng.normal(size=(E, d, d)), rng.normal(size=(E, d))),
+                np.linalg.norm(x, axis=1), rng.normal(size=(E, d)))
+
+    def test_one_iteration_forms_no_parent_by_child_array(self):
+        # 119 tokens at C = 32: its couplings are a/E for every parent
+        factors, a_hat, gs = self.paper_sentence()
+        tracemalloc.start()
+        try:
+            _, backward = capsule._route(factors, a_hat, 1, keep=True)
+            backward(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 53 * 3840 * 8, peak
+
+    def test_kept_pass_holds_two_parent_by_child_arrays(self):
+        # the two later softmaxes, and xa and a xa (H x (d + 1) each);
+        # the forward's peak is no higher, and the backward adds one
+        # couplings' gradient at a time and a few H x (d + 1) arrays
+        factors, a_hat, gs = self.paper_sentence()
+        EH, Hd = 53 * 3840 * 8, 3840 * 9 * 8
+        bound = 2 * EH + 4 * Hd
+        tracemalloc.start()
+        try:
+            kept = capsule._route(factors, a_hat, 3, keep=True)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            kept[1](gs)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= bound, held
+        assert peak <= bound, peak
+        assert backward_peak <= bound + EH + 4 * Hd, backward_peak
 
 
 class TestCapsuleGradients:
