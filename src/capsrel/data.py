@@ -21,12 +21,10 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+
 # Position bucket layout for sentence length limit L: relative distances
 # clamped to [-L, L] occupy buckets [0, 2L]; bucket 2L+2 is reserved for a
 # missing entity, so each position table has 2L+3 rows.
-MISSING = None
-
-
 def num_position_buckets(L: int) -> int:
     return 2 * L + 3
 
@@ -128,12 +126,12 @@ def entity_anchors(pairs: list[tuple[str, str]],
             if len(anchors) >= M:
                 break
             if ent in used or ent not in entities:
-                anchors.append(MISSING)
+                anchors.append(None)
             else:
                 anchors.append(entities[ent][0])
                 used.add(ent)
     while len(anchors) < M:
-        anchors.append(MISSING)
+        anchors.append(None)
     return anchors[:M]
 
 

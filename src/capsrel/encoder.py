@@ -9,17 +9,17 @@ require `lengths`, the rows of each. Nothing is padded or masked. Each
 layer is one tape node with a hand-written backward. The Bi-LSTM runs
 the numpy kernel `_lstm` once per direction: one loop over the steps that
 advances every sentence still running together, longest first, so a step
-is one product with `Wh` for all of them, and BPTT (one reverse sweep,
-then one product per weight), which `_bptt` builds for a fresh run or for
-the part of an earlier pass's run that `sentence_runs` cuts out. The step
-product is taken in column blocks of `Wh`, visited in the reverse order of
-the step before: at B = 300 `Wh` is 2.88 MB, more than a 2 MB L2, and
-each step then starts on the blocks the last one left there. A step
-activates its four gate blocks with one in-place tanh, using sigmoid(z) =
-1/2 tanh(z/2) + 1/2 for the input, forget and output blocks. Word
-attention scores each row as h_t (A r), one mat-vec, and normalises each
-sentence's scores on its own, on the numpy softmax kernel (over axis 0)
-that routing shares.
+is one product with `Wh` for all of them. `_bptt` builds the backward of
+a run (one reverse sweep, then one product per weight), whether the run
+is fresh or is the part of an earlier pass's run that `sentence_runs`
+cuts out. The step product is taken in column blocks of `Wh`, visited in
+the reverse order of the step before: at B = 300 `Wh` is 2.88 MB, more
+than a 2 MB L2, and each step then starts on the blocks the last one left
+there. A step activates its four gate blocks with one in-place tanh,
+using sigmoid(z) = 1/2 tanh(z/2) + 1/2 for the input, forget and output
+blocks. Word attention scores each row as h_t (A r), one mat-vec, and
+normalises each sentence's scores on its own with `softmax`, the numpy
+kernel over axis 0.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ def _schedule(lengths: np.ndarray, reverse: bool):
     return first_row[k] + token, list(zip(starts.tolist(), counts.tolist())), prev
 
 
-RUN = "run"     # `_lstm(keep=RUN)` returns its step-major run
-
 # columns of `Wh` per block of `_lstm`'s step product, 480 KB at B = 300.
 # Measured at B = 300 on one OpenBLAS 0.3.31 thread (Xeon, 2 MB L2 a core),
 # in us per product over 118-step loops, one product -> 200-column blocks
@@ -143,13 +141,11 @@ _WH_BLOCK = 200
 
 
 def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
-          lengths: np.ndarray, reverse: bool, keep):
-    """One LSTM direction over the packed rows of X, each sentence of
-    `lengths` in order or reversed: the states, one row per row of X, and
-    what `keep` asks for. False gives None, and the gates and cells are
-    freed on return; True gives the backward of `_bptt`, taking their
-    gradient dH to (dX, dWx, dWh, db); RUN gives the run itself, its
-    step-major (gates, cells, states).
+          schedule):
+    """One LSTM direction over the packed rows of X in the order of a
+    `_schedule`: its step-major run (gates, cells, states), one row per
+    step and sentence, the cells and states with a last, zero row, the
+    start.
 
     The 4B gate columns are ordered input, forget, cell, output, and each
     sentence's state starts at zero. The input projection runs once over
@@ -165,8 +161,8 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
     1, shift 0). The cells and states are written straight into the rows
     they keep.
     """
-    schedule = rows, steps, _ = _schedule(lengths, reverse)
-    N, T, B = len(lengths), len(rows), Wh.shape[0]
+    rows, steps, _ = schedule
+    N, T, B = steps[0][1], len(rows), Wh.shape[0]     # N: sentences
     # every array below holds one row per step and sentence, in step order;
     # each step turns its rows of the hoisted input projection into gates
     gates = X[rows] @ Wx
@@ -190,23 +186,18 @@ def _lstm(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
         c += np.multiply(i, g, out=ig[:n])
         h = np.tanh(c, out=hs[at:at + n])
         h *= o
-    del blocks          # a copy of `Wh`: not held through `_bptt`
-    run = gates.reshape(T, 4, B), cs, hs
-    if keep is RUN:
-        return hs[np.argsort(rows)], run
-    return _bptt(X, Wx, Wh, schedule, run, keep)
+    return gates.reshape(T, 4, B), cs, hs
 
 
-def _bptt(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, schedule, run,
-          keep: bool):
-    """The states of a step-major `run` of `_lstm` in row order, and its
-    backward, or None unless `keep`: one reverse BPTT sweep over the steps
-    of `schedule` fills dZ, the gradient of the gate pre-activations, then
-    dX, dWx and dWh take one product each and db one sum."""
+def _bptt(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, schedule, run):
+    """The backward of a step-major `run` of `_lstm` over the steps of
+    `schedule`, taking the states' gradient dH, in row order, to (dX, dWx,
+    dWh, db): one reverse BPTT sweep fills dZ, the gradient of the gate
+    pre-activations, then dX, dWx and dWh take one product each and db one
+    sum."""
     rows, steps, prev = schedule
     gates, cs, hs = run
     N, T, B = steps[0][1], len(rows), Wh.shape[0]     # N: sentences
-    back = np.argsort(rows)                     # step order -> row order
 
     def backward(dH):
         dH = dH[rows]
@@ -230,9 +221,9 @@ def _bptt(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, schedule, run,
             dh_next[:n] = dZ[at:at + n].reshape(n, 4 * B) @ Wh.T
         dZ = dZ.reshape(T, 4 * B)
         dWh = hs[prev].T @ dZ
-        dZ = dZ[back]
+        dZ = dZ[np.argsort(rows)]               # step order -> row order
         return dZ @ Wx.T, X.T @ dZ, dWh, dZ.sum(axis=0)
-    return hs[back], backward if keep else None
+    return backward
 
 
 def sentence_runs(runs, lengths, k: int) -> list:
@@ -254,11 +245,14 @@ def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
     backward states, each sentence of `lengths` run on its own.
 
     One tape node over X and the six weights, (Wx, Wh, b) per direction,
-    both of unit size B; each direction runs `_lstm`. The backward gives
-    each direction its B columns of the gradient and adds both dX terms
-    into X once. Off the tape, an empty list as `runs` receives the two
-    directions' runs; a pair of runs over these rows, as `sentence_runs`
-    cuts them, is adopted through `_bptt`, and no LSTM runs.
+    both of unit size B. Each direction runs `_lstm` over its `_schedule`
+    and, on the tape only, has `_bptt` build the backward of that run; the
+    backward gives each direction its B columns of the gradient and adds
+    both dX terms into X once. Off the tape, an empty list as `runs`
+    receives the two directions' runs, and otherwise each run is freed
+    before the next direction runs. A pair of runs over these rows, as
+    `sentence_runs` cuts them, is adopted in place of `_lstm`'s, and no
+    LSTM runs.
     """
     weights = (*fwd, *bwd)
     V = X.shape[1] if len(X.shape) == 2 else -1
@@ -269,24 +263,29 @@ def bilstm(X: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
             "backward Wx {}, Wh {}, b {}".format(X.shape,
                                                  *(W.shape for W in weights)))
     lengths = sentence_lengths(lengths, X.shape[0], "bilstm")
-    keep = recording((X, *weights))     # a node off the tape needs no backward
-    hand_over = runs == [] and not keep     # a pass that keeps its runs
-    (h_fwd, fwd_backward), (h_bwd, bwd_backward) = directions = [
-        _lstm(X.data, Wx.data, Wh.data, b.data, lengths, reverse,
-              keep=RUN if hand_over else keep) if run is None else
-        _bptt(X.data, Wx.data, Wh.data, _schedule(lengths, reverse), run, keep)
-        for (Wx, Wh, b), reverse, run in zip((fwd, bwd), (False, True),
-                                             runs or (None, None))]
-    if hand_over:
-        runs += [run for _, run in directions]
+    on_tape = recording((X, *weights))
+    hand_over = runs == [] and not on_tape      # a pass that keeps its runs
+    states, backwards = [], []
+    for (Wx, Wh, b), reverse, run in zip((fwd, bwd), (False, True),
+                                         runs or (None, None)):
+        schedule = _schedule(lengths, reverse)
+        if run is None:
+            run = _lstm(X.data, Wx.data, Wh.data, b.data, schedule)
+            if hand_over:
+                runs.append(run)
+        states.append(run[2][np.argsort(schedule[0])])
+        if on_tape:         # a node off the tape needs no backward
+            backwards.append(_bptt(X.data, Wx.data, Wh.data, schedule, run))
+        del run             # off the tape, one direction's run at a time
 
     def bw(g):
-        dX_fwd, *d_fwd = fwd_backward(g[:, :B])
-        dX_bwd, *d_bwd = bwd_backward(g[:, B:])
+        (dX_fwd, *d_fwd), (dX_bwd, *d_bwd) = (
+            backward(part) for backward, part in zip(backwards,
+                                                     (g[:, :B], g[:, B:])))
         X._accumulate(dX_fwd + dX_bwd)
         for W, dW in zip(weights, (*d_fwd, *d_bwd)):
             W._accumulate(dW)
-    return Tensor._from_op(np.concatenate([h_fwd, h_bwd], axis=1),
+    return Tensor._from_op(np.concatenate(states, axis=1),
                            (X, *weights), bw)
 
 

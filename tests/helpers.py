@@ -15,7 +15,7 @@ from capsrel.capsule import _squash, capsule_length, squash
 from capsrel.config import TrainConfig
 from capsrel.data import (Bag, EmbeddingStore, SentenceInstance, batch_iter,
                           parse_record)
-from capsrel.encoder import _activate_gates, _schedule, softmax
+from capsrel.encoder import _activate_gates, softmax
 from capsrel.evaluation import EvaluationError
 from capsrel.model import Model
 from capsrel.training import EpochStats, label_vector, margin_loss, select_instance
@@ -408,12 +408,12 @@ def lstm_direction_reference(X: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
 
 
 def lstm_single_product(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray,
-                        b: np.ndarray, lengths: np.ndarray, reverse: bool):
+                        b: np.ndarray, schedule):
     """`encoder._lstm`'s step loop with one `h @ Wh` product per step, as
     it ran before the product was split into column blocks of `Wh`: the
-    states in row order and the step-major run (gates, cells, states)."""
-    rows, steps, _ = _schedule(lengths, reverse)
-    N, T, B = len(lengths), len(rows), Wh.shape[0]
+    step-major run (gates, cells, states) over the `_schedule`."""
+    rows, steps, _ = schedule
+    N, T, B = steps[0][1], len(rows), Wh.shape[0]
     gates = X[rows] @ Wx
     gates += b
     hs, cs = np.zeros((T + 1, B)), np.zeros((T + 1, B))
@@ -430,7 +430,7 @@ def lstm_single_product(X: np.ndarray, Wx: np.ndarray, Wh: np.ndarray,
         c += np.multiply(i, g, out=ig[:n])
         h = np.tanh(c, out=hs[at:at + n])
         h *= o
-    return hs[np.argsort(rows)], (gates.reshape(T, 4, B), cs, hs)
+    return gates.reshape(T, 4, B), cs, hs
 
 
 def bilstm_composed(X: Tensor, fwd, bwd) -> Tensor:

@@ -13,8 +13,8 @@ from capsrel import encoder
 from capsrel.autodiff import (ContractViolation, ShapeError, Tensor, grad_check,
                               no_grad)
 from capsrel.data import Bag, SentenceInstance, missing_bucket
-from capsrel.encoder import (RUN, _activate_gates, _bptt, _lstm, _schedule,
-                             bilstm, embed, sentence_runs, word_attention)
+from capsrel.encoder import (_activate_gates, _bptt, _lstm, _schedule, bilstm,
+                             embed, sentence_runs, word_attention)
 from capsrel.training import label_vector, margin_loss
 from helpers import (bilstm_composed, check_fused_node,
                      embed_composed, lstm_direction_reference,
@@ -202,9 +202,7 @@ class TestGateActivation:
         X = rng.normal(size=(8, V))
         Wx, Wh = rng.normal(0, 5, (V, 4 * B)), rng.normal(0, 5, (B, 4 * B))
         b = 800.0 * rng.choice([-1.0, 0.0, 1.0], size=4 * B)
-        _, backward = _lstm(X, Wx, Wh, b, lengths, reverse, keep=True)
-        cells = dict(zip(backward.__code__.co_freevars, backward.__closure__))
-        gates = cells["gates"].cell_contents
+        gates, _, _ = _lstm(X, Wx, Wh, b, _schedule(lengths, reverse))
         assert gates.shape == (8, 4, B)
         sig, cell = gates[:, [0, 1, 3]], gates[:, 2]
         assert sig.min() >= 0.0 and sig.max() <= 1.0
@@ -216,6 +214,14 @@ def lstm_arrays(rng, L, V, B, scale=0.5):
     """X, then Wx, Wh and b of the forward and of the backward direction."""
     return [rng.normal(0, scale, shape)
             for shape in ((L, V), *2 * ((V, 4 * B), (B, 4 * B), (4 * B,)))]
+
+
+def direction(X, Wx, Wh, b, lengths, reverse):
+    """One direction as `bilstm` runs it on the tape: its `_lstm` run's
+    states in row order, and the backward `_bptt` builds of that run."""
+    schedule = _schedule(lengths, reverse)
+    run = _lstm(X, Wx, Wh, b, schedule)
+    return run[2][np.argsort(schedule[0])], _bptt(X, Wx, Wh, schedule, run)
 
 
 def fused(X, *weights):
@@ -273,32 +279,35 @@ class TestLstmSequence:
         np.testing.assert_array_equal(out.data, fused(*leaves).data)
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_kernel_keeps_a_backward_only_on_the_tape(self, reverse):
+    def test_kernels_return_a_run_and_its_backward(self, reverse):
+        # `_lstm` returns its step-major run, the start row last and zero;
+        # `_bptt` the backward of it
         X, Wx, Wh, b = lstm_arrays(np.random.default_rng(9), 5, V=3, B=2)[:4]
-        lengths = np.array([3, 2])
-        h, backward = _lstm(X, Wx, Wh, b, lengths, reverse, keep=False)
-        h_kept, backward_kept = _lstm(X, Wx, Wh, b, lengths, reverse,
-                                      keep=True)
-        assert backward is None
-        np.testing.assert_array_equal(h, h_kept)
-        grads = backward_kept(np.ones_like(h))
+        schedule = _schedule(np.array([3, 2]), reverse)
+        _, cs, hs = run = _lstm(X, Wx, Wh, b, schedule)
+        assert [a.shape for a in run] == [(5, 4, 2), (6, 2), (6, 2)]
+        assert not cs[5].any() and not hs[5].any()
+        grads = _bptt(X, Wx, Wh, schedule, run)(np.ones((5, 2)))
         assert [g.shape for g in grads] == [X.shape, Wx.shape, Wh.shape,
                                             b.shape]
 
     def test_no_grad_runs_both_directions_without_a_backward(self,
                                                              monkeypatch):
-        keeps, lstm = [], encoder._lstm
-
-        def recording(*args, keep, **kwargs):
-            keeps.append(keep)
-            return lstm(*args, keep=keep, **kwargs)
-        monkeypatch.setattr(encoder, "_lstm", recording)
+        # one schedule and one run per direction; a backward only on the tape
+        calls = []
+        for name in ("_schedule", "_lstm", "_bptt"):
+            def recording(*args, kernel=getattr(encoder, name), name=name):
+                calls.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(encoder, name, recording)
         leaves = [Tensor(a, requires_grad=True)
                   for a in lstm_arrays(np.random.default_rng(10), 5, V=3, B=2)]
         with no_grad():
             fused(*leaves)
+        assert calls == 2 * ["_schedule", "_lstm"]
+        calls.clear()
         fused(*leaves)
-        assert keeps == [False, False, True, True]
+        assert calls == 2 * ["_schedule", "_lstm", "_bptt"]
 
     def test_nonconforming_weights_name_every_shape(self):
         X, *weights = (Tensor(a) for a in
@@ -372,6 +381,16 @@ def assert_matches_reference(h, grads, ref_h, ref_grads, tol=1e-10):
         np.testing.assert_allclose(g, ref, rtol=tol, atol=tol, err_msg=str(k))
 
 
+def traced_peak(f) -> int:
+    """The `tracemalloc` peak of a call of f, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedProduct:
     """`_lstm` multiplies each step's states by `Wh` in column blocks.
     Widths where 4B spans several blocks, against the per-step reference
@@ -383,17 +402,12 @@ class TestBlockedProduct:
 
     @given(blocked_directions())
     @settings(max_examples=40, deadline=None)
-    def test_every_keep_matches_the_single_product_loop(self, case):
-        # states within 1e-15 of the largest |state|, and each array of
-        # the run within 1e-15 of its own largest entry
-        ref_h, ref_run = lstm_single_product(*case)
-        h, backward = _lstm(*case, keep=False)
-        h_kept, _ = _lstm(*case, keep=True)
-        h_run, run = _lstm(*case, keep=RUN)
-        assert backward is None
-        np.testing.assert_array_equal(h_kept, h)
-        np.testing.assert_array_equal(h_run, h)
-        assert np.abs(h - ref_h).max() <= 1e-15 * np.abs(ref_h).max()
+    def test_run_matches_the_single_product_loop(self, case):
+        # each array of the run within 1e-15 of its own largest entry
+        *arrays, lengths, reverse = case
+        schedule = _schedule(lengths, reverse)
+        run = _lstm(*arrays, schedule)
+        ref_run = lstm_single_product(*arrays, schedule)
         for part, ref in zip(run, ref_run):
             assert part.shape == ref.shape
             assert np.abs(part - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -403,7 +417,7 @@ class TestBlockedProduct:
     def test_states_and_gradients_match_per_step_reference(self, case, seed):
         dH = np.random.default_rng(seed).normal(size=(len(case[0]),
                                                       case[2].shape[0]))
-        h, backward = _lstm(*case, keep=True)
+        h, backward = direction(*case)
         assert_matches_reference(h, backward(dH),
                                  *direction_reference(*case, dH))
 
@@ -417,11 +431,12 @@ class TestBlockedProduct:
         k = data.draw(st.integers(0, len(lengths) - 1))
         lo, hi = encoder.sentence_bounds(lengths)[k]
         dH = np.random.default_rng(k).normal(size=(hi - lo, Wh.shape[0]))
-        _, run = _lstm(*case, keep=RUN)
-        [own] = sentence_runs([run], lengths, k)
+        [own] = sentence_runs([_lstm(X, Wx, Wh, b,
+                                     _schedule(lengths, reverse))], lengths, k)
         one = lengths[k:k + 1]
-        h, backward = _bptt(X[lo:hi], Wx, Wh, _schedule(one, reverse), own,
-                            keep=True)
+        schedule = _schedule(one, reverse)
+        h = own[2][np.argsort(schedule[0])]
+        backward = _bptt(X[lo:hi], Wx, Wh, schedule, own)
         assert_matches_reference(
             h, backward(dH),
             *direction_reference(X[lo:hi], Wx, Wh, b, one, reverse, dH))
@@ -443,27 +458,42 @@ class TestBlockedProduct:
         assert not np.array_equal(after, before)
         np.testing.assert_array_equal(after, fresh.scores([bag])[0])
 
-    def test_no_grad_peak_adds_at_most_one_wh(self, monkeypatch):
-        # one no-grad `bilstm` over a 119-token sentence at B = 300 holds
-        # at most one more `Wh` than the single-product loop
+    B, L = 300, 119
+
+    def published_sentence(self):
+        """X of one 119-token sentence and both directions' weights at
+        B = 300."""
         rng = np.random.default_rng(11)
-        B, V, L = 300, 70, 119
+        B, V, L = self.B, 70, self.L
         X = Tensor(rng.normal(size=(L, V)))
         fwd, bwd = ([Tensor(rng.normal(0, 0.05, shape)) for shape in
                      ((V, 4 * B), (B, 4 * B), (4 * B,))] for _ in range(2))
+        return X, fwd, bwd
+
+    def test_no_grad_peak_adds_at_most_one_wh(self, monkeypatch):
+        # one no-grad `bilstm` over a 119-token sentence at B = 300 holds
+        # at most one more `Wh` than the single-product loop
+        X, fwd, bwd = self.published_sentence()
 
         def peak():
-            tracemalloc.start()
-            try:
-                with no_grad():
-                    bilstm(X, fwd, bwd, [L])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            with no_grad():
+                return traced_peak(lambda: bilstm(X, fwd, bwd, [self.L]))
         blocked = peak()
-        monkeypatch.setattr(encoder, "_lstm", lambda *args, keep: (
-            lstm_single_product(*args)[0], None))
-        assert blocked <= peak() + B * 4 * B * 8
+        monkeypatch.setattr(encoder, "_lstm", lstm_single_product)
+        assert blocked <= peak() + self.B * 4 * self.B * 8
+
+    def test_no_grad_holds_one_direction_run_at_a_time(self):
+        # a run here is 1.72 MB, less than the `Wh` copy the test above
+        # allows, so that bound cannot see a run held too long: a no-grad
+        # `bilstm` peaks less than one run above one `_lstm` call
+        X, fwd, bwd = self.published_sentence()
+        weights = [W.data for W in fwd]
+        schedule = _schedule(np.array([self.L]), False)
+        run_bytes = sum(a.nbytes for a in _lstm(X.data, *weights, schedule))
+        one = traced_peak(lambda: _lstm(X.data, *weights, schedule))
+        with no_grad():
+            both = traced_peak(lambda: bilstm(X, fwd, bwd, [self.L]))
+        assert both < one + run_bytes
 
 
 class TestWordAttention:

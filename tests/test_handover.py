@@ -95,36 +95,45 @@ class TestAdoptionMatchesTwoPassStep:
             lambda: Model(TrainConfig(batch_size=1), store), bag)
 
 
-def record_lstm(monkeypatch):
-    """Patch `encoder._lstm` to record each call's `keep`, and a weakref to
-    the gates of each run it hands over; returns (keeps, refs)."""
-    keeps, refs, lstm = [], [], encoder._lstm
+def record_kernels(monkeypatch):
+    """Patch `encoder._lstm` and `encoder._bptt` to log their calls in
+    order: "lstm" for a run, "bptt" for a backward of a run `_lstm`
+    returned, "adopt" for a backward of any other (a cut) run. Returns the
+    log and a weakref to the gates of each run `_lstm` returned."""
+    log, refs, lstm, bptt = [], [], encoder._lstm, encoder._bptt
 
-    def recording(*args, keep, **kwargs):
-        keeps.append(keep)
-        out = lstm(*args, keep=keep, **kwargs)
-        if keep is encoder.RUN:
-            refs.append(weakref.ref(out[1][0]))
-        return out
-    monkeypatch.setattr(encoder, "_lstm", recording)
-    return keeps, refs
+    def recording_lstm(*args):
+        run = lstm(*args)
+        log.append("lstm")
+        refs.append(weakref.ref(run[0]))
+        return run
+
+    def recording_bptt(*args):
+        gates = args[-1][0]
+        log.append("bptt" if any(r() is gates for r in refs) else "adopt")
+        return bptt(*args)
+    monkeypatch.setattr(encoder, "_lstm", recording_lstm)
+    monkeypatch.setattr(encoder, "_bptt", recording_bptt)
+    return log, refs
 
 
 class TestOncePerSentence:
     def test_each_bag_runs_each_direction_once(self, monkeypatch):
-        keeps, _ = record_lstm(monkeypatch)
+        log, _ = record_kernels(monkeypatch)
         model = tiny_model(seed=1, dropout=0.5)
         bags = mixed_bags()
         multi = sum(len(bag.instances) > 1 for bag in bags)
         assert 0 < multi < len(bags)
         train_epoch(model, bags, Adam(model.params, lr=model.config.lr),
                     model.config, epoch=0)
-        # selection keeps its runs; only a single-sentence bag runs fresh
-        assert len(keeps) == 2 * len(bags)
-        assert keeps.count(encoder.RUN) == 2 * multi
+        # selection keeps its runs, which the train step adopts; only a
+        # single-sentence bag runs fresh
+        assert log.count("lstm") == 2 * len(bags)
+        assert log.count("adopt") == 2 * multi
+        assert log.count("bptt") == 2 * (len(bags) - multi)
 
     def test_no_kept_state_outlives_its_bag(self, monkeypatch):
-        _, refs = record_lstm(monkeypatch)
+        _, refs = record_kernels(monkeypatch)
         adopted, cut = [], encoder.sentence_runs
 
         def cutting(*args):
@@ -151,19 +160,21 @@ class TestOncePerSentence:
         assert len(alive_at_selection) == 6 and len(adopted) == 12
         assert alive_at_selection == [0] * 6
         assert dropped_at_adoption == [[True, True]] * 6
-        assert [r() for r in refs + adopted] == [None] * 24
+        # the 20 runs of 6 selection passes and 4 single-sentence bags
+        assert [r() is None for r in refs + adopted] == [True] * 32
 
     def test_scoring_outside_training_keeps_nothing(self, monkeypatch):
-        keeps, _ = record_lstm(monkeypatch)
+        log, refs = record_kernels(monkeypatch)
         model = tiny_model(seed=1)
         bag = mixed_bags()[2]
         model.bag_scores(bag)
         model.scores([bag])
-        assert keeps == [False] * 4
+        assert log == ["lstm"] * 4
+        assert [r() is None for r in refs] == [True] * 4
 
     def test_train_call_on_a_sentence_not_just_scored_runs_fresh(
             self, monkeypatch):
-        keeps, _ = record_lstm(monkeypatch)
+        log, _ = record_kernels(monkeypatch)
         model = tiny_model(seed=1)
         bag = mixed_bags()[2]
         with model.handover():
@@ -176,4 +187,6 @@ class TestOncePerSentence:
             model.scores([bag])
             model.activations([bag.instances[1]], train=True)   # adopted
             model.activations([bag.instances[1]], train=True)   # dropped
-        assert keeps == 3 * [encoder.RUN, encoder.RUN, True, True]
+        fresh = ["lstm", "bptt", "lstm", "bptt"]
+        assert log == 2 * (["lstm", "lstm"] + fresh) \
+            + ["lstm", "lstm", "adopt", "adopt"] + fresh
