@@ -8,15 +8,15 @@ switches replace attention with the identity and the capsule stack with
 a sigmoid dense head (one tape node) over the mean-pooled sequence.
 `Model.activations` is the one forward: it takes a list of N sentences,
 packs their rows one after another, passes their lengths to every layer
-that splits rows into sentences, and returns N x E. Eval, predict and
-selection score bags through one no-grad entry, `Model.scores`, one call
-per bag; training calls `activations` on the selected sentence alone,
-inside `handover`, and adopts the Bi-LSTM runs selection computed for it.
+that splits rows into sentences, and returns N x E. Eval and predict
+score bags through one no-grad entry, `Model.scores`, one call per bag.
+Selection makes its own no-grad `activations` call, which keeps the
+bag's Bi-LSTM runs, and training passes the selected sentence's part of
+them to its train-mode call on that sentence alone, through `runs`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -96,15 +96,14 @@ class Model:
                 data = encoder.glorot_uniform(rng, *init, shape)
             self.params[name] = Tensor(data, requires_grad=True)
         self.dropout_rng = np.random.default_rng(config.seed + 1)
-        self._kept = None       # see `handover`
 
     # -- forward --------------------------------------------------------------
 
-    def encode(self, insts: list[SentenceInstance], train: bool
+    def encode(self, insts: list[SentenceInstance], train: bool, runs=None
                ) -> tuple[Tensor, list[int]]:
         """Attention-weighted hidden rows x_tilde of the sentences `insts`,
         packed one after another (sum of n_i rows of width 2B), and the
-        token count n_i of each."""
+        token count n_i of each. `runs` goes to `encoder.bilstm` as it is."""
         ids = [np.asarray([self.store.word_id(t) for t in inst.tokens],
                           dtype=np.int64) for inst in insts]
         lengths = [len(i) for i in ids]
@@ -119,42 +118,19 @@ class Model:
         H = encoder.bilstm(
             X, (p["lstm_fwd_Wx"], p["lstm_fwd_Wh"], p["lstm_fwd_b"]),
             (p["lstm_bwd_Wx"], p["lstm_bwd_Wh"], p["lstm_bwd_b"]), lengths,
-            self._runs(insts, lengths, train))
+            runs)
         H = dropout(H, cfg.dropout, self.dropout_rng, training=train)
         if cfg.word_att:
             H, _ = encoder.word_attention(H, p["att_A"], p["att_r"], lengths)
         return H, lengths
 
-    @contextlib.contextmanager
-    def handover(self):
-        """Scope one bag's selection and train step: the no-grad pass keeps
-        its sentences' Bi-LSTM runs, and a train-mode call on one of them
-        alone adopts its part; that call drops the rest, the exit all."""
-        self._kept = (), (), ()        # the sentences, lengths, runs kept
-        try:
-            yield
-        finally:
-            self._kept = None
-
-    def _runs(self, insts: list[SentenceInstance], lengths, train: bool):
-        """`bilstm`'s `runs` inside `handover`: a list for an eval pass to
-        keep its runs in, or the kept runs of a train pass's one sentence."""
-        if self._kept is None:
-            return None
-        if not train:
-            self._kept = insts, lengths, []
-            return self._kept[2]
-        (scored, kept_lengths, runs), self._kept = self._kept, ((), (), ())
-        for k, inst in enumerate(scored if len(insts) == 1 else ()):
-            if inst is insts[0]:
-                return encoder.sentence_runs(runs, kept_lengths, k)
-        return None
-
-    def activations(self, insts: list[SentenceInstance], train: bool = False
-                    ) -> Tensor:
+    def activations(self, insts: list[SentenceInstance], train: bool = False,
+                    runs=None) -> Tensor:
         """Per-relation activations in [0, 1) of the N sentences `insts`,
-        N x E, from one pass over their packed rows."""
-        x_tilde, lengths = self.encode(insts, train)
+        N x E, from one pass over their packed rows. `runs` goes to
+        `encoder.bilstm` as it is: an empty list a no-grad pass keeps its
+        Bi-LSTM runs in, or the runs to adopt for these sentences."""
+        x_tilde, lengths = self.encode(insts, train, runs)
         cfg = self.config
         p = self.params
         if not cfg.capsule:

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ShapeError, Tensor
+from .autodiff import NonFiniteError, ShapeError, Tensor, no_grad
 from .config import TrainConfig
 from .data import Bag, batch_iter
+from .encoder import sentence_runs
 from .model import Model
 from .optim import Adam
 
@@ -45,8 +46,10 @@ def margin_loss(a: Tensor, y: np.ndarray) -> tuple[Tensor, Tensor]:
     return Tensor._from_op(per.sum(), (a,), bw), Tensor(per)
 
 
-def select_instance(model: Model, bag: Bag) -> int:
-    """Index of the sentence with the highest gold-relation activation.
+def select_instance(model: Model, bag: Bag) -> tuple[int, list | None]:
+    """Index of the sentence with the highest gold-relation activation, and
+    its part of the Bi-LSTM runs of the bag's scoring pass, for the train
+    step to adopt; (0, None) for a one-sentence bag, which is not scored.
 
     Score per instance is the max activation over the bag's gold
     relations; ties break to the lowest index. Evaluated without dropout.
@@ -54,9 +57,13 @@ def select_instance(model: Model, bag: Bag) -> int:
     if not bag.instances:
         raise ValueError("cannot select from an empty bag")
     if len(bag.instances) == 1:
-        return 0
-    gold = sorted(bag.labels)
-    return int(model.scores([bag])[0][:, gold].max(axis=1).argmax())
+        return 0, None
+    kept: list = []
+    with no_grad():
+        rows = model.activations(bag.instances, runs=kept).data
+    index = int(rows[:, sorted(bag.labels)].max(axis=1).argmax())
+    lengths = [len(inst.tokens) for inst in bag.instances]
+    return index, sentence_runs(kept, lengths, index)
 
 
 @dataclass
@@ -81,17 +88,16 @@ def train_epoch(model: Model, bags: list[Bag], optimizer: Adam,
         optimizer.zero_grad()
         totals = []
         for bag in batch:
-            with model.handover():
-                idx = select_instance(model, bag)
-                hist[idx] = hist.get(idx, 0) + 1
-                a = model.activations([bag.instances[idx]], train=True)
+            idx, runs = select_instance(model, bag)
+            hist[idx] = hist.get(idx, 0) + 1
+            a = model.activations([bag.instances[idx]], train=True, runs=runs)
             total = margin_loss(a, label_vector(bag.labels, model.E)[None])[0]
             if not np.isfinite(total.data):
                 raise NonFiniteError(
                     f"non-finite loss for bag {bag.key!r} in epoch {epoch}")
             (total * (1.0 / len(batch))).backward()
             totals.append(total.item())
-            del a, total  # drop this bag's graph before the next forward
+            del a, total, runs  # drop this bag's graph before the next forward
         optimizer.step()
         losses.append(float(np.asarray(totals).sum() * (1.0 / len(batch))))
     mean_loss = float(np.mean(losses)) if losses else 0.0

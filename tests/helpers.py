@@ -550,7 +550,7 @@ def planted_trigger_bags(n_bags: int = 48, relations: int = 4,
     """Single-sentence bags whose relation r > 0 is planted as the token
     `t{r}` right between the mentions "E1" and "E2" (NA bags have none).
     Bag k holds relation k % `relations` at length lengths[k // relations
-    % len(lengths)]; the other tokens are fillers `w0`..`w19`."""
+    % len(lengths)]; the other tokens are fillers "w0".."w19"."""
     rng = np.random.default_rng(0)
     vocab = {"NA": 0, **{f"R{r}": r for r in range(1, 53)}}
     bags = []
@@ -662,18 +662,17 @@ def write_json_checkpoint(path, model: Model) -> None:
 def train_epoch_reference(model: Model, bags, optimizer, config: TrainConfig,
                           epoch: int) -> EpochStats:
     """The batch-wide tape: every bag's graph stays alive until one backward
-    of the batch's mean loss. Each bag's selection and train forward share
-    one `Model.handover` block, as in `train_epoch`, which must match it
+    of the batch's mean loss. Each bag's train forward adopts the runs
+    `select_instance` returns, as in `train_epoch`, which must match it
     bit for bit."""
     losses: list[float] = []
     hist: dict[int, int] = {}
     for batch in batch_iter(bags, config.batch_size, seed=config.seed + epoch):
         bag_losses = []
         for bag in batch:
-            with model.handover():
-                idx = select_instance(model, bag)
-                hist[idx] = hist.get(idx, 0) + 1
-                a = model.activations([bag.instances[idx]], train=True)
+            idx, runs = select_instance(model, bag)
+            hist[idx] = hist.get(idx, 0) + 1
+            a = model.activations([bag.instances[idx]], train=True, runs=runs)
             y = label_vector(bag.labels, model.E)[None]
             total, _ = margin_loss(a, y)
             if not np.isfinite(total.data):
@@ -693,7 +692,7 @@ def bag_top1_accuracy(model: Model, bags: list[Bag]) -> float:
     """Fraction of bags whose top-scoring relation is among the gold labels."""
     hits = 0
     for bag in bags:
-        scores = model.bag_scores(bag)
+        scores = model.scores([bag])[0].max(axis=0)
         if int(scores.argmax()) in bag.labels:
             hits += 1
     return hits / len(bags) if bags else 0.0

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capsrel import capsule
@@ -545,10 +545,23 @@ def routing_cases(draw):
             draw(st.sampled_from([1, 2, 3, 5])), scale)
 
 
+def near_kink_case():
+    """A routing case drawn from a seeded generator whose smallest parent
+    activation is 2.3e-11: â's central differences there miss the analytic
+    gradient by 1.6e-5."""
+    rng = np.random.default_rng(2481)
+    E, d, H = rng.integers(1, 5), rng.integers(1, 4), rng.integers(1, 4)
+    u_hat = rng.normal(size=(E, d, H))
+    a_hat = rng.uniform(0, 1, H)
+    a_hat[0] = 0
+    return u_hat, a_hat, 5, 1.0
+
+
 class TestRoutingNode:
     """`dynamic_routing` is one tape node against the composed graph."""
 
     @given(routing_cases())
+    @example(near_kink_case())
     @settings(max_examples=60, deadline=None)
     def test_matches_composed_graph_and_its_gradient(self, case):
         u_hat, a_hat, iters, scale = case
@@ -589,7 +602,10 @@ class TestRoutingNode:
         # squash has a kink at a zero parent input. Saturated couplings can
         # underflow to exact zeros and leave a parent there, so only
         # unsaturated votes are checked, and a alone when a_hat is all zero.
-        if scale != 1.0:
+        # A parent of activation 1e-6 or less, yet not 0, lies within the
+        # difference step of that kink, where a's central differences miss
+        # (`near_kink_case`: 1.6e-5 at 2.3e-11), so such draws are not checked.
+        if scale != 1.0 or 0.0 < act.data.min() <= 1e-6:
             return
 
         def f(which):

@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from capsrel import cli, synth
+from capsrel import cli, synth, training
 from capsrel.autodiff import recording
 from capsrel.cli import main
 from capsrel.config import RunConfig, TrainConfig, require_path
@@ -1092,40 +1092,50 @@ class TestEntityFile:
 
 
 class TestOneScoringEntry:
-    """Every no-grad `Model.activations` call that `eval`, `predict`,
-    `sweep` and a training epoch make is made inside `Model.scores`."""
+    """Every no-grad `Model.activations` call that `eval`, `predict` and
+    `sweep` make to score bags is made inside `Model.scores`, and every one
+    a training epoch makes is made inside `training.select_instance`, whose
+    own call keeps the Bi-LSTM runs of its one bag."""
 
-    def test_every_no_grad_pass_is_made_inside_scores(self, workspace,
-                                                      tmp_path, monkeypatch):
+    def test_every_no_grad_pass_is_made_inside_its_entry(self, workspace,
+                                                         tmp_path,
+                                                         monkeypatch):
         _, cfg, _ = workspace
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(dict(
             cfg, checkpoint=str(tmp_path / "m.ckpt"),
             output_dir=str(tmp_path / "out"))))
-        inside = []             # one entry per no-grad `activations` call
-        depth = [0]
+        inside = []             # per no-grad `activations` call: its entry
+        entries = []            # the entries open, innermost last
 
-        def scores(self, bags, fn=Model.scores):
-            depth[0] += 1
-            try:
-                return fn(self, bags)
-            finally:
-                depth[0] -= 1
+        def entry(name, fn):
+            def wrapped(*args):
+                entries.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    entries.pop()
+            return wrapped
 
-        def activations(self, insts, train=False, fn=Model.activations):
+        def activations(self, insts, train=False, runs=None,
+                        fn=Model.activations):
             if not recording([self.params["word_emb"]]):
-                inside.append(depth[0] > 0)
-            return fn(self, insts, train)
-        monkeypatch.setattr(Model, "scores", scores)
+                inside.append(entries[-1] if entries else None)
+            return fn(self, insts, train, runs)
+        monkeypatch.setattr(Model, "scores", entry("scores", Model.scores))
+        monkeypatch.setattr(training, "select_instance", entry(
+            "select_instance", training.select_instance))
         monkeypatch.setattr(Model, "activations", activations)
-        runs = {"train": [], "eval": [], "predict": [],
-                "predict --multi": ["--multi"],
-                "sweep": ["--iters", "1", "--dims", "2", "--out",
-                          str(tmp_path / "sweep.md")]}
-        for name, flags in runs.items():
+        scoring, selection = {"scores"}, {"select_instance"}
+        runs = {"train": ([], selection), "eval": ([], scoring),
+                "predict": ([], scoring),
+                "predict --multi": (["--multi"], scoring),
+                "sweep": (["--iters", "1", "--dims", "2", "--out",
+                           str(tmp_path / "sweep.md")], scoring | selection)}
+        for name, (flags, expected) in runs.items():
             inside.clear()
             command = name.split()[0]
             assert main([command, "--config", str(cfg_path), *flags]) == 0
             # the corpus holds bags of 2 and 3 sentences, so a training
             # epoch scores too
-            assert inside and all(inside), name
+            assert set(inside) == expected, name

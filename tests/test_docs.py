@@ -1,6 +1,7 @@
 """Names the documentation refers to exist: every backticked identifier
-in a `src/capsrel` docstring or comment is a name the code uses, and every
-module path or class attribute the README backticks resolves."""
+in a docstring or comment of `src/capsrel` or of the test oracles in
+`tests/helpers.py` is a name that code uses, and every module path or
+class attribute the README backticks resolves."""
 
 import ast
 import importlib
@@ -10,7 +11,8 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "capsrel").glob("*.py"))
+SOURCES = [*sorted((ROOT / "src" / "capsrel").glob("*.py")),
+           ROOT / "tests" / "helpers.py"]
 IDENTIFIER = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
 BACKTICKED = re.compile(rf"`({IDENTIFIER})`")
 
@@ -27,7 +29,7 @@ def docstrings(tree: ast.Module) -> set[int]:
 
 def code_names_and_prose() -> tuple[set[str], list[tuple[str, str]]]:
     """Every name token and every word of a string literal other than a
-    docstring in `src/capsrel`; and every docstring and comment, with the
+    docstring in `SOURCES`; and every docstring and comment, with the
     place it starts."""
     names, prose = set(), []
     for path in SOURCES:

@@ -3,7 +3,6 @@ picked sentence: it matches the two-pass step, runs each sentence's
 recurrence once per step, and keeps nothing past its bag."""
 
 import contextlib
-import copy
 import weakref
 from unittest import mock
 
@@ -11,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsrel import encoder
+from capsrel import encoder, training
 from capsrel.config import TrainConfig
 from capsrel.data import Bag
 from capsrel.model import Model
 from capsrel.optim import Adam
-from capsrel.training import train_epoch
+from capsrel.training import select_instance, train_epoch
 from helpers import (make_instance, mixed_bags, planted_trigger_bags,
                      planted_trigger_store, relative_gap, tiny_model)
 
@@ -28,8 +27,8 @@ def one_step(make_model, bag, handover: bool):
     """One `train_epoch` step on `bag`, with the handover or with every
     pass running the LSTM fresh: the model and the epoch's stats."""
     model = make_model()
-    no_handover = mock.patch.object(
-        Model, "handover", lambda self: contextlib.nullcontext())
+    no_handover = mock.patch.object(training, "sentence_runs",
+                                    lambda *args: None)
     with contextlib.nullcontext() if handover else no_handover:
         stats = train_epoch(model, [bag], Adam(model.params, lr=0.01),
                             model.config, 0)
@@ -132,36 +131,38 @@ class TestOncePerSentence:
         assert log.count("adopt") == 2 * multi
         assert log.count("bptt") == 2 * (len(bags) - multi)
 
-    def test_no_kept_state_outlives_its_bag(self, monkeypatch):
+    def test_only_the_picked_runs_reach_the_train_step(self, monkeypatch):
         _, refs = record_kernels(monkeypatch)
-        adopted, cut = [], encoder.sentence_runs
+        cut, cut_runs = [], training.sentence_runs
 
         def cutting(*args):
-            out = cut(*args)
-            adopted.extend(weakref.ref(gates) for gates, _, _ in out)
+            out = cut_runs(*args)
+            cut.extend(weakref.ref(gates) for gates, _, _ in out)
             return out
-        monkeypatch.setattr(encoder, "sentence_runs", cutting)
-        alive_at_selection, dropped_at_adoption = [], []
-        node = encoder.bilstm
+        monkeypatch.setattr(training, "sentence_runs", cutting)
+        at_selection, at_train = [], []
+        forward = Model.activations
 
-        def bilstm(X, fwd, bwd, lengths, runs=None):
-            if runs == []:          # a selection pass: every earlier run freed
-                alive_at_selection.append(
-                    sum(r() is not None for r in refs + adopted))
-            adopting = bool(runs)
-            out = node(X, fwd, bwd, lengths, runs)
-            if adopting:            # the bag's other runs are freed
-                dropped_at_adoption.append([r() is None for r in refs[-2:]])
-            return out
-        monkeypatch.setattr(encoder, "bilstm", bilstm)
+        def activations(self, insts, train=False, runs=None):
+            alive = [r() for r in refs + cut if r() is not None]
+            if runs == []:          # a selection pass
+                at_selection.append(len(alive))
+            if train:               # only the runs it is handed are alive
+                at_train.append((len(alive), [a is gates for a, (gates, _, _)
+                                              in zip(alive, runs or ())]))
+            del alive
+            return forward(self, insts, train, runs)
+        monkeypatch.setattr(Model, "activations", activations)
         model = tiny_model(seed=1, dropout=0.5, batch_size=4)
-        train_epoch(model, mixed_bags(), Adam(model.params, lr=0.01),
+        bags = mixed_bags()
+        multi = sum(len(bag.instances) > 1 for bag in bags)
+        train_epoch(model, bags, Adam(model.params, lr=0.01),
                     model.config, epoch=0)
-        assert len(alive_at_selection) == 6 and len(adopted) == 12
-        assert alive_at_selection == [0] * 6
-        assert dropped_at_adoption == [[True, True]] * 6
-        # the 20 runs of 6 selection passes and 4 single-sentence bags
-        assert [r() is None for r in refs + adopted] == [True] * 32
+        assert len(refs) == 2 * len(bags) and len(cut) == 2 * multi
+        assert at_selection == [0] * multi
+        assert sorted(at_train) == sorted(
+            [(0, [])] * (len(bags) - multi) + [(2, [True, True])] * multi)
+        assert [r() is None for r in refs + cut] == [True] * len(refs + cut)
 
     def test_scoring_outside_training_keeps_nothing(self, monkeypatch):
         log, refs = record_kernels(monkeypatch)
@@ -172,21 +173,12 @@ class TestOncePerSentence:
         assert log == ["lstm"] * 4
         assert [r() is None for r in refs] == [True] * 4
 
-    def test_train_call_on_a_sentence_not_just_scored_runs_fresh(
-            self, monkeypatch):
+    def test_train_call_without_runs_runs_fresh(self, monkeypatch):
         log, _ = record_kernels(monkeypatch)
         model = tiny_model(seed=1)
         bag = mixed_bags()[2]
-        with model.handover():
-            model.scores([bag])
-            model.activations([copy.copy(bag.instances[0])], train=True)
-        with model.handover():
-            model.scores([bag])
-            model.activations(bag.instances[:2], train=True)
-        with model.handover():
-            model.scores([bag])
-            model.activations([bag.instances[1]], train=True)   # adopted
-            model.activations([bag.instances[1]], train=True)   # dropped
-        fresh = ["lstm", "bptt", "lstm", "bptt"]
-        assert log == 2 * (["lstm", "lstm"] + fresh) \
-            + ["lstm", "lstm", "adopt", "adopt"] + fresh
+        index, runs = select_instance(model, bag)
+        model.activations([bag.instances[index]], train=True)
+        model.activations([bag.instances[index]], train=True, runs=runs)
+        assert log == ["lstm", "lstm", "lstm", "bptt", "lstm", "bptt",
+                       "adopt", "adopt"]

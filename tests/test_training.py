@@ -127,21 +127,21 @@ class TestSelectInstance:
     def test_singleton_bag_returns_zero(self):
         model = tiny_model()
         bag = single_instance_bag(model)
-        assert select_instance(model, bag) == 0
+        assert select_instance(model, bag) == (0, None)
 
     def test_singleton_bag_runs_no_forward(self, monkeypatch):
         model = tiny_model()
         bag = single_instance_bag(model)
         monkeypatch.setattr(model, "activations",
                             lambda *a, **k: pytest.fail("forward pass ran"))
-        assert select_instance(model, bag) == 0
+        assert select_instance(model, bag)[0] == 0
 
     def test_tie_breaks_to_lowest_index(self):
         # identical sentences give identical activations: a three-way tie
         model = tiny_model()
         inst = make_instance(["alpha", "E1", "E2"], L=10, M=2)
         bag = Bag(key=inst.key, instances=[inst, inst, inst], labels={1})
-        assert select_instance(model, bag) == 0
+        assert select_instance(model, bag)[0] == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_exhaustive_enumeration(self, seed):
@@ -154,16 +154,18 @@ class TestSelectInstance:
             scores = [max(model.activations([i]).data[0, k] for k in (1, 2))
                       for i in insts]
         expected = int(np.argmax(scores))
-        assert select_instance(model, bag) == expected
+        assert select_instance(model, bag)[0] == expected
 
     def test_scores_gold_relations_only_and_ties_go_low(self):
-        class FixedScores:
-            def scores(self, bags):
-                return [np.array([[0.9, 0.1, 0.2],
-                                  [0.1, 0.3, 0.2],
-                                  [0.8, 0.1, 0.3]])]
-        bag = Bag(key=(), instances=[None] * 3, labels={1, 2})
-        assert select_instance(FixedScores(), bag) == 1
+        class FixedActivations:
+            def activations(self, insts, train=False, runs=None):
+                return Tensor(np.array([[0.9, 0.1, 0.2],
+                                        [0.1, 0.3, 0.2],
+                                        [0.8, 0.1, 0.3]]))
+        insts = [make_instance(["alpha", "E1", "E2"], L=10, M=2)
+                 for _ in range(3)]
+        bag = Bag(key=(), instances=insts, labels={1, 2})
+        assert select_instance(FixedActivations(), bag)[0] == 1
 
     def test_empty_bag_rejected(self):
         model = tiny_model()
@@ -341,10 +343,10 @@ class TestPerBagBackward:
         results: list[weakref.ref] = []
         alive_at_call: list[int] = []
 
-        def tracked(inst, train=False):
+        def tracked(inst, train=False, runs=None):
             if train:
                 alive_at_call.append(sum(r() is not None for r in results))
-            out = forward(inst, train=train)
+            out = forward(inst, train=train, runs=runs)
             if train:
                 results.append(weakref.ref(out.data))
             return out
@@ -365,7 +367,7 @@ class TestGradientIsolation:
         insts = [make_instance(s, L=10, M=2) for s in sentences]
         bag = Bag(key=insts[0].key, instances=insts, labels={1})
         opt = Adam(model.params, lr=model.config.lr)
-        selected = select_instance(model, bag)
+        selected = select_instance(model, bag)[0]
 
         def loss_and_grads():
             opt.zero_grad()
@@ -381,7 +383,7 @@ class TestGradientIsolation:
         # perturb a non-selected instance's tokens
         other = (selected + 1) % 3
         bag.instances[other].tokens[0] = "delta"
-        assert select_instance(model, bag) == selected
+        assert select_instance(model, bag)[0] == selected
         loss2, grads2 = loss_and_grads()
         assert loss1 == loss2
         for k in grads1:
@@ -520,6 +522,7 @@ class TestBagAccuracy:
         bags = [single_instance_bag(model, ("alpha", "E1", "E2"), (l,))
                 for l in (0, 1, 2)]
         with no_grad():
-            preds = [int(model.bag_scores(b).argmax()) for b in bags]
+            preds = [int(model.scores([b])[0].max(axis=0).argmax())
+                     for b in bags]
         expected = np.mean([p in b.labels for p, b in zip(preds, bags)])
         assert bag_top1_accuracy(model, bags) == expected
