@@ -46,7 +46,7 @@ def _require_paths(cfg: RunConfig, args, outputs: tuple[str, ...],
     or `--checkpoint` that is given replaces its field and is named in its
     place. No file written may be one read, `--config` too, or another one
     written. Return `--out`, or else the paths of `outputs` in `output_dir`."""
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         require_path(args.out, "--out", "write")
         files = [("--out", args.out, "write")]
     else:
@@ -59,9 +59,9 @@ def _require_paths(cfg: RunConfig, args, outputs: tuple[str, ...],
         reads.append("entity_embeddings")
     for name, use in {**uses, **dict.fromkeys(reads, "read")}.items():
         flag = getattr(args, name, None)
-        if flag:
+        if flag is not None:
             setattr(cfg, name, flag)
-        what = f"--{name}" if flag else f"config field {name!r}"
+        what = f"--{name}" if flag is not None else f"config field {name!r}"
         require_path(getattr(cfg, name), what, use)
         files.append((what, getattr(cfg, name), use))
     files.append(("--config", args.config, "read"))
@@ -126,8 +126,7 @@ def _load_trained(cfg: RunConfig, use: str, entities: bool = False,
 def _evaluate(model: Model, corpus: Corpus):
     """Score every bag; return the PR curve, its AUC and precision@recall."""
     curve = evaluation.pr_curve(evaluation.decisions_from_scores(
-        (bag, rows.max(axis=0))
-        for bag, rows in zip(corpus.bags, model.scores(corpus.bags))))
+        zip(corpus.bags, model.scores(corpus.bags))))
     return curve, evaluation.auc(curve), evaluation.precision_at(curve)
 
 
@@ -187,8 +186,7 @@ def cmd_predict(args) -> int:
     threshold = (model.config.threshold if args.threshold is None
                  else args.threshold)
     lines = []
-    for bag, rows in zip(corpus.bags, model.scores(corpus.bags)):
-        scores = rows.max(axis=0)
+    for bag, scores in zip(corpus.bags, model.scores(corpus.bags)):
         # single mode ranks every relation and assigns no pair
         if args.multi:
             picked = prediction.predict_multi(scores, threshold)

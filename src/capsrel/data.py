@@ -22,9 +22,9 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
-# Position bucket layout for sentence length limit L: relative distances
-# clamped to [-L, L] occupy buckets [0, 2L]; bucket 2L+2 is reserved for a
-# missing entity, so each position table has 2L+3 rows.
+# Position buckets for sentence limit L: distances clamped to [-L, L] take
+# buckets [0, 2L], a missing entity 2L+2. Bucket 2L+1 is never read: a table
+# without it would move every later Glorot draw and the checkpoint layout.
 def num_position_buckets(L: int) -> int:
     return 2 * L + 3
 

@@ -9,10 +9,10 @@ a sigmoid dense head (one tape node) over the mean-pooled sequence.
 `Model.activations` is the one forward: it takes a list of N sentences,
 packs their rows one after another, passes their lengths to every layer
 that splits rows into sentences, and returns N x E. Eval and predict
-score bags through one no-grad entry, `Model.scores`, one call per bag.
-Selection makes its own no-grad `activations` call, which keeps the
-bag's Bi-LSTM runs, and training passes the selected sentence's part of
-them to its train-mode call on that sentence alone, through `runs`.
+score bags through one no-grad entry, `Model.scores`: a bag's E scores
+are the maximum of its rows. Selection's own no-grad `activations` call
+keeps the bag's Bi-LSTM runs, and training passes the selected sentence's
+part of them to its train-mode call on that sentence alone, via `runs`.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ class Model:
         ids = [np.asarray([self.store.word_id(t) for t in inst.tokens],
                           dtype=np.int64) for inst in insts]
         lengths = [len(i) for i in ids]
-        if 0 in lengths:
-            raise ContractViolation("cannot encode an empty sentence")
+        if not lengths or 0 in lengths:
+            raise ContractViolation("cannot encode " + (
+                "an empty sentence" if lengths else "an empty list of sentences"))
         cfg = self.config
         p = self.params
         X = encoder.embed(
@@ -142,14 +143,15 @@ class Model:
                                     [(n + 1) * cfg.C for n in lengths])[1]
 
     def scores(self, bags) -> list[np.ndarray]:
-        """Eval-mode activations of each bag's N_i instances, N_i x E, in
-        the order of `bags`: one no-grad `activations` pass per bag."""
+        """Each bag's E scores, in the order of `bags`: the maximum over its
+        sentences of one no-grad `activations` pass per bag."""
         with no_grad():
-            return [self.activations(bag.instances).data for bag in bags]
+            return [self.activations(bag.instances).data.max(axis=0)
+                    for bag in bags]
 
     def bag_scores(self, bag) -> np.ndarray:
-        """Eval-mode per-relation score: max over the bag's instances."""
-        return self.scores([bag])[0].max(axis=0)
+        """`scores` of the one bag `bag`."""
+        return self.scores([bag])[0]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -692,7 +692,7 @@ def bag_top1_accuracy(model: Model, bags: list[Bag]) -> float:
     """Fraction of bags whose top-scoring relation is among the gold labels."""
     hits = 0
     for bag in bags:
-        scores = model.scores([bag])[0].max(axis=0)
+        scores = model.scores([bag])[0]
         if int(scores.argmax()) in bag.labels:
             hits += 1
     return hits / len(bags) if bags else 0.0

@@ -240,8 +240,7 @@ class TestAcceptance:
             for bag in corpus.bags:
                 inst = bag.instances[0]
                 gold = dict(zip(inst.relations, inst.pairs))
-                picked = predict_multi(model.scores([bag])[0].max(axis=0),
-                                        threshold=0.7)
+                picked = predict_multi(model.scores([bag])[0], threshold=0.7)
                 got = {e["id"]: tuple(e["pair"]) if e["pair"] else None
                        for e in assign_all(picked, list(bag.key), store,
                                            cfg.pair_diff)}

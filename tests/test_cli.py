@@ -17,6 +17,7 @@ from capsrel.data import load_corpus, load_embeddings
 from capsrel.model import Model
 from capsrel.training import train
 from helpers import write_json_checkpoint
+from output_digests import VARIANTS, run as output_digests
 
 
 def sha256(path):
@@ -295,6 +296,17 @@ class TestTrain:
             assert main(["train", "--config", str(p)]) == 0
             digests.append(sha256(run_cfg["checkpoint"]))
         assert digests[0] == digests[1]
+
+
+@pytest.mark.slow
+def test_every_output_is_byte_identical_across_reruns(tmp_path):
+    # c09's rerun check, extended from the checkpoint to every output file
+    first, second = (output_digests(tmp_path / run) for run in "ab")
+    outputs = {f"{variant}/{name}" for variant in VARIANTS for name in (
+        "model.ckpt", "train_log.jsonl", "metrics.json", "pr_curve.csv",
+        "predictions.jsonl", "predictions_multi.jsonl")}
+    assert outputs <= {path for _, path in first}
+    assert first == second
 
 
 class TestEval:
@@ -583,6 +595,31 @@ class TestInputPaths:
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: --config: {cfg_path} is not UTF-8 JSON" in err
+
+
+class TestEmptyPathFlags:
+    """A path flag given as "" is an empty path, not a flag left out: the
+    command exits 2 naming the flag before any data is read, and does not
+    fall back to the config's path."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("eval", "--checkpoint"), ("eval", "--corpus"),
+        ("predict", "--checkpoint"), ("predict", "--corpus"),
+        ("predict", "--out"), ("sweep", "--out")])
+    def test_exits_2_naming_the_flag_before_reading_data(
+            self, workspace, tmp_path, capsys, monkeypatch, command, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read before the paths were checked")
+        monkeypatch.setattr("capsrel.cli.load_embeddings", refuse)
+        _, cfg, _ = workspace
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_text("")     # never read: every case stops before
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(
+            cfg, checkpoint=str(ckpt), output_dir=str(tmp_path / "out"))))
+        assert main([command, "--config", str(cfg_path), flag, ""]) == 2
+        assert f"config error: {flag} is required" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "run.json"]
 
 
 class TestOwnFiles:

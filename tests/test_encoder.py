@@ -38,14 +38,17 @@ class TestEmbed:
                   [model.params["pos_emb_0"], model.params["pos_emb_1"]])
         assert X.shape == (3, 14)
 
-    @pytest.mark.parametrize("capsule", [True, False], ids=["full", "-Capsule"])
-    def test_empty_sentence_is_a_contract_violation(self, capsule):
-        # load_corpus never yields one; a caller building instances might
+    @pytest.mark.parametrize("capsule,sentences", [
+        (True, 1), (False, 1), (True, 0), (False, 0)],
+        ids=["full", "-Capsule", "full-no-sentences", "-Capsule-no-sentences"])
+    def test_empty_sentence_is_a_contract_violation(self, capsule, sentences):
+        # load_corpus never yields either; a caller building instances might
         model = tiny_model(capsule=capsule)
         inst = SentenceInstance(tokens=[], pairs=[("E1", "E2")], relations=[1],
                                 position_ids=np.zeros((0, 2), dtype=np.int64))
-        with pytest.raises(ContractViolation, match="empty sentence"):
-            model.activations([inst])
+        with pytest.raises(ContractViolation, match=(
+                "empty sentence" if sentences else "empty list of sentences")):
+            model.activations([inst] * sentences)
 
     def test_m4_single_pair_uses_missing_bucket_rows(self):
         model = tiny_model(M=4)

@@ -180,14 +180,16 @@ class TestInstanceScores:
                  for s in (["alpha", "E1", "E2"], ["E1", "beta", "E2"],
                            ["gamma", "E1", "delta", "E2"])]
         bag = Bag(key=insts[0].key, instances=insts, labels={1})
-        scores = model.scores([bag])[0]
         with no_grad():
+            rows = model.activations(insts).data
             expected = np.stack([model.activations([i]).data[0]
                                  for i in insts])
-        assert scores.shape == (3, model.E)
-        np.testing.assert_array_equal(scores, expected)
+        assert rows.shape == (3, model.E)
+        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_array_equal(model.scores([bag])[0],
+                                      rows.max(axis=0))
         np.testing.assert_array_equal(model.bag_scores(bag),
-                                      expected.max(axis=0))
+                                      rows.max(axis=0))
 
 
 class TestTrainLoop:
@@ -522,7 +524,7 @@ class TestBagAccuracy:
         bags = [single_instance_bag(model, ("alpha", "E1", "E2"), (l,))
                 for l in (0, 1, 2)]
         with no_grad():
-            preds = [int(model.scores([b])[0].max(axis=0).argmax())
+            preds = [int(model.scores([b])[0].argmax())
                      for b in bags]
         expected = np.mean([p in b.labels for p, b in zip(preds, bags)])
         assert bag_top1_accuracy(model, bags) == expected
